@@ -13,20 +13,12 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import ScenarioConfig, load_config
-from .forecast import (
-    InsufficientDataError,
-    TrainingConfig,
-    save_model,
-    train,
-)
+from .forecast import InsufficientDataError, evaluate_heldout, save_model, train
 from .network import SimulatedNetwork
 from .ric import run_control_loop, validate_jsonl
 from .splitting import default_bin_edges, export_histogram_csv, histogram_hours
 from .traffic import IngestError, export_csv, generate_synthetic, ingest_csv
-from .forecast.training import evaluate_heldout
 
 __all__ = ["main"]
 
@@ -37,24 +29,6 @@ def _write_json(path: Path, obj) -> None:
 
 def _write_config_echo(cfg: ScenarioConfig, outdir: Path) -> None:
     _write_json(outdir / "config.json", cfg.to_resolved_dict())
-
-
-def _per_cell_training_config(cfg: ScenarioConfig, enb: int, cell: int) -> TrainingConfig:
-    seed = int(
-        np.random.SeedSequence([cfg.training.seed, enb, cell]).generate_state(
-            1, dtype=np.uint64
-        )[0]
-    )
-    t = cfg.training
-    return TrainingConfig(
-        batch_size=t.batch_size,
-        epochs=t.epochs,
-        adam=t.adam,
-        lookback=t.lookback,
-        horizon=t.horizon,
-        train_fraction=t.train_fraction,
-        seed=seed,
-    )
 
 
 def cmd_generate(cfg: ScenarioConfig, outdir: Path) -> int:
@@ -88,7 +62,7 @@ def cmd_train(cfg: ScenarioConfig, dataset: Path, outdir: Path) -> int:
     per_cell: dict[str, float] = {}
     skipped: list[str] = []
     for series in series_list:
-        cell_cfg = _per_cell_training_config(cfg, series.cell.enb, series.cell.cell)
+        cell_cfg = cfg.training.for_cell(series.cell.enb, series.cell.cell)
         try:
             model, _ = train(series, cfg.lstm, cell_cfg)
         except InsufficientDataError:

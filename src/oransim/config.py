@@ -13,12 +13,10 @@ explicitly, so one integer pins the entire pipeline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .forecast import AdamHyper, LstmConfig, TrainingConfig
+from .forecast import AdamHyper, LstmConfig, TrainingConfig, derive_seed
 from .kpi import CongestionRule
 from .ric import ControlLoopConfig
 from .splitting import SplitPolicy
@@ -32,13 +30,6 @@ _SEED_DOMAIN_TRAINING = 1
 _SEED_DOMAIN_SPLIT = 2
 
 DEFAULT_HORIZON_HOURS = 168
-
-
-def derive_seed(master_seed: int, domain: int) -> int:
-    """Stable unsigned-64 seed for one component, derived from the master seed."""
-    return int(
-        np.random.SeedSequence([master_seed, domain]).generate_state(1, dtype=np.uint64)[0]
-    )
 
 
 def _check_keys(section: str, obj: dict, allowed: set[str]) -> None:
@@ -75,76 +66,13 @@ class ScenarioConfig:
 
     def to_resolved_dict(self) -> dict:
         """Echo of every resolved parameter, sufficient to reproduce the run."""
-        traffic: dict = {}
-        if self.profile is not None:
-            traffic["synthetic"] = {
-                "n_enb": self.profile.n_enb,
-                "cells_per_enb": self.profile.cells_per_enb,
-                "n_days": self.profile.n_days,
-                "diurnal_amplitude": self.profile.diurnal_amplitude,
-                "base_prb_util": self.profile.base_prb_util,
-                "peak_prb_util": self.profile.peak_prb_util,
-                "throughput_at_zero_load": self.profile.throughput_at_zero_load,
-                "noise_std": self.profile.noise_std,
-                "congested_cell_fraction": self.profile.congested_cell_fraction,
-                "seed": self.profile.seed,
-            }
+        doc = asdict(self)
+        profile, csv_path = doc.pop("profile"), doc.pop("csv_path")
+        if profile is not None:
+            doc["traffic"] = {"synthetic": profile}
         else:
-            traffic["csv"] = {"path": self.csv_path}
-        return {
-            "master_seed": self.master_seed,
-            "horizon_hours": self.horizon_hours,
-            "traffic": traffic,
-            "schema": {
-                "enb_col": self.schema.enb_col,
-                "cell_col": self.schema.cell_col,
-                "time_col": self.schema.time_col,
-                "prb_col": self.schema.prb_col,
-                "thr_col": self.schema.thr_col,
-                "timestamp_format": self.schema.timestamp_format,
-                "epoch": self.schema.epoch,
-            },
-            "rule": {
-                "throughput_max": self.rule.throughput_max,
-                "prb_min": self.rule.prb_min,
-            },
-            "lstm": {
-                "n_layers": self.lstm.n_layers,
-                "units_per_layer": self.lstm.units_per_layer,
-                "input_dim": self.lstm.input_dim,
-                "output_dim": self.lstm.output_dim,
-            },
-            "training": {
-                "batch_size": self.training.batch_size,
-                "epochs": self.training.epochs,
-                "adam": {
-                    "learning_rate": self.training.adam.learning_rate,
-                    "beta1": self.training.adam.beta1,
-                    "beta2": self.training.adam.beta2,
-                    "epsilon": self.training.adam.epsilon,
-                },
-                "lookback": self.training.lookback,
-                "horizon": self.training.horizon,
-                "train_fraction": self.training.train_fraction,
-                "seed": self.training.seed,
-            },
-            "loop": {
-                "collection_period": self.loop.collection_period,
-                "retrain_accuracy_threshold": self.loop.retrain_accuracy_threshold,
-                "feedback_window_hours": self.loop.feedback_window_hours,
-                "max_congested_hours": self.loop.max_congested_hours,
-                "target_window_hours": self.loop.target_window_hours,
-                "max_split_factor": self.loop.max_split_factor,
-                "split_cooldown_hours": self.loop.split_cooldown_hours,
-                "retrain_cooldown_hours": self.loop.retrain_cooldown_hours,
-            },
-            "split": {
-                "r_min": self.split.r_min,
-                "r_max": self.split.r_max,
-                "max_factor": self.split.max_factor,
-                "seed": self.split.seed,
-            },
-        }
+            doc["traffic"] = {"csv": {"path": csv_path}}
+        return doc
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:

@@ -31,7 +31,6 @@ __all__ = [
     "NormStats",
     "ForecastModel",
     "init_model",
-    "lstm_cell_step",
     "forward",
     "sigmoid",
     "model_to_json",
@@ -178,27 +177,49 @@ def init_model(config: LstmConfig, norm: NormStats, rng: np.random.Generator) ->
     return model
 
 
-def lstm_cell_step(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, layer: LayerParams):
-    """One LSTM step. Accepts a single vector (D,) or a batch (B, D).
+def _lstm_stack(
+    model: ForecastModel, layer_in: np.ndarray, cache: list | None = None
+) -> np.ndarray:
+    """The stacked recurrence over time-major input (T, B, D), zero initial states.
 
-    Returns (h, c) with the same leading shape as the inputs.
+    Returns the head's (B, output_dim) prediction from the top layer's last
+    hidden state. The input projection of a whole layer is one matmul; only
+    the recurrent term stays in the per-step loop. When ``cache`` is a list,
+    one dict per layer is appended holding the layer input ``x`` (T, B, D_l)
+    and the per-step activations BPTT reads, each its own contiguous
+    (T, B, H) array: ``i``, ``f``, ``g``, ``o``, ``c``, ``tanh_c``, ``h``.
     """
-    x = np.asarray(x, dtype=np.float64)
-    h4 = layer.b.shape[0]
-    h_units = h4 // 4
-    if x.shape[-1] != layer.w_x.shape[1]:
-        raise ValueError(f"input dim {x.shape[-1]} != expected {layer.w_x.shape[1]}")
-    if h_prev.shape[-1] != h_units or c_prev.shape[-1] != h_units:
-        raise ValueError("state dims do not match layer size")
-    z = x @ layer.w_x.T + h_prev @ layer.w_h.T + layer.b
-    gates = sigmoid(z[..., : 3 * h_units])
-    i = gates[..., 0 * h_units : 1 * h_units]
-    f = gates[..., 1 * h_units : 2 * h_units]
-    o = gates[..., 2 * h_units : 3 * h_units]
-    g = np.tanh(z[..., 3 * h_units :])
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    return h, c
+    steps, batch, _ = layer_in.shape
+    n = model.config.units_per_layer
+    for layer in model.layers:
+        zx = layer_in @ layer.w_x.T + layer.b  # (T, B, 4H)
+        h = np.zeros((batch, n))
+        c = np.zeros((batch, n))
+        hs = np.empty((steps, batch, n))
+        if cache is not None:
+            gi, gf, gg, go, cs, tc = (np.empty_like(hs) for _ in range(6))
+        for t in range(steps):
+            z = zx[t] + h @ layer.w_h.T
+            gates = sigmoid(z[:, : 3 * n])
+            i, f, o = gates[:, :n], gates[:, n : 2 * n], gates[:, 2 * n :]
+            g = np.tanh(z[:, 3 * n :])
+            if cache is not None:
+                # at batch > 1 the gate slices are strided; the contiguous
+                # copies BPTT keeps are also faster to compute with
+                gi[t], gf[t], go[t], gg[t] = i, f, o, g
+                i, f, o = gi[t], gf[t], go[t]
+            c = f * c + i * g
+            tanh_c = np.tanh(c)
+            h = o * tanh_c
+            hs[t] = h
+            if cache is not None:
+                cs[t], tc[t] = c, tanh_c
+        if cache is not None:
+            cache.append(
+                {"x": layer_in, "i": gi, "f": gf, "g": gg, "o": go, "c": cs, "tanh_c": tc, "h": hs}
+            )
+        layer_in = hs
+    return layer_in[-1] @ model.head.w.T + model.head.b
 
 
 def forward(model: ForecastModel, window: np.ndarray) -> np.ndarray:
@@ -219,23 +240,7 @@ def forward(model: ForecastModel, window: np.ndarray) -> np.ndarray:
         )
     if window.shape[1] < 1:
         raise ValueError("window must cover at least one step")
-    batch, steps, _ = window.shape
-    h_units = model.config.units_per_layer
-    layer_in = window.transpose(1, 0, 2)  # (T, B, D)
-    for layer in model.layers:
-        zx = layer_in @ layer.w_x.T + layer.b
-        h = np.zeros((batch, h_units))
-        c = np.zeros((batch, h_units))
-        outputs = np.empty((steps, batch, h_units))
-        for t in range(steps):
-            z = zx[t] + h @ layer.w_h.T
-            gates = sigmoid(z[:, : 3 * h_units])
-            g = np.tanh(z[:, 3 * h_units :])
-            c = gates[:, h_units : 2 * h_units] * c + gates[:, :h_units] * g
-            h = gates[:, 2 * h_units : 3 * h_units] * np.tanh(c)
-            outputs[t] = h
-        layer_in = outputs
-    pred = layer_in[-1] @ model.head.w.T + model.head.b
+    pred = _lstm_stack(model, window.transpose(1, 0, 2))
     return pred[0] if squeeze else pred
 
 

@@ -12,7 +12,7 @@ resulting parameters bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,15 +21,16 @@ from .model import (
     ForecastModel,
     LstmConfig,
     NormStats,
+    _lstm_stack,
     forward,
     init_model,
     param_arrays,
-    sigmoid,
 )
 
 __all__ = [
     "AdamHyper",
     "TrainingConfig",
+    "derive_seed",
     "WindowedDataset",
     "EpochStats",
     "AdamState",
@@ -77,6 +78,11 @@ class AdamHyper:
             raise ValueError("epsilon must be > 0")
 
 
+def derive_seed(*keys: int) -> int:
+    """Stable unsigned-64 seed derived from a sequence of integer keys."""
+    return int(np.random.SeedSequence(list(keys)).generate_state(1, dtype=np.uint64)[0])
+
+
 @dataclass(frozen=True)
 class TrainingConfig:
     """Hyperparameters of one training run (loss is fixed to MSE)."""
@@ -102,6 +108,10 @@ class TrainingConfig:
             raise ValueError("train_fraction must be in (0, 1)")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must be an unsigned 64-bit integer")
+
+    def for_cell(self, enb: int, cell: int) -> "TrainingConfig":
+        """This config with the seed of one cell's model, derived from the cell key."""
+        return replace(self, seed=derive_seed(self.seed, enb, cell))
 
 
 @dataclass(frozen=True)
@@ -157,48 +167,6 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
     diff = pred - target
     return float(np.mean(diff * diff))
-
-
-def _forward_cached(model: ForecastModel, inputs: np.ndarray):
-    """Forward pass over a batch (B, T, D), keeping per-step activations for BPTT.
-
-    Runs layer by layer so the input projection of a whole layer is one
-    matmul; only the recurrent term stays in the per-step loop. Cached
-    arrays are time-major (T, B, H).
-    """
-    batch, steps, _ = inputs.shape
-    n_units = model.config.units_per_layer
-    cache = []  # per layer: dict of (T, B, H) arrays plus the layer input (T, B, D)
-    layer_in = np.ascontiguousarray(inputs.transpose(1, 0, 2))  # (T, B, D)
-    for layer in model.layers:
-        zx = layer_in @ layer.w_x.T + layer.b  # (T, B, 4H)
-        gi = np.empty((steps, batch, n_units))
-        gf = np.empty_like(gi)
-        gg = np.empty_like(gi)
-        go = np.empty_like(gi)
-        cs = np.empty_like(gi)
-        tc = np.empty_like(gi)
-        hs = np.empty_like(gi)
-        h = np.zeros((batch, n_units))
-        c = np.zeros((batch, n_units))
-        for t in range(steps):
-            z = zx[t] + h @ layer.w_h.T
-            gates = sigmoid(z[:, : 3 * n_units])
-            gi[t] = gates[:, 0 * n_units : 1 * n_units]
-            gf[t] = gates[:, 1 * n_units : 2 * n_units]
-            go[t] = gates[:, 2 * n_units : 3 * n_units]
-            gg[t] = np.tanh(z[:, 3 * n_units :])
-            c = gf[t] * c + gi[t] * gg[t]
-            cs[t] = c
-            tc[t] = np.tanh(c)
-            h = go[t] * tc[t]
-            hs[t] = h
-        cache.append(
-            {"x": layer_in, "i": gi, "f": gf, "g": gg, "o": go, "c": cs, "tanh_c": tc, "h": hs}
-        )
-        layer_in = hs
-    pred = cache[-1]["h"][-1] @ model.head.w.T + model.head.b
-    return pred, cache
 
 
 def _shift_back(arr: np.ndarray) -> np.ndarray:
@@ -257,7 +225,8 @@ def _backward_from_cache(model, cache, dpred) -> list[np.ndarray]:
 
 
 def _loss_and_gradients(model, inputs, targets) -> tuple[float, list[np.ndarray]]:
-    pred, cache = _forward_cached(model, inputs)
+    cache: list[dict] = []
+    pred = _lstm_stack(model, np.ascontiguousarray(inputs.transpose(1, 0, 2)), cache)
     dpred = 2.0 * (pred - targets) / pred.size
     return mse_loss(pred, targets), _backward_from_cache(model, cache, dpred)
 

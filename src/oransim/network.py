@@ -3,7 +3,7 @@
 Each generation-0 cell owns a base waveform (what its KPIs would be with no
 intervention). An active cell carries the fraction of its origin cell's
 load that it currently serves (1.0 until a split); its realized KPIs follow
-the same law as ``splitting.apply_split_effects`` applied hour by hour:
+the split law ``splitting.share_kpis`` applied hour by hour:
 
     prb_util(t)      = clamp(base_util(t) * fraction, 0, 100)
     ip_throughput(t) = min(cap, base_thr(t) * base_util(t) / prb_util(t))
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kpi import CellId, KpiSample, KpiSeries
-from .splitting import CellLoadState, SplitEvent, SplitPolicy, split_cell
+from .splitting import CellLoadState, SplitEvent, SplitPolicy, share_kpis, split_cell
 from .traffic import SyntheticProfile, generate_synthetic
 
 __all__ = ["ActiveCell", "SimulatedNetwork"]
@@ -134,13 +134,7 @@ class SimulatedNetwork:
     def _kpis_at(self, cell: ActiveCell, hour: int) -> tuple[float, float]:
         base_u = float(self._base_util[cell.origin][hour])
         base_t = float(self._base_thr[cell.origin][hour])
-        util = min(100.0, max(0.0, base_u * cell.load_fraction))
-        if util > 0.0:
-            # ratio form so an unsplit cell (fraction 1) realizes base_t bit-exactly
-            thr = min(self.throughput_cap, base_t * (base_u / util))
-        else:
-            thr = self.throughput_cap
-        return util, thr
+        return share_kpis(base_u, base_t, cell.load_fraction, self.throughput_cap)
 
     def realize_hour(self) -> dict[CellKey, KpiSample]:
         """Produce and record every active cell's KPI sample for the next hour."""
@@ -261,8 +255,8 @@ class SimulatedNetwork:
         """
         cell = self.cells[key]
         state = self.load_state(key)
-        # hourly realization applies the apply_split_effects law via the
-        # cumulative load fraction, so only the load division happens here
+        # hourly realization applies the share_kpis law via the cumulative
+        # load fraction, so only the load division happens here
         _, _, event = split_cell(
             state, policy, hour, rng, child_cell_index=self._next_cell_index[cell.enb]
         )

@@ -1,6 +1,6 @@
 """Simulated O-RAN control plane: hosts, message choreography, control loop."""
 
-from .hosts import AiServer, CpmXapp, DataBus, DataCollector, NonRtRic
+from .hosts import AiServer, CpmXapp, DataCollector, NonRtRic
 from .loop import ControlLoopConfig, LoopResult, run_control_loop, summarize_run
 from .messages import (
     A1Deployment,
@@ -8,8 +8,6 @@ from .messages import (
     EventLog,
     EventTag,
     LoopEvent,
-    ModelCapabilityQuery,
-    ModelCapabilityReply,
     ModelPerformanceFeedback,
     O1Report,
 )
@@ -20,15 +18,12 @@ __all__ = [
     "AiServer",
     "ControlLoopConfig",
     "CpmXapp",
-    "DataBus",
     "DataCollector",
     "E2ControlRequest",
     "EventLog",
     "EventTag",
     "LoopEvent",
     "LoopResult",
-    "ModelCapabilityQuery",
-    "ModelCapabilityReply",
     "ModelPerformanceFeedback",
     "NonRtRic",
     "O1Report",

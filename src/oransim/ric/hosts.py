@@ -1,4 +1,4 @@
-"""Simulated control-plane hosts: SMO collector, data bus, AI server, RICs.
+"""Simulated control-plane hosts: SMO collector, AI server, RICs.
 
 Each host is a small state machine invoked sequentially by the control
 loop's scheduler. They share one EventLog and append their step's event
@@ -30,13 +30,11 @@ from .messages import (
     E2ControlRequest,
     EventLog,
     EventTag,
-    ModelCapabilityQuery,
-    ModelCapabilityReply,
     ModelPerformanceFeedback,
     O1Report,
 )
 
-__all__ = ["DataCollector", "DataBus", "AiServer", "NonRtRic", "CpmXapp"]
+__all__ = ["DataCollector", "AiServer", "NonRtRic", "CpmXapp"]
 
 logger = logging.getLogger(__name__)
 
@@ -76,54 +74,11 @@ class DataCollector:
         return report
 
 
-class DataBus:
-    """Reliable in-order bus between the collector and the non-RT RIC."""
-
-    def __init__(self, log: EventLog):
-        self.log = log
-        self._queue: list[O1Report] = []
-
-    def publish(self, report: O1Report, hour: int) -> None:
-        self._queue.append(report)
-        self.log.append(
-            EventTag.BUS_PUBLISH,
-            hour=hour,
-            cells=report.source,
-            payload={"window_start": report.window_start, "n_samples": report.n_samples},
-        )
-
-    def consume(self) -> O1Report | None:
-        if not self._queue:
-            return None
-        return self._queue.pop(0)
-
-
 class AiServer:
-    """Training host inside the SMO with a fixed capability set."""
-
-    SUPPORTED_FEATURES = frozenset(
-        {"recurrent-training", "float64", "multivariate-regression"}
-    )
-    SUPPORTED_DATA_SOURCES = frozenset({"prb_util", "ip_throughput"})
-    CAPACITY = {"max_parallel_jobs": 8, "float_width_bits": 64}
+    """Training host inside the SMO."""
 
     def __init__(self, log: EventLog):
         self.log = log
-
-    def negotiate(self, query: ModelCapabilityQuery, hour: int) -> ModelCapabilityReply:
-        supported = set(query.required_features) <= self.SUPPORTED_FEATURES and set(
-            query.data_sources
-        ) <= self.SUPPORTED_DATA_SOURCES
-        self.log.append(
-            EventTag.CAPABILITY_QUERY,
-            hour=hour,
-            payload={
-                "required": sorted(query.required_features),
-                "sources": sorted(query.data_sources),
-                "supported": supported,
-            },
-        )
-        return ModelCapabilityReply(supported=supported, capacity=dict(self.CAPACITY))
 
     def train_cells(
         self,
@@ -140,22 +95,8 @@ class AiServer:
         models: dict[CellKey, ForecastModel] = {}
         failures: list[CellKey] = []
         for key in sorted(histories):
-            seed = int(
-                np.random.SeedSequence([train_cfg.seed, key[0], key[1]]).generate_state(
-                    1, dtype=np.uint64
-                )[0]
-            )
-            cell_cfg = TrainingConfig(
-                batch_size=train_cfg.batch_size,
-                epochs=train_cfg.epochs,
-                adam=train_cfg.adam,
-                lookback=train_cfg.lookback,
-                horizon=train_cfg.horizon,
-                train_fraction=train_cfg.train_fraction,
-                seed=seed,
-            )
             try:
-                model, _ = train(histories[key], lstm_cfg, cell_cfg)
+                model, _ = train(histories[key], lstm_cfg, train_cfg.for_cell(*key))
             except InsufficientDataError as exc:
                 logger.warning("training skipped for cell %s: %s", key, exc)
                 failures.append(key)
@@ -167,8 +108,12 @@ class AiServer:
 class NonRtRic:
     """Non-RT RIC: owns the model cache, versioning, and A1 deployments."""
 
-    REQUIRED_FEATURES = ("recurrent-training", "float64")
-    DATA_SOURCES = ("prb_util", "ip_throughput")
+    # What each training round asks of the AI server, which supports it.
+    CAPABILITY_QUERY = {
+        "required": ["float64", "recurrent-training"],
+        "sources": ["ip_throughput", "prb_util"],
+        "supported": True,
+    }
 
     def __init__(self, log: EventLog, ai_server: AiServer):
         self.log = log
@@ -181,14 +126,6 @@ class NonRtRic:
     def has_model(self, key: CellKey) -> bool:
         return key in self._serialized
 
-    def ensure_capabilities(self, hour: int) -> ModelCapabilityReply:
-        query = ModelCapabilityQuery(self.REQUIRED_FEATURES, self.DATA_SOURCES)
-        reply = self.ai.negotiate(query, hour)
-        if not reply.supported:
-            raise RuntimeError("AI server does not support the required model features")
-        self._capabilities_ok = True
-        return reply
-
     def train_and_update(
         self,
         histories: dict[CellKey, KpiSeries],
@@ -200,7 +137,8 @@ class NonRtRic:
 
         Returns the cells whose training failed (they keep any prior model).
         """
-        self.ensure_capabilities(hour)
+        self.log.append(EventTag.CAPABILITY_QUERY, hour=hour, payload=self.CAPABILITY_QUERY)
+        self._capabilities_ok = True
         ids = [histories[k].cell for k in sorted(histories)]
         self.log.append(
             EventTag.TRAIN_REQUEST,

@@ -28,7 +28,7 @@ from ..forecast import LstmConfig, TrainingConfig, accuracy
 from ..kpi import CongestionRule, KpiSample, congested_hours
 from ..network import SimulatedNetwork
 from ..splitting import SplitPolicy
-from .hosts import AiServer, CpmXapp, DataBus, DataCollector, NonRtRic
+from .hosts import AiServer, CpmXapp, DataCollector, NonRtRic
 from .messages import E2ControlRequest, EventLog, EventTag, ModelPerformanceFeedback
 
 __all__ = ["ControlLoopConfig", "LoopResult", "run_control_loop"]
@@ -167,7 +167,6 @@ def run_control_loop(
 
     log = log if log is not None else EventLog()
     collector = DataCollector(log)
-    bus = DataBus(log)
     ai = AiServer(log)
     non_rt = NonRtRic(log, ai)
     xapp = CpmXapp(log)
@@ -192,10 +191,12 @@ def run_control_loop(
         period = loop_cfg.collection_period
         # (1)(2) collect the last fully elapsed window, publish to non-RT RIC
         report = collector.collect(network, hour - period, period)
-        bus.publish(report, hour)
-        delivered = bus.consume()
-        if delivered is not report:  # simulated bus is in-order and loss-free
-            raise RuntimeError("data bus delivery violated ordering")
+        log.append(
+            EventTag.BUS_PUBLISH,
+            hour=hour,
+            cells=report.source,
+            payload={"window_start": report.window_start, "n_samples": report.n_samples},
+        )
 
         # (3)(4) capability query + training when due
         if training_due:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..kpi import CellId, CongestionRule, KpiSample
 from ..splitting import SplitPolicy
@@ -20,8 +20,6 @@ __all__ = [
     "LoopEvent",
     "EventLog",
     "O1Report",
-    "ModelCapabilityQuery",
-    "ModelCapabilityReply",
     "A1Deployment",
     "E2ControlRequest",
     "ModelPerformanceFeedback",
@@ -172,18 +170,6 @@ class O1Report:
     @property
     def n_samples(self) -> int:
         return sum(len(v) for v in self.payload.values())
-
-
-@dataclass(frozen=True)
-class ModelCapabilityQuery:
-    required_features: tuple[str, ...]
-    data_sources: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ModelCapabilityReply:
-    supported: bool
-    capacity: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

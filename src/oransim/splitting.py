@@ -8,8 +8,9 @@ Both cells advance one split generation, so a cell's split factor is
 The post-split KPI law is the simplest model consistent with the intent of
 the remedy: utilization scales with each cell's share of the pre-split
 load, and per-user throughput scales inversely with utilization, capped at
-the cell's zero-load throughput. It is isolated in ``apply_split_effects``
-so alternative laws can be swapped in.
+the cell's zero-load throughput. It is isolated in ``share_kpis``, which
+both ``apply_split_effects`` and the network's hourly realization use, so
+alternative laws can be swapped in.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "SplitRefusedError",
     "draw_r",
     "split_cell",
+    "share_kpis",
     "apply_split_effects",
     "histogram_hours",
     "default_bin_edges",
@@ -139,24 +141,33 @@ def split_cell(
     return parent, child, event
 
 
+def share_kpis(util: float, thr: float, share: float, cap: float) -> tuple[float, float]:
+    """KPIs of a cell serving ``share`` of a load that shows (util, thr) unsplit.
+
+    Utilization scales with the share, clamped to [0, 100]; throughput
+    scales inversely with utilization, capped at ``cap`` (and equal to it at
+    zero utilization).
+    """
+    new_util = min(100.0, max(0.0, util * share))
+    if new_util > 0.0:
+        # ratio form so an unsplit cell (share 1) keeps thr bit-exactly
+        return new_util, min(cap, thr * (util / new_util))
+    return new_util, cap
+
+
 def apply_split_effects(
     parent: CellLoadState, child: CellLoadState
 ) -> tuple[CellLoadState, CellLoadState]:
     """Recompute both cells' KPIs from their shares of the pre-split load.
 
-    prb_util scales with the load share (clamped to [0, 100]); throughput
-    scales inversely with utilization, capped at the zero-load throughput.
-    The inputs are expected to still carry the shared pre-split KPIs.
+    The law is ``share_kpis``. The inputs are expected to still carry the
+    shared pre-split KPIs.
     """
     total = parent.load + child.load
 
     def updated(state: CellLoadState, share: float) -> CellLoadState:
-        new_util = min(100.0, state.prb_util * share)
-        if new_util > 0:
-            new_thr = min(state.throughput_cap, state.ip_throughput * state.prb_util / new_util)
-        else:
-            new_thr = state.throughput_cap
-        return replace(state, prb_util=new_util, ip_throughput=new_thr)
+        util, thr = share_kpis(state.prb_util, state.ip_throughput, share, state.throughput_cap)
+        return replace(state, prb_util=util, ip_throughput=thr)
 
     if total > 0:
         parent_share = parent.load / total

@@ -30,7 +30,6 @@ from oransim.forecast import (
     forward,
     init_model,
     load_model,
-    lstm_cell_step,
     make_windows,
     model_from_json,
     model_to_json,
@@ -41,6 +40,7 @@ from oransim.forecast import (
     save_model,
     train,
 )
+from oransim.forecast.model import _lstm_stack, sigmoid
 
 
 def rng_for(seed):
@@ -105,58 +105,69 @@ def oracle_forward(model, window):
     return out
 
 
-class TestLstmCell:
-    def zero_layer(self, units=4, input_dim=2):
-        return LayerParams(
-            np.zeros((4 * units, input_dim)),
-            np.zeros((4 * units, units)),
-            np.zeros(4 * units),
+# --- seed references: the two vectorised loops the shared recurrence replaced ---
+
+def seed_forward(model, window):
+    """The vectorised inference loop of ``forward`` as it was before the fold."""
+    window = np.asarray(window, dtype=np.float64)
+    squeeze = window.ndim == 2
+    if squeeze:
+        window = window[np.newaxis, :, :]
+    batch, steps, _ = window.shape
+    h_units = model.config.units_per_layer
+    layer_in = window.transpose(1, 0, 2)  # (T, B, D)
+    for layer in model.layers:
+        zx = layer_in @ layer.w_x.T + layer.b
+        h = np.zeros((batch, h_units))
+        c = np.zeros((batch, h_units))
+        outputs = np.empty((steps, batch, h_units))
+        for t in range(steps):
+            z = zx[t] + h @ layer.w_h.T
+            gates = sigmoid(z[:, : 3 * h_units])
+            g = np.tanh(z[:, 3 * h_units :])
+            c = gates[:, h_units : 2 * h_units] * c + gates[:, :h_units] * g
+            h = gates[:, 2 * h_units : 3 * h_units] * np.tanh(c)
+            outputs[t] = h
+        layer_in = outputs
+    pred = layer_in[-1] @ model.head.w.T + model.head.b
+    return pred[0] if squeeze else pred
+
+
+def seed_forward_cached(model, inputs):
+    """The BPTT forward pass (``_forward_cached``) as it was before the fold."""
+    batch, steps, _ = inputs.shape
+    n_units = model.config.units_per_layer
+    cache = []
+    layer_in = np.ascontiguousarray(inputs.transpose(1, 0, 2))  # (T, B, D)
+    for layer in model.layers:
+        zx = layer_in @ layer.w_x.T + layer.b  # (T, B, 4H)
+        gi = np.empty((steps, batch, n_units))
+        gf = np.empty_like(gi)
+        gg = np.empty_like(gi)
+        go = np.empty_like(gi)
+        cs = np.empty_like(gi)
+        tc = np.empty_like(gi)
+        hs = np.empty_like(gi)
+        h = np.zeros((batch, n_units))
+        c = np.zeros((batch, n_units))
+        for t in range(steps):
+            z = zx[t] + h @ layer.w_h.T
+            gates = sigmoid(z[:, : 3 * n_units])
+            gi[t] = gates[:, 0 * n_units : 1 * n_units]
+            gf[t] = gates[:, 1 * n_units : 2 * n_units]
+            go[t] = gates[:, 2 * n_units : 3 * n_units]
+            gg[t] = np.tanh(z[:, 3 * n_units :])
+            c = gf[t] * c + gi[t] * gg[t]
+            cs[t] = c
+            tc[t] = np.tanh(c)
+            h = go[t] * tc[t]
+            hs[t] = h
+        cache.append(
+            {"x": layer_in, "i": gi, "f": gf, "g": gg, "o": go, "c": cs, "tanh_c": tc, "h": hs}
         )
-
-    def test_zero_params_zero_state(self):
-        layer = self.zero_layer()
-        h, c = lstm_cell_step(np.ones(2), np.zeros(4), np.zeros(4), layer)
-        assert np.all(h == 0) and np.all(c == 0)
-
-    def test_zero_params_carries_half_cell_state(self):
-        # gates sit at 0.5, candidate at 0: c' = 0.5 c, h = 0.5 tanh(0.5 c)
-        layer = self.zero_layer()
-        c_prev = np.array([0.4, -1.2, 2.0, 0.0])
-        h, c = lstm_cell_step(np.ones(2), np.zeros(4), c_prev, layer)
-        assert np.allclose(c, 0.5 * c_prev, atol=1e-15)
-        assert np.allclose(h, 0.5 * np.tanh(0.5 * c_prev), atol=1e-15)
-
-    def test_matches_oracle_recurrence(self):
-        rng = rng_for(11)
-        model = small_model(seed=11, n_layers=1, units=5, input_dim=3)
-        layer = model.layers[0]
-        x = rng.normal(size=3)
-        h_prev = rng.normal(size=5)
-        c_prev = rng.normal(size=5)
-        h, c = lstm_cell_step(x, h_prev, c_prev, layer)
-        oh, oc = oracle_lstm_step(x, h_prev, c_prev, layer.w_x, layer.w_h, layer.b, 5)
-        assert np.allclose(h, oh, atol=1e-12)
-        assert np.allclose(c, oc, atol=1e-12)
-
-    def test_batch_matches_single(self):
-        model = small_model(seed=2, n_layers=1, units=4)
-        layer = model.layers[0]
-        rng = rng_for(3)
-        xs = rng.normal(size=(6, 2))
-        hs = rng.normal(size=(6, 4))
-        cs = rng.normal(size=(6, 4))
-        bh, bc = lstm_cell_step(xs, hs, cs, layer)
-        for row in range(6):
-            h, c = lstm_cell_step(xs[row], hs[row], cs[row], layer)
-            assert np.allclose(bh[row], h, atol=1e-14)
-            assert np.allclose(bc[row], c, atol=1e-14)
-
-    def test_shape_mismatch_rejected(self):
-        layer = self.zero_layer()
-        with pytest.raises(ValueError):
-            lstm_cell_step(np.ones(3), np.zeros(4), np.zeros(4), layer)
-        with pytest.raises(ValueError):
-            lstm_cell_step(np.ones(2), np.zeros(5), np.zeros(4), layer)
+        layer_in = hs
+    pred = cache[-1]["h"][-1] @ model.head.w.T + model.head.b
+    return pred, cache
 
 
 class TestForward:
@@ -173,7 +184,8 @@ class TestForward:
     def test_lookback_one_reduces_to_single_step(self):
         model = small_model(seed=5, n_layers=1, units=4)
         x = np.array([[0.3, -0.7]])
-        h, _ = lstm_cell_step(x[0], np.zeros(4), np.zeros(4), model.layers[0])
+        layer = model.layers[0]
+        h, _ = oracle_lstm_step(x[0], np.zeros(4), np.zeros(4), layer.w_x, layer.w_h, layer.b, 4)
         assert np.allclose(forward(model, x), h @ model.head.w.T + model.head.b, atol=1e-14)
 
     def test_matches_oracle_on_fixed_window(self):
@@ -192,6 +204,34 @@ class TestForward:
         model = small_model()
         with pytest.raises(ValueError):
             forward(model, np.ones((4, 3)))
+
+
+@pytest.mark.parametrize("batch", [1, 16])
+@pytest.mark.parametrize("n_layers", [1, 2])
+class TestSeedReference:
+    """The shared recurrence reproduces both seed loops bit for bit."""
+
+    def model_and_windows(self, n_layers, batch):
+        model = small_model(seed=20 + n_layers, n_layers=n_layers, units=12)
+        windows = rng_for(30 + batch).uniform(0, 1, size=(batch, 24, 2))
+        return model, windows
+
+    def test_forward_matches_seed_loop(self, n_layers, batch):
+        model, windows = self.model_and_windows(n_layers, batch)
+        assert np.array_equal(forward(model, windows), seed_forward(model, windows))
+        assert np.array_equal(forward(model, windows[0]), seed_forward(model, windows[0]))
+
+    def test_bptt_cache_matches_seed_forward_cached(self, n_layers, batch):
+        model, windows = self.model_and_windows(n_layers, batch)
+        cache = []
+        pred = _lstm_stack(model, np.ascontiguousarray(windows.transpose(1, 0, 2)), cache)
+        ref_pred, ref_cache = seed_forward_cached(model, windows)
+        assert np.array_equal(pred, ref_pred)
+        assert len(cache) == len(ref_cache) == n_layers
+        for layer, ref_layer in zip(cache, ref_cache):
+            assert layer.keys() == ref_layer.keys()
+            for name, arr in layer.items():
+                assert np.array_equal(arr, ref_layer[name]), name
 
 
 class TestMseLoss:

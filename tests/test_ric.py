@@ -9,11 +9,9 @@ from oransim.ric import (
     AiServer,
     ControlLoopConfig,
     CpmXapp,
-    DataBus,
     DataCollector,
     EventLog,
     EventTag,
-    ModelCapabilityQuery,
     NonRtRic,
     run_control_loop,
 )
@@ -80,40 +78,6 @@ class TestCollectorAndBus:
     def test_report_window_invariant(self):
         with pytest.raises(ValueError):
             O1Report(0, 2, {CellId(0, 0): (KpiSample(5, 1.0, 1.0),)}, (CellId(0, 0),))
-
-    def test_bus_is_fifo_and_lossless(self):
-        log = EventLog()
-        bus = DataBus(log)
-        net = flat_network(history=4)
-        collector = DataCollector(log)
-        r1 = collector.collect(net, 0, 2)
-        bus.publish(r1, 2)
-        r2 = collector.collect(net, 2, 2)
-        bus.publish(r2, 4)
-        assert bus.consume() is r1
-        assert bus.consume() is r2
-        assert bus.consume() is None
-
-
-class TestCapabilities:
-    def test_supported_query(self):
-        ai = AiServer(EventLog())
-        reply = ai.negotiate(
-            ModelCapabilityQuery(("recurrent-training", "float64"),
-                                 ("prb_util", "ip_throughput")), hour=0)
-        assert reply.supported
-        assert reply.capacity["float_width_bits"] == 64
-
-    def test_unsupported_feature(self):
-        ai = AiServer(EventLog())
-        reply = ai.negotiate(
-            ModelCapabilityQuery(("quantum-annealing",), ("prb_util",)), hour=0)
-        assert not reply.supported
-
-    def test_repeated_query_identical(self):
-        ai = AiServer(EventLog())
-        q = ModelCapabilityQuery(("float64",), ("prb_util",))
-        assert ai.negotiate(q, 0) == ai.negotiate(q, 0)
 
 
 class TestTrainingRound:
