@@ -98,7 +98,7 @@ def _build_network(cfg: ScenarioConfig) -> SimulatedNetwork:
         if not base:
             raise ValueError(f"dataset {cfg.csv_path} contains no cells")
         total = len(base[0])
-        cap = max(s.ip_throughput for series in base for s in series.samples)
+        cap = max(float(series.to_array()[:, 1].max()) for series in base)
     history = total - cfg.horizon_hours
     if history < 1:
         raise ValueError(

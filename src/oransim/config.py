@@ -13,10 +13,11 @@ explicitly, so one integer pins the entire pipeline.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
-from .forecast import AdamHyper, LstmConfig, TrainingConfig, derive_seed
+from .forecast import LstmConfig, TrainingConfig, derive_seed
 from .kpi import CongestionRule
 from .ric import ControlLoopConfig
 from .splitting import SplitPolicy
@@ -36,6 +37,38 @@ def _check_keys(section: str, obj: dict, allowed: set[str]) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise ValueError(f"unknown keys in {section}: {sorted(unknown)}")
+
+
+def _check_type(path: str, value, hint) -> None:
+    """Reject a JSON value whose type is not the annotation ``hint``.
+
+    ``int`` takes no bool or float, ``float`` takes an int but no bool, and
+    ``X | None`` also takes null.
+    """
+    allowed = typing.get_args(hint) or (hint,)
+    if not any(type(value) in ((int, float) if t is float else (t,)) for t in allowed):
+        names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+        raise ValueError(f"{path} must be {names}, got {value!r}")
+
+
+def _kwargs(cls, path: str, section) -> dict:
+    """Keyword arguments of dataclass ``cls`` from a config section.
+
+    Keys must be fields of ``cls``; each value must have the type of the
+    field's annotation, and a dataclass-typed field is built recursively.
+    """
+    _check_type(path, section, dict)
+    _check_keys(path, section, {f.name for f in fields(cls)})
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for key, value in section.items():
+        hint = hints[key]
+        if is_dataclass(hint):
+            out[key] = hint(**_kwargs(hint, f"{path}.{key}", value))
+        else:
+            _check_type(f"{path}.{key}", value, hint)
+            out[key] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -83,72 +116,42 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         {"master_seed", "horizon_hours", "traffic", "schema", "rule", "lstm",
          "training", "loop", "split"},
     )
-    master_seed = int(doc.get("master_seed", 0))
-    horizon_hours = int(doc.get("horizon_hours", DEFAULT_HORIZON_HOURS))
+    master_seed = doc.get("master_seed", 0)
+    _check_type("master_seed", master_seed, int)
+    horizon_hours = doc.get("horizon_hours", DEFAULT_HORIZON_HOURS)
+    _check_type("horizon_hours", horizon_hours, int)
 
-    traffic = dict(doc.get("traffic", {"synthetic": {}}))
+    traffic = doc.get("traffic", {"synthetic": {}})
+    _check_type("traffic", traffic, dict)
     _check_keys("traffic", traffic, {"synthetic", "csv"})
     if "synthetic" in traffic and "csv" in traffic:
         raise ValueError("traffic must be either synthetic or csv, not both")
     profile = None
     csv_path = None
     if "csv" in traffic:
-        csv_section = dict(traffic["csv"])
+        csv_section = traffic["csv"]
+        _check_type("traffic.csv", csv_section, dict)
         _check_keys("traffic.csv", csv_section, {"path"})
-        csv_path = str(csv_section["path"])
+        csv_path = csv_section.get("path")
+        _check_type("traffic.csv.path", csv_path, str)
     else:
-        synth = dict(traffic.get("synthetic", {}))
-        _check_keys(
-            "traffic.synthetic",
-            synth,
-            {"n_enb", "cells_per_enb", "n_days", "diurnal_amplitude", "base_prb_util",
-             "peak_prb_util", "throughput_at_zero_load", "noise_std",
-             "congested_cell_fraction", "seed"},
-        )
+        synth = _kwargs(SyntheticProfile, "traffic.synthetic", traffic.get("synthetic", {}))
         synth.setdefault("seed", derive_seed(master_seed, _SEED_DOMAIN_TRAFFIC))
         profile = SyntheticProfile(**synth)
 
-    schema_section = dict(doc.get("schema", {}))
-    _check_keys(
-        "schema",
-        schema_section,
-        {"enb_col", "cell_col", "time_col", "prb_col", "thr_col",
-         "timestamp_format", "epoch"},
-    )
-    schema = DatasetSchema(**schema_section)
+    schema = DatasetSchema(**_kwargs(DatasetSchema, "schema", doc.get("schema", {})))
+    rule = CongestionRule(**_kwargs(CongestionRule, "rule", doc.get("rule", {})))
+    lstm = LstmConfig(**_kwargs(LstmConfig, "lstm", doc.get("lstm", {})))
 
-    rule_section = dict(doc.get("rule", {}))
-    _check_keys("rule", rule_section, {"throughput_max", "prb_min"})
-    rule = CongestionRule(**rule_section)
-
-    lstm_section = dict(doc.get("lstm", {}))
-    _check_keys("lstm", lstm_section, {"n_layers", "units_per_layer", "input_dim", "output_dim"})
-    lstm = LstmConfig(**lstm_section)
-
-    training_section = dict(doc.get("training", {}))
-    _check_keys(
-        "training",
-        training_section,
-        {"batch_size", "epochs", "adam", "lookback", "horizon", "train_fraction", "seed"},
-    )
-    adam_section = dict(training_section.pop("adam", {}))
-    _check_keys("training.adam", adam_section, {"learning_rate", "beta1", "beta2", "epsilon"})
+    training_section = _kwargs(TrainingConfig, "training", doc.get("training", {}))
     training_section.setdefault("seed", derive_seed(master_seed, _SEED_DOMAIN_TRAINING))
-    training = TrainingConfig(adam=AdamHyper(**adam_section), **training_section)
+    training = TrainingConfig(**training_section)
 
-    split_section = dict(doc.get("split", {}))
-    _check_keys("split", split_section, {"r_min", "r_max", "max_factor", "seed"})
+    split_section = _kwargs(SplitPolicy, "split", doc.get("split", {}))
     split_section.setdefault("seed", derive_seed(master_seed, _SEED_DOMAIN_SPLIT))
     split = SplitPolicy(**split_section)
 
-    loop_section = dict(doc.get("loop", {}))
-    _check_keys(
-        "loop",
-        loop_section,
-        {"collection_period", "retrain_accuracy_threshold", "feedback_window_hours",
-         "max_congested_hours", "target_window_hours", "max_split_factor",
-         "split_cooldown_hours", "retrain_cooldown_hours"},
-    )
+    loop_section = _kwargs(ControlLoopConfig, "loop", doc.get("loop", {}))
     loop_section.setdefault("max_split_factor", split.max_factor)
     loop = ControlLoopConfig(**loop_section)
 

@@ -372,8 +372,7 @@ def predict_next_hour(model: ForecastModel, series: KpiSeries, lookback: int) ->
             f"series length {len(series)} < lookback {lookback}"
         )
     window = series.to_array()[-lookback:]
-    last = series.samples[-1].timestamp
-    return predict_from_window(model, window, last + 1)
+    return predict_from_window(model, window, series.start + len(series))
 
 
 def evaluate_heldout(

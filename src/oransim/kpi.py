@@ -77,44 +77,52 @@ class KpiSample:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KpiSeries:
-    """Hourly KPI samples for one cell, gap-free and strictly ordered."""
+    """Hourly KPIs of one cell: row ``i`` of ``values`` is hour ``start + i``.
+
+    ``values`` is a read-only (N, 2) float64 array with columns
+    (prb_util, ip_throughput); every row obeys ``KpiSample``'s bounds.
+    """
 
     cell: CellId
-    samples: tuple[KpiSample, ...] = field(default_factory=tuple)
+    start: int = 0
+    values: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        for prev, cur in zip(self.samples, self.samples[1:]):
-            if cur.timestamp != prev.timestamp + 1:
-                raise ValueError(
-                    f"samples must be hourly with no gaps: "
-                    f"{prev.timestamp} followed by {cur.timestamp}"
-                )
+        values = np.array(self.values, dtype=np.float64)
+        if values.ndim != 2 or values.shape[1] != 2:
+            raise ValueError(f"values must have shape (N, 2), got {values.shape}")
+        prb, thr = values[:, 0], values[:, 1]
+        bad = ~((prb >= 0.0) & (prb <= 100.0) & np.isfinite(thr) & (thr >= 0.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"hour {self.start + i}: prb_util must be in [0, 100] and ip_throughput "
+                f"finite and >= 0, got ({prb[i]}, {thr[i]})"
+            )
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, KpiSeries)
+            and (self.cell, self.start) == (other.cell, other.start)
+            and np.array_equal(self.values, other.values)
+        )
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def start(self) -> int:
-        return self.samples[0].timestamp
+        return self.values.shape[0]
 
     def to_array(self) -> np.ndarray:
         """(N, 2) float64 array with columns (prb_util, ip_throughput)."""
-        return np.array(
-            [(s.prb_util, s.ip_throughput) for s in self.samples], dtype=np.float64
-        ).reshape(len(self.samples), 2)
+        return self.values
 
     @staticmethod
     def from_arrays(
         cell: CellId, start: int, prb_util, ip_throughput
     ) -> "KpiSeries":
-        samples = tuple(
-            KpiSample(start + i, float(u), float(t))
-            for i, (u, t) in enumerate(zip(prb_util, ip_throughput, strict=True))
-        )
-        return KpiSeries(cell, samples)
+        return KpiSeries(cell, start, np.column_stack([prb_util, ip_throughput]))
 
 
 @dataclass(frozen=True)
@@ -134,10 +142,17 @@ class CongestionRule:
         if not (0.0 < self.prb_min < 100.0):
             raise ValueError(f"prb_min must be in (0, 100), got {self.prb_min}")
 
+    def congested(self, prb, thr):
+        """True where both thresholds are violated (strict inequalities).
+
+        Works elementwise on scalars or arrays of equal shape.
+        """
+        return (thr < self.throughput_max) & (prb > self.prb_min)
+
 
 def evaluate_congestion(sample: KpiSample, rule: CongestionRule) -> bool:
     """True iff the sample violates both thresholds (strict inequalities)."""
-    return sample.ip_throughput < rule.throughput_max and sample.prb_util > rule.prb_min
+    return bool(rule.congested(sample.prb_util, sample.ip_throughput))
 
 
 def window_average(series: KpiSeries, start: int, length: int) -> tuple[float, float]:
@@ -147,21 +162,17 @@ def window_average(series: KpiSeries, start: int, length: int) -> tuple[float, f
     """
     if length < 1:
         raise ValueError(f"window length must be >= 1, got {length}")
-    if not series.samples:
-        raise ValueError("cannot average an empty series")
     lo = start - series.start
     hi = lo + length
-    if lo < 0 or hi > len(series.samples):
+    if lo < 0 or hi > len(series):
         raise ValueError(
             f"window [{start}, {start + length}) outside series "
-            f"[{series.start}, {series.start + len(series.samples)})"
+            f"[{series.start}, {series.start + len(series)})"
         )
-    chunk = series.samples[lo:hi]
-    mean_prb = sum(s.prb_util for s in chunk) / length
-    mean_thr = sum(s.ip_throughput for s in chunk) / length
-    return mean_prb, mean_thr
+    mean_prb, mean_thr = series.values[lo:hi].sum(axis=0) / length
+    return float(mean_prb), float(mean_thr)
 
 
 def congested_hours(series: KpiSeries, rule: CongestionRule) -> int:
-    """Number of samples in the series that evaluate as congested."""
-    return sum(1 for s in series.samples if evaluate_congestion(s, rule))
+    """Number of hours in the series that evaluate as congested."""
+    return int(np.count_nonzero(rule.congested(series.values[:, 0], series.values[:, 1])))

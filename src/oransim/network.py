@@ -20,7 +20,7 @@ fresh index within the eNB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +43,8 @@ class ActiveCell:
     origin: CellKey            # generation-0 ancestor owning the base waveform
     load_fraction: float       # share of the origin cell's load served here
     created_at: int            # first hour this cell exists
-    prb_util: list[float] = field(default_factory=list)
-    ip_throughput: list[float] = field(default_factory=list)
+    kpis: np.ndarray           # (util, thr) row per hour the cell can exist
+    n_samples: int = 0         # rows realized so far
     last_split_hour: int | None = None
 
     @property
@@ -54,10 +54,6 @@ class ActiveCell:
     @property
     def cell_id(self) -> CellId:
         return CellId(self.enb, self.cell, self.generation)
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.prb_util)
 
 
 class SimulatedNetwork:
@@ -85,20 +81,17 @@ class SimulatedNetwork:
             raise ValueError("throughput_cap must be > 0")
         self.total_hours = lengths.pop()
         self.throughput_cap = throughput_cap
-        self._base_util: dict[CellKey, np.ndarray] = {}
-        self._base_thr: dict[CellKey, np.ndarray] = {}
+        self._base: dict[CellKey, np.ndarray] = {}
         self.cells: dict[CellKey, ActiveCell] = {}
         self._next_cell_index: dict[int, int] = {}
         for series in sorted(base_series, key=lambda s: s.cell):
             if series.cell.generation != 0:
                 raise ValueError("base series must be generation-0 cells")
             key = (series.cell.enb, series.cell.cell)
-            arr = series.to_array()
-            self._base_util[key] = arr[:, 0].copy()
-            self._base_thr[key] = arr[:, 1].copy()
+            self._base[key] = series.to_array()
             self.cells[key] = ActiveCell(
-                enb=key[0], cell=key[1], generation=0,
-                origin=key, load_fraction=1.0, created_at=0,
+                enb=key[0], cell=key[1], generation=0, origin=key, load_fraction=1.0,
+                created_at=0, kpis=np.empty((self.total_hours, 2)),
             )
             nxt = self._next_cell_index.get(key[0], 0)
             self._next_cell_index[key[0]] = max(nxt, key[1] + 1)
@@ -132,8 +125,7 @@ class SimulatedNetwork:
     # realization -------------------------------------------------------
 
     def _kpis_at(self, cell: ActiveCell, hour: int) -> tuple[float, float]:
-        base_u = float(self._base_util[cell.origin][hour])
-        base_t = float(self._base_thr[cell.origin][hour])
+        base_u, base_t = self._base[cell.origin][hour].tolist()
         return share_kpis(base_u, base_t, cell.load_fraction, self.throughput_cap)
 
     def realize_hour(self) -> dict[CellKey, KpiSample]:
@@ -144,31 +136,39 @@ class SimulatedNetwork:
         for key in self.active_keys():
             cell = self.cells[key]
             util, thr = self._kpis_at(cell, self.hour)
-            cell.prb_util.append(util)
-            cell.ip_throughput.append(thr)
+            cell.kpis[cell.n_samples] = util, thr
+            cell.n_samples += 1
             out[key] = KpiSample(self.hour, util, thr)
         self.hour += 1
         return out
 
     # series access -----------------------------------------------------
 
+    def realized(self, key: CellKey) -> np.ndarray:
+        """View of the cell's realized (util, thr) rows, first row at ``created_at``."""
+        cell = self.cells[key]
+        return cell.kpis[: cell.n_samples]
+
+    def window_span(self, key: CellKey, start: int, length: int) -> tuple[int, int]:
+        """(first hour, count) of the cell's realized hours in [start, start+length).
+
+        Hours before the cell existed or not yet realized are excluded.
+        """
+        cell = self.cells[key]
+        lo = max(start, cell.created_at)
+        hi = min(start + length, cell.created_at + cell.n_samples)
+        return lo, max(0, hi - lo)
+
+    def window(self, key: CellKey, start: int, length: int) -> KpiSeries:
+        """Realized series of hours [start, start+length), clipped by ``window_span``."""
+        cell = self.cells[key]
+        lo, n = self.window_span(key, start, length)
+        row = lo - cell.created_at
+        return KpiSeries(cell.cell_id, lo, cell.kpis[row : row + n])
+
     def series(self, key: CellKey) -> KpiSeries:
         """The cell's full realized series (id snapshot at current generation)."""
-        cell = self.cells[key]
-        return KpiSeries.from_arrays(
-            cell.cell_id, cell.created_at, cell.prb_util, cell.ip_throughput
-        )
-
-    def series_since(self, key: CellKey, start_hour: int) -> KpiSeries:
-        """Realized series from ``start_hour`` on (empty-safe clipping)."""
-        cell = self.cells[key]
-        lo = max(0, start_hour - cell.created_at)
-        return KpiSeries.from_arrays(
-            cell.cell_id,
-            cell.created_at + lo,
-            cell.prb_util[lo:],
-            cell.ip_throughput[lo:],
-        )
+        return self.window(key, 0, self.hour)
 
     def training_history(self, key: CellKey) -> KpiSeries:
         """The series a forecaster for this cell should train on.
@@ -178,55 +178,25 @@ class SimulatedNetwork:
         """
         cell = self.cells[key]
         start = cell.last_split_hour if cell.last_split_hour is not None else cell.created_at
-        return self.series_since(key, start)
-
-    def window(self, key: CellKey, start: int, length: int) -> list[KpiSample]:
-        """Realized samples of hours [start, start+length) for one cell.
-
-        Hours before the cell existed are simply absent from the result.
-        """
-        cell = self.cells[key]
-        out = []
-        for hour in range(max(start, cell.created_at), start + length):
-            idx = hour - cell.created_at
-            if 0 <= idx < cell.n_samples:
-                out.append(KpiSample(hour, cell.prb_util[idx], cell.ip_throughput[idx]))
-        return out
+        return self.window(key, start, self.hour - start)
 
     def trailing_window(self, key: CellKey, lookback: int) -> np.ndarray | None:
         """Last ``lookback`` realized (util, thr) rows, or None if too short."""
-        cell = self.cells[key]
-        if cell.n_samples < lookback:
+        if self.cells[key].n_samples < lookback:
             return None
-        u = np.asarray(cell.prb_util[-lookback:], dtype=np.float64)
-        t = np.asarray(cell.ip_throughput[-lookback:], dtype=np.float64)
-        return np.column_stack([u, t])
+        return self.realized(key)[-lookback:]
 
     def baseline_series(self, start: int, length: int) -> list[KpiSeries]:
         """No-action series of the original cells over [start, start+length)."""
-        out = []
-        for key in sorted(self._base_util):
-            u = self._base_util[key][start : start + length]
-            t = self._base_thr[key][start : start + length]
-            out.append(KpiSeries.from_arrays(CellId(key[0], key[1], 0), start, u, t))
-        return out
+        return [
+            KpiSeries(CellId(enb, cell, 0), start, base[start : start + length])
+            for (enb, cell), base in sorted(self._base.items())
+        ]
 
     def realized_series(self, start: int, length: int) -> list[KpiSeries]:
         """Realized series of all active cells clipped to [start, start+length)."""
-        out = []
-        for key in self.active_keys():
-            cell = self.cells[key]
-            lo = max(start, cell.created_at)
-            hi = min(start + length, cell.created_at + cell.n_samples)
-            if hi <= lo:
-                continue
-            i0, i1 = lo - cell.created_at, hi - cell.created_at
-            out.append(
-                KpiSeries.from_arrays(
-                    cell.cell_id, lo, cell.prb_util[i0:i1], cell.ip_throughput[i0:i1]
-                )
-            )
-        return out
+        windows = (self.window(key, start, length) for key in self.active_keys())
+        return [series for series in windows if len(series)]
 
     # splitting ---------------------------------------------------------
 
@@ -234,7 +204,7 @@ class SimulatedNetwork:
         """Current CellLoadState: load normalized to 100 units per origin cell."""
         cell = self.cells[key]
         if cell.n_samples > 0:
-            util, thr = cell.prb_util[-1], cell.ip_throughput[-1]
+            util, thr = cell.kpis[cell.n_samples - 1].tolist()
         else:
             util, thr = 0.0, self.throughput_cap
         return CellLoadState(
@@ -269,6 +239,7 @@ class SimulatedNetwork:
             origin=cell.origin,
             load_fraction=cell.load_fraction * share,
             created_at=hour,
+            kpis=np.empty((self.total_hours - self.hour, 2)),
             last_split_hour=hour,
         )
         cell.generation += 1

@@ -1,6 +1,6 @@
 """Simulated O-RAN control plane: hosts, message choreography, control loop."""
 
-from .hosts import AiServer, CpmXapp, DataCollector, NonRtRic
+from .hosts import CpmXapp, DataCollector, NonRtRic, train_cells
 from .loop import ControlLoopConfig, LoopResult, run_control_loop, summarize_run
 from .messages import (
     A1Deployment,
@@ -15,7 +15,6 @@ from .validate import ValidationResult, validate_events, validate_jsonl
 
 __all__ = [
     "A1Deployment",
-    "AiServer",
     "ControlLoopConfig",
     "CpmXapp",
     "DataCollector",
@@ -30,6 +29,7 @@ __all__ = [
     "ValidationResult",
     "run_control_loop",
     "summarize_run",
+    "train_cells",
     "validate_events",
     "validate_jsonl",
 ]

@@ -1,4 +1,4 @@
-"""Simulated control-plane hosts: SMO collector, AI server, RICs.
+"""Simulated control-plane hosts: SMO collector, AI-server training, RICs.
 
 Each host is a small state machine invoked sequentially by the control
 loop's scheduler. They share one EventLog and append their step's event
@@ -34,7 +34,7 @@ from .messages import (
     O1Report,
 )
 
-__all__ = ["DataCollector", "AiServer", "NonRtRic", "CpmXapp"]
+__all__ = ["DataCollector", "train_cells", "NonRtRic", "CpmXapp"]
 
 logger = logging.getLogger(__name__)
 
@@ -48,16 +48,16 @@ class DataCollector:
         self.log = log
 
     def collect(self, network: SimulatedNetwork, window_start: int, window_hours: int) -> O1Report:
-        """Report every active cell's samples for a fully elapsed window."""
+        """Report every active cell's span of hours in a fully elapsed window."""
         if window_start + window_hours > network.hour:
             raise ValueError(
                 f"window [{window_start}, {window_start + window_hours}) not yet elapsed "
                 f"(network at hour {network.hour})"
             )
-        payload: dict[CellId, tuple[KpiSample, ...]] = {}
-        for key in network.active_keys():
-            cell_id = network.cells[key].cell_id
-            payload[cell_id] = tuple(network.window(key, window_start, window_hours))
+        payload = {
+            network.cells[key].cell_id: network.window_span(key, window_start, window_hours)
+            for key in network.active_keys()
+        }
         report = O1Report(
             window_start=window_start,
             window_hours=window_hours,
@@ -74,35 +74,28 @@ class DataCollector:
         return report
 
 
-class AiServer:
-    """Training host inside the SMO."""
+def train_cells(
+    histories: dict[CellKey, KpiSeries],
+    lstm_cfg: LstmConfig,
+    train_cfg: TrainingConfig,
+) -> tuple[dict[CellKey, ForecastModel], list[CellKey]]:
+    """The SMO's AI server: train one model per requested cell, in key order.
 
-    def __init__(self, log: EventLog):
-        self.log = log
-
-    def train_cells(
-        self,
-        histories: dict[CellKey, KpiSeries],
-        lstm_cfg: LstmConfig,
-        train_cfg: TrainingConfig,
-    ) -> tuple[dict[CellKey, ForecastModel], list[CellKey]]:
-        """Train one model per requested cell, in key order.
-
-        Cells whose history cannot support training are excluded and
-        returned as failures. Per-cell seeds derive from the configured
-        seed and the cell key, so retrains are reproducible.
-        """
-        models: dict[CellKey, ForecastModel] = {}
-        failures: list[CellKey] = []
-        for key in sorted(histories):
-            try:
-                model, _ = train(histories[key], lstm_cfg, train_cfg.for_cell(*key))
-            except InsufficientDataError as exc:
-                logger.warning("training skipped for cell %s: %s", key, exc)
-                failures.append(key)
-                continue
-            models[key] = model
-        return models, failures
+    Cells whose history cannot support training are excluded and returned
+    as failures. Per-cell seeds derive from the configured seed and the
+    cell key, so retrains are reproducible.
+    """
+    models: dict[CellKey, ForecastModel] = {}
+    failures: list[CellKey] = []
+    for key in sorted(histories):
+        try:
+            model, _ = train(histories[key], lstm_cfg, train_cfg.for_cell(*key))
+        except InsufficientDataError as exc:
+            logger.warning("training skipped for cell %s: %s", key, exc)
+            failures.append(key)
+            continue
+        models[key] = model
+    return models, failures
 
 
 class NonRtRic:
@@ -115,9 +108,8 @@ class NonRtRic:
         "supported": True,
     }
 
-    def __init__(self, log: EventLog, ai_server: AiServer):
+    def __init__(self, log: EventLog):
         self.log = log
-        self.ai = ai_server
         self.version = 0
         self._serialized: dict[CellKey, bytes] = {}
         self._digests: dict[CellKey, str] = {}
@@ -146,7 +138,7 @@ class NonRtRic:
             cells=ids,
             payload={"cells": [c.label() for c in ids]},
         )
-        models, failures = self.ai.train_cells(histories, lstm_cfg, train_cfg)
+        models, failures = train_cells(histories, lstm_cfg, train_cfg)
         for key, model in models.items():
             blob = model_to_json(model).encode("utf-8")
             self._serialized[key] = blob

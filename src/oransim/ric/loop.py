@@ -28,7 +28,7 @@ from ..forecast import LstmConfig, TrainingConfig, accuracy
 from ..kpi import CongestionRule, KpiSample, congested_hours
 from ..network import SimulatedNetwork
 from ..splitting import SplitPolicy
-from .hosts import AiServer, CpmXapp, DataCollector, NonRtRic
+from .hosts import CpmXapp, DataCollector, NonRtRic
 from .messages import E2ControlRequest, EventLog, EventTag, ModelPerformanceFeedback
 
 __all__ = ["ControlLoopConfig", "LoopResult", "run_control_loop"]
@@ -87,16 +87,8 @@ class LoopResult:
 
 def _target_met(network: SimulatedNetwork, rule: CongestionRule, cfg: ControlLoopConfig) -> bool:
     for key in network.active_keys():
-        cell = network.cells[key]
-        n = min(cfg.target_window_hours, cell.n_samples)
-        if n == 0:
-            continue
-        congested = sum(
-            1
-            for u, t in zip(cell.prb_util[-n:], cell.ip_throughput[-n:])
-            if t < rule.throughput_max and u > rule.prb_min
-        )
-        if congested > cfg.max_congested_hours:
+        recent = network.realized(key)[-cfg.target_window_hours :]
+        if np.count_nonzero(rule.congested(recent[:, 0], recent[:, 1])) > cfg.max_congested_hours:
             return False
     return True
 
@@ -111,10 +103,7 @@ def summarize_run(
 
     def below_threshold_hours(series_list):
         return int(
-            sum(
-                sum(1 for s in series.samples if s.ip_throughput < rule.throughput_max)
-                for series in series_list
-            )
+            sum(np.count_nonzero(s.to_array()[:, 1] < rule.throughput_max) for s in series_list)
         )
 
     return {
@@ -167,8 +156,7 @@ def run_control_loop(
 
     log = log if log is not None else EventLog()
     collector = DataCollector(log)
-    ai = AiServer(log)
-    non_rt = NonRtRic(log, ai)
+    non_rt = NonRtRic(log)
     xapp = CpmXapp(log)
     split_rng = split_policy.rng()
 
@@ -266,14 +254,15 @@ def run_control_loop(
         for key in network.active_keys():
             cell = network.cells[key]
             pairs = [
-                (pred, cell.prb_util[ph - cell.created_at], cell.ip_throughput[ph - cell.created_at])
+                (ph - cell.created_at, pred)
                 for ph, pred in predictions[key]
                 if ph >= window_lo and 0 <= ph - cell.created_at < cell.n_samples
             ]
             if not pairs:
                 continue
-            pred_arr = np.array([[p.prb_util, p.ip_throughput] for p, _, _ in pairs])
-            act_arr = np.array([[u, t] for _, u, t in pairs])
+            rows, preds = zip(*pairs)
+            pred_arr = np.array([[p.prb_util, p.ip_throughput] for p in preds])
+            act_arr = network.realized(key)[list(rows)]
             evaluations[key] = (cell.cell_id, accuracy(pred_arr, act_arr))
         feedbacks = xapp.feedback(evaluations, loop_cfg.retrain_accuracy_threshold, hour)
         result.feedback_history.append(feedbacks)

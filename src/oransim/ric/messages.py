@@ -12,7 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from ..kpi import CellId, CongestionRule, KpiSample
+from ..kpi import CellId, CongestionRule
 from ..splitting import SplitPolicy
 
 __all__ = [
@@ -148,28 +148,27 @@ class EventLog:
 
 @dataclass(frozen=True)
 class O1Report:
-    """Per-cell KPI batches for one fully elapsed reporting window."""
+    """Per-cell ``(first_hour, n)`` spans of hours reported for one elapsed window."""
 
     window_start: int
     window_hours: int
-    payload: dict[CellId, tuple[KpiSample, ...]]
+    payload: dict[CellId, tuple[int, int]]
     source: tuple[CellId, ...]
 
     def __post_init__(self):
         if len(set(self.source)) != len(self.source):
             raise ValueError("report source cells must be distinct")
         lo, hi = self.window_start, self.window_start + self.window_hours
-        for cell, samples in self.payload.items():
-            for s in samples:
-                if not (lo <= s.timestamp < hi):
-                    raise ValueError(
-                        f"sample at hour {s.timestamp} outside window [{lo}, {hi}) "
-                        f"for {cell.label()}"
-                    )
+        for cell, (first, n) in self.payload.items():
+            if n < 0 or (n > 0 and not lo <= first <= first + n <= hi):
+                raise ValueError(
+                    f"hours [{first}, {first + n}) outside window [{lo}, {hi}) "
+                    f"for {cell.label()}"
+                )
 
     @property
     def n_samples(self) -> int:
-        return sum(len(v) for v in self.payload.values())
+        return sum(n for _, n in self.payload.values())
 
 
 @dataclass(frozen=True)

@@ -197,15 +197,11 @@ def histogram_hours(
     if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValueError(f"bin edges must be strictly increasing, got {edges}")
     out: dict[CellId, np.ndarray] = {}
+    overflow = len(edges) - 1  # index of the last count slot
     for series in series_list:
-        counts = np.zeros(len(edges), dtype=np.int64)  # last slot = overflow
-        for s in series.samples:
-            idx = np.searchsorted(edges, s.ip_throughput, side="right") - 1
-            if 0 <= idx < len(edges) - 1:
-                counts[idx] += 1
-            else:
-                counts[-1] += 1
-        out[series.cell] = counts
+        idx = np.searchsorted(edges, series.to_array()[:, 1], side="right") - 1
+        idx[(idx < 0) | (idx >= overflow)] = overflow
+        out[series.cell] = np.bincount(idx, minlength=len(edges))
     return out
 
 

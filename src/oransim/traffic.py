@@ -126,7 +126,8 @@ class DatasetSchema:
                 f"timestamp_format must be 'iso8601' or 'hours', got "
                 f"{self.timestamp_format!r}"
             )
-        datetime.fromisoformat(self.epoch)  # validate eagerly
+        if datetime.fromisoformat(self.epoch).tzinfo is not None:
+            raise ValueError(f"epoch must carry no timezone, got {self.epoch!r}")
 
     @property
     def columns(self) -> list[str]:
@@ -194,6 +195,8 @@ def _parse_timestamp(text: str, schema: DatasetSchema, row: int) -> float:
         stamp = datetime.fromisoformat(text)
     except ValueError:
         raise IngestError(row, f"unparsable ISO-8601 timestamp {text!r}") from None
+    if stamp.tzinfo is not None:
+        raise IngestError(row, f"timezone-qualified timestamp {text!r}")
     delta = stamp - datetime.fromisoformat(schema.epoch)
     return delta.total_seconds() / 3600.0
 
@@ -207,14 +210,14 @@ def export_csv(series_list: list[KpiSeries], schema: DatasetSchema = DatasetSche
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(schema.columns)
     for series in sorted(series_list, key=lambda s: s.cell):
-        for s in series.samples:
+        for i, (prb, thr) in enumerate(series.to_array().tolist()):
             writer.writerow(
                 [
                     series.cell.enb,
                     series.cell.cell,
-                    _format_timestamp(s.timestamp, schema),
-                    repr(s.prb_util),
-                    repr(s.ip_throughput),
+                    _format_timestamp(series.start + i, schema),
+                    repr(prb),
+                    repr(thr),
                 ]
             )
     return buf.getvalue().encode("utf-8")

@@ -123,6 +123,28 @@ class TestGenerate:
         assert main(["generate", "-c", str(cfg), "-o", str(tmp_path / "x")]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("training.batch_size", 2.5),
+            ("master_seed", 1.7),
+            ("loop.feedback_window_hours", True),
+            ("horizon_hours", "5"),
+            ("traffic.synthetic.n_enb", 1.5),
+            ("rule.prb_min", "80"),
+        ],
+    )
+    def test_mistyped_value_exits_one_naming_key(self, tmp_path, capsys, path, value):
+        doc = json.loads(json.dumps(TINY))
+        *sections, key = path.split(".")
+        node = doc
+        for name in sections:
+            node = node.setdefault(name, {})
+        node[key] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["generate", "-c", str(cfg), "-o", str(tmp_path / "x")]) == 1
+        assert path in capsys.readouterr().err
+
     def test_csv_traffic_cannot_generate(self, tmp_path):
         cfg = write_config(tmp_path, dict(TINY, traffic={"csv": {"path": "x.csv"}}))
         assert main(["generate", "-c", str(cfg), "-o", str(tmp_path / "x")]) == 1

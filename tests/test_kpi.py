@@ -15,9 +15,7 @@ from oransim.kpi import (
 
 
 def series_from(values, cell=CellId(0, 0), start=0):
-    return KpiSeries(
-        cell, tuple(KpiSample(start + i, u, t) for i, (u, t) in enumerate(values))
-    )
+    return KpiSeries(cell, start, np.array(values, dtype=np.float64).reshape(-1, 2))
 
 
 class TestCongestionRule:
@@ -133,11 +131,16 @@ class TestInvariants:
         with pytest.raises(ValueError):
             KpiSample(0, 50.0, float("inf"))
 
-    def test_series_rejects_gaps(self):
-        with pytest.raises(ValueError):
-            KpiSeries(CellId(0, 0), (KpiSample(0, 1, 1), KpiSample(2, 1, 1)))
-        with pytest.raises(ValueError):
-            KpiSeries(CellId(0, 0), (KpiSample(1, 1, 1), KpiSample(0, 1, 1)))
+    def test_series_rejects_out_of_range_row(self):
+        # row i is hour start + i, so the error names the first bad hour
+        for bad in ((-1.0, 1.0), (101.0, 1.0), (50.0, -0.1), (50.0, float("inf")),
+                    (float("nan"), 1.0)):
+            with pytest.raises(ValueError, match="hour 12:"):
+                series_from([(50.0, 1.0), (50.0, 1.0), bad, bad], start=10)
+        with pytest.raises(ValueError, match="shape"):
+            KpiSeries(CellId(0, 0), 0, np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="shape"):
+            KpiSeries(CellId(0, 0), 0, np.zeros(4))
 
     def test_cell_id_ordering_and_labels(self):
         a, b = CellId(0, 1, 0), CellId(0, 1, 1)

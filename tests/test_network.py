@@ -131,5 +131,5 @@ class TestWindows:
         policy = SplitPolicy(r_min=70.0, r_max=70.0)
         net.split((0, 0), policy, policy.rng(), hour=4)
         net.realize_hour()
-        samples = net.window((0, 2), 3, 2)
-        assert [s.timestamp for s in samples] == [4]
+        window = net.window((0, 2), 3, 2)
+        assert (window.cell, window.start, len(window)) == (CellId(0, 2, 1), 4, 1)

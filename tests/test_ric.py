@@ -6,7 +6,6 @@ from oransim.forecast import LstmConfig, TrainingConfig
 from oransim.kpi import CellId, CongestionRule, KpiSample, KpiSeries
 from oransim.network import SimulatedNetwork
 from oransim.ric import (
-    AiServer,
     ControlLoopConfig,
     CpmXapp,
     DataCollector,
@@ -77,14 +76,18 @@ class TestCollectorAndBus:
 
     def test_report_window_invariant(self):
         with pytest.raises(ValueError):
-            O1Report(0, 2, {CellId(0, 0): (KpiSample(5, 1.0, 1.0),)}, (CellId(0, 0),))
+            O1Report(0, 2, {CellId(0, 0): (5, 1)}, (CellId(0, 0),))
+        with pytest.raises(ValueError):
+            O1Report(0, 2, {CellId(0, 0): (1, 2)}, (CellId(0, 0),))
+        O1Report(0, 2, {CellId(0, 0): (1, 1), CellId(0, 1): (0, 0)},
+                 (CellId(0, 0), CellId(0, 1)))
 
 
 class TestTrainingRound:
     def test_first_deployment_is_version_one(self):
         net = flat_network(history=40)
         log = EventLog()
-        non_rt = NonRtRic(log, AiServer(log))
+        non_rt = NonRtRic(log)
         histories = {k: net.series(k) for k in net.active_keys()}
         failures = non_rt.train_and_update(histories, LSTM_TINY, TRAIN_TINY, hour=40)
         assert failures == []
@@ -97,7 +100,7 @@ class TestTrainingRound:
     def test_short_history_cell_excluded(self):
         net = flat_network(history=40)
         log = EventLog()
-        non_rt = NonRtRic(log, AiServer(log))
+        non_rt = NonRtRic(log)
         histories = {k: net.series(k) for k in net.active_keys()}
         short = KpiSeries.from_arrays(CellId(0, 9), 0, [50.0] * 5, [5.0] * 5)
         histories[(0, 9)] = short
@@ -107,7 +110,7 @@ class TestTrainingRound:
 
     def test_deployment_requires_capability_negotiation(self):
         log = EventLog()
-        non_rt = NonRtRic(log, AiServer(log))
+        non_rt = NonRtRic(log)
         with pytest.raises(RuntimeError):
             non_rt.build_deployment(CongestionRule(), {}, hour=0)
 
@@ -115,7 +118,7 @@ class TestTrainingRound:
 class TestXapp:
     def deployed_xapp(self, net):
         log = EventLog()
-        non_rt = NonRtRic(log, AiServer(log))
+        non_rt = NonRtRic(log)
         histories = {k: net.series(k) for k in net.active_keys()}
         non_rt.train_and_update(histories, LSTM_TINY, TRAIN_TINY, hour=net.hour)
         targets = {k: net.cells[k].cell_id for k in net.active_keys()}

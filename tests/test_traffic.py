@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from oransim.kpi import CellId, CongestionRule, KpiSample, congested_hours
+from oransim.kpi import CellId, CongestionRule, congested_hours
 from oransim.traffic import (
     THROUGHPUT_FLOOR_MBPS,
     DatasetSchema,
@@ -112,7 +112,7 @@ class TestCsvRoundTrip:
         one = generate_synthetic(
             SyntheticProfile(n_enb=1, cells_per_enb=1, n_days=2, seed=1)
         )[0]
-        single = type(one)(one.cell, one.samples[:1])
+        single = type(one)(one.cell, one.start, one.to_array()[:1])
         payload = export_csv([single])
         assert len(payload.decode().strip().splitlines()) == 2
 
@@ -129,7 +129,8 @@ class TestCsvRoundTrip:
         series = ingest_csv(payload)
         assert len(series) == 1
         assert len(series[0]) == 2
-        assert series[0].samples[1] == KpiSample(1, 60.0, 4.0)
+        assert series[0].start == 0
+        assert series[0].to_array()[1].tolist() == [60.0, 4.0]
 
 
 class TestIngestErrors:
@@ -183,6 +184,15 @@ class TestIngestErrors:
                  + "0,0,2000-01-01T01:30,50.0,1.0\n").encode()
         with pytest.raises(IngestError, match="hourly grid"):
             ingest_csv(mixed)
+
+    def test_timezone_qualified_timestamp(self):
+        payload = (self.HEADER + "0,0,2000-01-01T00:00,50.0,1.0\n"
+                   + "0,0,2000-01-01T00:00+01:00,50.0,1.0\n").encode()
+        with pytest.raises(IngestError, match="timezone") as exc:
+            ingest_csv(payload)
+        assert exc.value.row == 3
+        with pytest.raises(ValueError, match="timezone"):
+            DatasetSchema(epoch="2000-01-01T00:00+01:00")
 
     def test_empty_file(self):
         with pytest.raises(IngestError, match="empty file"):
