@@ -51,6 +51,15 @@ def _check_type(path: str, value, hint) -> None:
         raise ValueError(f"{path} must be {names}, got {value!r}")
 
 
+def _check_seed(path: str, value: int) -> None:
+    """Reject a negative seed here, where the key path is known.
+
+    numpy's ``SeedSequence`` would otherwise fail later, naming no key.
+    """
+    if value < 0:
+        raise ValueError(f"{path} must be a non-negative integer, got {value}")
+
+
 def _kwargs(cls, path: str, section) -> dict:
     """Keyword arguments of dataclass ``cls`` from a config section.
 
@@ -118,6 +127,7 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     )
     master_seed = doc.get("master_seed", 0)
     _check_type("master_seed", master_seed, int)
+    _check_seed("master_seed", master_seed)
     horizon_hours = doc.get("horizon_hours", DEFAULT_HORIZON_HOURS)
     _check_type("horizon_hours", horizon_hours, int)
 
@@ -136,7 +146,10 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         _check_type("traffic.csv.path", csv_path, str)
     else:
         synth = _kwargs(SyntheticProfile, "traffic.synthetic", traffic.get("synthetic", {}))
-        synth.setdefault("seed", derive_seed(master_seed, _SEED_DOMAIN_TRAFFIC))
+        _check_seed(
+            "traffic.synthetic.seed",
+            synth.setdefault("seed", derive_seed(master_seed, _SEED_DOMAIN_TRAFFIC)),
+        )
         profile = SyntheticProfile(**synth)
 
     schema = DatasetSchema(**_kwargs(DatasetSchema, "schema", doc.get("schema", {})))
@@ -144,11 +157,16 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     lstm = LstmConfig(**_kwargs(LstmConfig, "lstm", doc.get("lstm", {})))
 
     training_section = _kwargs(TrainingConfig, "training", doc.get("training", {}))
-    training_section.setdefault("seed", derive_seed(master_seed, _SEED_DOMAIN_TRAINING))
+    _check_seed(
+        "training.seed",
+        training_section.setdefault("seed", derive_seed(master_seed, _SEED_DOMAIN_TRAINING)),
+    )
     training = TrainingConfig(**training_section)
 
     split_section = _kwargs(SplitPolicy, "split", doc.get("split", {}))
-    split_section.setdefault("seed", derive_seed(master_seed, _SEED_DOMAIN_SPLIT))
+    _check_seed(
+        "split.seed", split_section.setdefault("seed", derive_seed(master_seed, _SEED_DOMAIN_SPLIT))
+    )
     split = SplitPolicy(**split_section)
 
     loop_section = _kwargs(ControlLoopConfig, "loop", doc.get("loop", {}))

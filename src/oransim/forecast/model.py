@@ -31,6 +31,7 @@ __all__ = [
     "NormStats",
     "ForecastModel",
     "init_model",
+    "stack_models",
     "forward",
     "sigmoid",
     "model_to_json",
@@ -153,6 +154,40 @@ def param_arrays(model: ForecastModel) -> list[np.ndarray]:
     return arrays
 
 
+def _write_params(model: ForecastModel, arrays: list[np.ndarray]) -> None:
+    """Rebind the model's parameters to ``arrays``, given in ``param_arrays`` order."""
+    idx = 0
+    for layer in model.layers:
+        layer.w_x, layer.w_h, layer.b = arrays[idx], arrays[idx + 1], arrays[idx + 2]
+        idx += 3
+    model.head.w, model.head.b = arrays[idx], arrays[idx + 1]
+
+
+def stack_models(models: list[ForecastModel]) -> ForecastModel:
+    """M models of one config as one model whose arrays lead with a model axis.
+
+    Weights become (M, 4H, D_l), (M, 4H, H) and (M, output_dim, H); biases
+    (M, 1, 4H) and (M, 1, output_dim) and the norm stats (M, 1, input_dim),
+    so they broadcast over a (T, M, 1, D) input to ``_lstm_stack`` and over
+    (M, T, input_dim) raw windows. Each given model's parameters are rebound
+    to views into the stack, so the models and the stack share one copy.
+    """
+    config = models[0].config
+    if any(model.config != config for model in models):
+        raise ValueError("stacked models must share one LstmConfig")
+    arrays = [np.stack(group) for group in zip(*(param_arrays(m) for m in models))]
+    for m, model in enumerate(models):
+        _write_params(model, [a[m] for a in arrays])
+    # biases gain a unit batch axis so they broadcast over (M, B, .)
+    it = iter(a if a.ndim == 3 else a[:, np.newaxis] for a in arrays)
+    layers = [LayerParams(next(it), next(it), next(it)) for _ in range(config.n_layers)]
+    norm = NormStats(
+        np.stack([m.norm.feature_min for m in models])[:, np.newaxis],
+        np.stack([m.norm.feature_max for m in models])[:, np.newaxis],
+    )
+    return ForecastModel(config, layers, HeadParams(next(it), next(it)), norm)
+
+
 def init_model(config: LstmConfig, norm: NormStats, rng: np.random.Generator) -> ForecastModel:
     """Seeded initialization: weights uniform in +-1/sqrt(fan_in), forget bias 1.
 
@@ -180,29 +215,36 @@ def init_model(config: LstmConfig, norm: NormStats, rng: np.random.Generator) ->
 def _lstm_stack(
     model: ForecastModel, layer_in: np.ndarray, cache: list | None = None
 ) -> np.ndarray:
-    """The stacked recurrence over time-major input (T, B, D), zero initial states.
+    """The stacked recurrence over time-major input (T, ..., B, D), zero initial states.
 
-    Returns the head's (B, output_dim) prediction from the top layer's last
-    hidden state. The input projection of a whole layer is one matmul; only
-    the recurrent term stays in the per-step loop. When ``cache`` is a list,
-    one dict per layer is appended holding the layer input ``x`` (T, B, D_l)
-    and the per-step activations BPTT reads, each its own contiguous
-    (T, B, H) array: ``i``, ``f``, ``g``, ``o``, ``c``, ``tanh_c``, ``h``.
+    Returns the head's (..., B, output_dim) prediction from the top layer's
+    last hidden state. Parameter arrays may carry a leading model axis that
+    broadcasts against the input's ``...`` (see ``stack_models``), so one
+    call runs M independent models, each with the arithmetic it has alone.
+    The input is projected step by step: that keeps no (T, ..., 4H) array
+    alive and is no slower at training batch sizes than one hoisted matmul.
+    When ``cache`` is a list, one dict per layer is appended holding the
+    layer input ``x`` (T, B, D_l) and the per-step activations BPTT reads,
+    each its own contiguous (T, B, H) array: ``i``, ``f``, ``g``, ``o``,
+    ``c``, ``tanh_c``, ``h``.
     """
-    steps, batch, _ = layer_in.shape
+    steps = layer_in.shape[0]
     n = model.config.units_per_layer
     for layer in model.layers:
-        zx = layer_in @ layer.w_x.T + layer.b  # (T, B, 4H)
-        h = np.zeros((batch, n))
-        c = np.zeros((batch, n))
-        hs = np.empty((steps, batch, n))
+        w_x_t = np.swapaxes(layer.w_x, -1, -2)
+        w_h_t = np.swapaxes(layer.w_h, -1, -2)
+        h = np.zeros(layer_in.shape[1:-1] + (n,))
+        c = np.zeros_like(h)
+        hs = np.empty((steps,) + h.shape)
         if cache is not None:
             gi, gf, gg, go, cs, tc = (np.empty_like(hs) for _ in range(6))
         for t in range(steps):
-            z = zx[t] + h @ layer.w_h.T
-            gates = sigmoid(z[:, : 3 * n])
-            i, f, o = gates[:, :n], gates[:, n : 2 * n], gates[:, 2 * n :]
-            g = np.tanh(z[:, 3 * n :])
+            z = layer_in[t] @ w_x_t
+            z += layer.b
+            z += h @ w_h_t
+            gates = sigmoid(z[..., : 3 * n])
+            i, f, o = gates[..., :n], gates[..., n : 2 * n], gates[..., 2 * n :]
+            g = np.tanh(z[..., 3 * n :])
             if cache is not None:
                 # at batch > 1 the gate slices are strided; the contiguous
                 # copies BPTT keeps are also faster to compute with
@@ -219,7 +261,7 @@ def _lstm_stack(
                 {"x": layer_in, "i": gi, "f": gf, "g": gg, "o": go, "c": cs, "tanh_c": tc, "h": hs}
             )
         layer_in = hs
-    return layer_in[-1] @ model.head.w.T + model.head.b
+    return layer_in[-1] @ np.swapaxes(model.head.w, -1, -2) + model.head.b
 
 
 def forward(model: ForecastModel, window: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from .model import (
     LstmConfig,
     NormStats,
     _lstm_stack,
+    _write_params,
     forward,
     init_model,
     param_arrays,
@@ -42,7 +43,9 @@ __all__ = [
     "backward",
     "adam_step",
     "train",
+    "clamp_prediction",
     "predict_from_window",
+    "predict_fleet",
     "predict_next_hour",
     "evaluate_heldout",
     "accuracy",
@@ -288,14 +291,6 @@ def adam_step(
     return new_params, AdamState(new_m, new_v, t)
 
 
-def _write_params(model: ForecastModel, arrays: list[np.ndarray]) -> None:
-    idx = 0
-    for layer in model.layers:
-        layer.w_x, layer.w_h, layer.b = arrays[idx], arrays[idx + 1], arrays[idx + 2]
-        idx += 3
-    model.head.w, model.head.b = arrays[idx], arrays[idx + 1]
-
-
 def train(
     series: KpiSeries,
     lstm_cfg: LstmConfig,
@@ -352,17 +347,38 @@ def train(
     return model, log
 
 
+def clamp_prediction(pred: np.ndarray) -> np.ndarray:
+    """Make denormalized (..., 2) predictions valid samples, in place.
+
+    prb_util is clipped to [0, 100] and throughput floored at 0 (a NaN or
+    -0.0 throughput becomes 0.0). Returns ``pred``.
+    """
+    pred[..., 0] = np.clip(pred[..., 0], 0.0, 100.0)
+    pred[..., 1] = np.where(pred[..., 1] > 0.0, pred[..., 1], 0.0)
+    return pred
+
+
 def predict_from_window(model: ForecastModel, window: np.ndarray, next_timestamp: int) -> KpiSample:
     """Predict the next hour from a raw (unnormalized) trailing window.
 
-    The raw prediction is denormalized, then prb_util is clamped to
-    [0, 100] and throughput floored at 0 so the result is a valid sample.
+    The raw prediction is denormalized and clamped (``clamp_prediction``)
+    so the result is a valid sample.
     """
     window = np.asarray(window, dtype=np.float64)
-    pred = model.norm.denormalize(forward(model, model.norm.normalize(window)))
-    prb = float(np.clip(pred[0], 0.0, 100.0))
-    thr = float(max(0.0, pred[1]))
-    return KpiSample(next_timestamp, prb, thr)
+    pred = clamp_prediction(model.norm.denormalize(forward(model, model.norm.normalize(window))))
+    return KpiSample(next_timestamp, float(pred[0]), float(pred[1]))
+
+
+def predict_fleet(fleet: ForecastModel, windows: np.ndarray) -> np.ndarray:
+    """Clamped next-hour predictions (M, output_dim) of M stacked models.
+
+    ``fleet`` comes from ``stack_models``; ``windows`` is (M, T, input_dim)
+    raw, model m's trailing window in row m. Row m equals model m's
+    ``predict_from_window`` bit for bit.
+    """
+    normalized = fleet.norm.normalize(windows).transpose(1, 0, 2)[:, :, np.newaxis]
+    pred = _lstm_stack(fleet, normalized)  # (M, 1, output_dim)
+    return clamp_prediction(fleet.norm.denormalize(pred)[:, 0])
 
 
 def predict_next_hour(model: ForecastModel, series: KpiSeries, lookback: int) -> KpiSample:
@@ -390,9 +406,7 @@ def evaluate_heldout(
     val_mask = target_idx >= split
     if not np.any(val_mask):
         raise InsufficientDataError("no validation windows beyond the training split")
-    preds = model.norm.denormalize(forward(model, windows.inputs[val_mask]))
-    preds[:, 0] = np.clip(preds[:, 0], 0.0, 100.0)
-    preds[:, 1] = np.maximum(0.0, preds[:, 1])
+    preds = clamp_prediction(model.norm.denormalize(forward(model, windows.inputs[val_mask])))
     actuals = raw[target_idx[val_mask]]
     return accuracy(preds, actuals), int(val_mask.sum())
 

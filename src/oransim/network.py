@@ -221,8 +221,11 @@ class SimulatedNetwork:
         """Split an active cell, effective for all hours from ``hour`` on.
 
         The child inherits the parent's origin waveform scaled by its share;
-        it has no realized history before the split hour.
+        it has no realized history before the split hour. ``hour`` must be
+        the network's current hour, the next one ``realize_hour`` fills.
         """
+        if hour != self.hour:
+            raise ValueError(f"split at hour {hour}, but the network is at hour {self.hour}")
         cell = self.cells[key]
         state = self.load_state(key)
         # hourly realization applies the share_kpis law via the cumulative

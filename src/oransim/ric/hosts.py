@@ -19,7 +19,8 @@ from ..forecast import (
     TrainingConfig,
     model_from_json,
     model_to_json,
-    predict_from_window,
+    predict_fleet,
+    stack_models,
     train,
 )
 from ..kpi import CellId, CongestionRule, KpiSample, KpiSeries, evaluate_congestion
@@ -196,24 +197,39 @@ class CpmXapp:
         self.deployment: A1Deployment | None = None
         self._models: dict[CellKey, ForecastModel] = {}
         self._digests: dict[CellKey, str] = {}
+        # the deployed models stacked per LstmConfig: (sorted keys, stack)
+        self._fleets: list[tuple[list[CellKey], ForecastModel]] = []
 
     def receive_deployment(self, deployment: A1Deployment) -> None:
-        """Activate a deployment; deserialize only new or changed models."""
+        """Activate a deployment; deserialize only new or changed models.
+
+        The stacked fleets are rebuilt only when a model was parsed or a
+        cell left the deployment.
+        """
         if self.deployment is not None and deployment.version <= self.deployment.version:
             raise ValueError(
                 f"deployment version must increase: {deployment.version} after "
                 f"{self.deployment.version}"
             )
+        changed = False
         for cell_id, blob in deployment.models.items():
             key = (cell_id.enb, cell_id.cell)
             digest = deployment.digests[cell_id]
             if self._digests.get(key) != digest:
                 self._models[key] = model_from_json(blob.decode("utf-8"))
                 self._digests[key] = digest
+                changed = True
+        dropped = self._models.keys() - {(c.enb, c.cell) for c in deployment.models}
+        for key in dropped:
+            del self._models[key], self._digests[key]
+        if changed or dropped:
+            groups: dict[LstmConfig, list[CellKey]] = {}
+            for key in sorted(self._models):
+                groups.setdefault(self._models[key].config, []).append(key)
+            self._fleets = [
+                (keys, stack_models([self._models[k] for k in keys])) for keys in groups.values()
+            ]
         self.deployment = deployment
-
-    def model_for(self, key: CellKey) -> ForecastModel | None:
-        return self._models.get(key)
 
     def infer(
         self,
@@ -224,24 +240,35 @@ class CpmXapp:
         """Predict hour ``hour`` per cell and evaluate the alarm predicate.
 
         ``windows`` maps each inferable cell to (current id, trailing raw
-        window). Cells without a deployed model are skipped.
+        window). Cells without a deployed model are skipped. Each fleet of
+        stacked models runs one forward; a model whose cell has no window
+        rides along on a zero window, so the stack needs no per-hour copy.
         """
         if self.deployment is None:
             raise RuntimeError("no active A1 deployment")
-        results: dict[CellKey, tuple[CellId, KpiSample, bool]] = {}
         for key in sorted(windows):
             cell_id, window = windows[key]
-            model = self._models.get(key)
-            if model is None:
-                continue
-            if window.shape[0] != lookback:
+            if key in self._models and window.shape[0] != lookback:
                 raise ValueError(
                     f"window for {cell_id.label()} has {window.shape[0]} hours, "
                     f"expected {lookback}"
                 )
-            pred = predict_from_window(model, window, hour)
-            alarm = evaluate_congestion(pred, self.deployment.policy)
-            results[key] = (cell_id, pred, alarm)
+        preds: dict[CellKey, np.ndarray] = {}
+        for keys, fleet in self._fleets:
+            covered = [m for m, key in enumerate(keys) if key in windows]
+            if not covered:
+                continue
+            raw = np.zeros((len(keys), lookback, fleet.config.input_dim))
+            for m in covered:
+                raw[m] = windows[keys[m]][1]
+            out = predict_fleet(fleet, raw)
+            for m in covered:
+                preds[keys[m]] = out[m]
+        results: dict[CellKey, tuple[CellId, KpiSample, bool]] = {}
+        for key in sorted(preds):
+            cell_id = windows[key][0]
+            pred = KpiSample(hour, float(preds[key][0]), float(preds[key][1]))
+            results[key] = (cell_id, pred, evaluate_congestion(pred, self.deployment.policy))
         self.log.append(
             EventTag.INFERENCE,
             hour=hour,

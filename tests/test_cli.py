@@ -132,6 +132,10 @@ class TestGenerate:
             ("horizon_hours", "5"),
             ("traffic.synthetic.n_enb", 1.5),
             ("rule.prb_min", "80"),
+            ("master_seed", -1),
+            ("traffic.synthetic.seed", -1),
+            ("training.seed", -1),
+            ("split.seed", -1),
         ],
     )
     def test_mistyped_value_exits_one_naming_key(self, tmp_path, capsys, path, value):

@@ -84,6 +84,15 @@ class TestSplitEffects:
         assert sample.prb_util == pytest.approx(20.0)
         assert sample.ip_throughput == pytest.approx(4.0)
 
+    def test_split_rejects_hour_other_than_current(self):
+        net = flat_network(history=4)
+        policy = SplitPolicy(r_min=70.0, r_max=70.0)
+        for hour in (3, 7):
+            with pytest.raises(ValueError, match="network is at hour 4"):
+                net.split((0, 0), policy, policy.rng(), hour=hour)
+        assert sorted(net.cells) == [(0, 0), (0, 1)] and net.split_events == []
+        assert net.cells[(0, 0)].generation == 0
+
     def test_child_history_starts_at_split(self):
         net = flat_network(history=6)
         policy = SplitPolicy(r_min=70.0, r_max=70.0)

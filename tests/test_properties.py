@@ -1,4 +1,4 @@
-"""Property tests of the columnar KPI paths against per-row scalar references.
+"""Property tests of array paths against per-row or per-model references.
 
 Hypothesis runs derandomized and without a deadline, so every run of the
 suite draws the same examples.
@@ -9,6 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oransim.forecast import (
+    LstmConfig,
+    NormStats,
+    clamp_prediction,
+    forward,
+    init_model,
+    predict_fleet,
+    stack_models,
+)
 from oransim.kpi import (
     CellId,
     CongestionRule,
@@ -89,3 +98,38 @@ def test_histogram_matches_per_sample_searchsorted(data):
     counts = histogram_hours([series], edges)[series.cell]
     assert counts.dtype == np.int64
     assert counts.tolist() == reference.tolist()
+
+
+@st.composite
+def model_fleets(draw):
+    """1-12 models of one config, each with a raw window; norm features may be degenerate."""
+    config = LstmConfig(n_layers=draw(st.integers(1, 2)), units_per_layer=draw(st.integers(1, 6)))
+    lookback = draw(st.integers(1, 8))
+    models, windows = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        lo = np.array([draw(ANY_PRB), draw(st.floats(0.0, 50.0))])
+        hi = lo + [draw(st.sampled_from([0.0]) | st.floats(1e-3, 100.0)) for _ in lo]
+        model = init_model(config, NormStats(lo, hi), np.random.default_rng(draw(st.integers(0, 999))))
+        # a head bias beyond [0, 1] drives predictions past the KPI bounds
+        model.head.b = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(config.output_dim)])
+        models.append(model)
+        prb = st.sampled_from([0.0, 100.0]) | ANY_PRB
+        thr = st.sampled_from([0.0]) | st.floats(0.0, 60.0)
+        windows.append([[draw(prb), draw(thr)] for _ in range(lookback)])
+    return models, np.array(windows)
+
+
+@PROPERTY
+@given(fleet=model_fleets())
+def test_fleet_forward_matches_each_model_alone(fleet):
+    models, windows = fleet
+    reference = [
+        clamp_prediction(m.norm.denormalize(forward(m, m.norm.normalize(w))))
+        for m, w in zip(models, windows)
+    ]
+    stacked = stack_models(models)
+    assert np.shares_memory(stacked.layers[0].w_h, models[-1].layers[0].w_h)
+    got = predict_fleet(stacked, windows)
+    assert got.shape == (len(models), 2)
+    for row, ref in zip(got, reference):
+        assert np.array_equal(row, ref)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from oransim.forecast import LstmConfig, TrainingConfig
+from oransim.forecast import LstmConfig, TrainingConfig, model_from_json, predict_from_window
 from oransim.kpi import CellId, CongestionRule, KpiSample, KpiSeries
 from oransim.network import SimulatedNetwork
 from oransim.ric import (
@@ -16,6 +16,7 @@ from oransim.ric import (
 )
 from oransim.ric.messages import A1Deployment, ModelPerformanceFeedback, O1Report
 from oransim.splitting import SplitPolicy
+from oransim.traffic import SyntheticProfile
 
 LSTM_TINY = LstmConfig(n_layers=1, units_per_layer=4, input_dim=2, output_dim=2)
 TRAIN_TINY = TrainingConfig(epochs=4, lookback=6, seed=3)
@@ -146,6 +147,65 @@ class TestXapp:
         a = xapp.infer(windows, hour=net.hour, lookback=TRAIN_TINY.lookback)
         b = xapp.infer(windows, hour=net.hour, lookback=TRAIN_TINY.lookback)
         assert a == b
+
+    def test_fleet_cache_follows_redeployments(self):
+        profile = SyntheticProfile(n_enb=1, cells_per_enb=3, n_days=4, seed=8)
+        net = SimulatedNetwork.from_profile(profile, history_hours=48)
+        log = EventLog()
+        non_rt = NonRtRic(log)
+        xapp = CpmXapp(log)
+        rule = CongestionRule()
+        lookback = TRAIN_TINY.lookback
+
+        def deploy(keys):
+            targets = {k: net.cells[k].cell_id for k in keys}
+            deployment = non_rt.build_deployment(rule, targets, hour=net.hour)
+            xapp.receive_deployment(deployment)
+            return deployment
+
+        def windows():
+            out = {}
+            for k in net.active_keys():
+                window = net.trailing_window(k, lookback)
+                if window is not None:
+                    out[k] = (net.cells[k].cell_id, window)
+            return out
+
+        def check_infer(deployment, expected_keys):
+            got = xapp.infer(windows(), hour=net.hour, lookback=lookback)
+            assert sorted(got) == expected_keys
+            for key, (cell_id, pred, alarm) in got.items():
+                model = model_from_json(deployment.models[cell_id].decode("utf-8"))
+                window = net.trailing_window(key, lookback)
+                assert pred == predict_from_window(model, window, net.hour)
+                assert cell_id == net.cells[key].cell_id
+
+        histories = {k: net.series(k) for k in net.active_keys()}
+        non_rt.train_and_update(histories, LSTM_TINY, TRAIN_TINY, hour=net.hour)
+        check_infer(deploy(net.active_keys()), [(0, 0), (0, 1), (0, 2)])
+        fleets = xapp._fleets
+        deploy(net.active_keys())
+        assert xapp._fleets is fleets  # nothing parsed, no cell dropped: no rebuild
+
+        # retrain one cell, split another; the child gets its parent's blob
+        retrain = TrainingConfig(epochs=2, lookback=lookback, seed=99)
+        non_rt.train_and_update({(0, 1): net.series((0, 1))}, LSTM_TINY, retrain, hour=net.hour)
+        policy = SplitPolicy(r_min=70.0, r_max=70.0)
+        event = net.split((0, 2), policy, policy.rng(), net.hour)
+        child = (event.child.enb, event.child.cell)
+        non_rt.register_child((0, 2), child)
+        deployment = deploy(net.active_keys())
+        assert deployment.digests[event.child] == deployment.digests[net.cells[(0, 2)].cell_id]
+        # the child has no trailing window yet: only the covered cells are predicted
+        check_infer(deployment, [(0, 0), (0, 1), (0, 2)])
+        for _ in range(lookback):
+            net.realize_hour()
+        deployment = deploy(net.active_keys())
+        check_infer(deployment, [(0, 0), (0, 1), (0, 2), child])
+
+        # a redeploy that drops a cell stops predicting it
+        deployment = deploy([(0, 0), (0, 2), child])
+        check_infer(deployment, [(0, 0), (0, 2), child])
 
     def test_stale_version_rejected(self):
         net = flat_network(history=40)
