@@ -14,9 +14,9 @@ import sys
 from pathlib import Path
 
 from .config import ScenarioConfig, load_config
-from .forecast import InsufficientDataError, evaluate_heldout, save_model, train
+from .forecast import evaluate_heldout, save_model
 from .network import SimulatedNetwork
-from .ric import run_control_loop, validate_jsonl
+from .ric import run_control_loop, train_cells, validate_jsonl
 from .splitting import default_bin_edges, export_histogram_csv, histogram_hours
 from .traffic import IngestError, export_csv, generate_synthetic, ingest_csv
 
@@ -59,18 +59,15 @@ def cmd_train(cfg: ScenarioConfig, dataset: Path, outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     models_dir = outdir / "models"
     models_dir.mkdir(exist_ok=True)
+    histories = {(s.cell.enb, s.cell.cell): s for s in series_list}
+    models, failures = train_cells(histories, cfg.lstm, cfg.training)
     per_cell: dict[str, float] = {}
-    skipped: list[str] = []
-    for series in series_list:
-        cell_cfg = cfg.training.for_cell(series.cell.enb, series.cell.cell)
-        try:
-            model, _ = train(series, cfg.lstm, cell_cfg)
-        except InsufficientDataError:
-            skipped.append(series.cell.label())
-            continue
+    for key, model in models.items():
+        series = histories[key]
         save_model(model, models_dir / f"{series.cell.label()}.json")
-        acc, _ = evaluate_heldout(model, series, cell_cfg)
+        acc, _ = evaluate_heldout(model, series, cfg.training)
         per_cell[series.cell.label()] = acc
+    skipped = [histories[key].cell.label() for key in failures]
     if not per_cell:
         raise ValueError("no cell had enough history to train")
     mean_acc = sum(per_cell.values()) / len(per_cell)

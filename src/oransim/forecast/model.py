@@ -168,7 +168,7 @@ def stack_models(models: list[ForecastModel]) -> ForecastModel:
 
     Weights become (M, 4H, D_l), (M, 4H, H) and (M, output_dim, H); biases
     (M, 1, 4H) and (M, 1, output_dim) and the norm stats (M, 1, input_dim),
-    so they broadcast over a (T, M, 1, D) input to ``_lstm_stack`` and over
+    so they broadcast over an (M, T, B, D) input to ``_lstm_stack`` and over
     (M, T, input_dim) raw windows. Each given model's parameters are rebound
     to views into the stack, so the models and the stack share one copy.
     """
@@ -215,53 +215,58 @@ def init_model(config: LstmConfig, norm: NormStats, rng: np.random.Generator) ->
 def _lstm_stack(
     model: ForecastModel, layer_in: np.ndarray, cache: list | None = None
 ) -> np.ndarray:
-    """The stacked recurrence over time-major input (T, ..., B, D), zero initial states.
+    """The stacked recurrence over input (..., T, B, D), zero initial states.
 
     Returns the head's (..., B, output_dim) prediction from the top layer's
     last hidden state. Parameter arrays may carry a leading model axis that
     broadcasts against the input's ``...`` (see ``stack_models``), so one
     call runs M independent models, each with the arithmetic it has alone.
-    The input is projected step by step: that keeps no (T, ..., 4H) array
-    alive and is no slower at training batch sizes than one hoisted matmul.
-    When ``cache`` is a list, one dict per layer is appended holding the
-    layer input ``x`` (T, B, D_l) and the per-step activations BPTT reads,
-    each its own contiguous (T, B, H) array: ``i``, ``f``, ``g``, ``o``,
-    ``c``, ``tanh_c``, ``h``.
+    Arrays are model-major with time second, so each model's (T, B, .)
+    block is contiguous and BPTT reshapes it to (T*B, .) without a copy.
+    The input is projected step by step: that keeps no (..., T, B, 4H)
+    array alive and is no slower at training batch sizes than one hoisted
+    matmul. When ``cache`` is a list, one dict per layer is appended holding
+    the layer input ``x`` and the activations BPTT reads: ``i``, ``f``,
+    ``g``, ``o`` and ``tanh_c``, each (..., T, B, H), and ``c`` and ``h``,
+    each (..., T + 1, B, H) with slot 0 the zero state at t = -1.
     """
-    steps = layer_in.shape[0]
+    steps = layer_in.shape[-3]
     n = model.config.units_per_layer
+    state_shape = layer_in.shape[:-3] + (steps + 1,) + layer_in.shape[-2:-1] + (n,)
     for layer in model.layers:
         w_x_t = np.swapaxes(layer.w_x, -1, -2)
         w_h_t = np.swapaxes(layer.w_h, -1, -2)
-        h = np.zeros(layer_in.shape[1:-1] + (n,))
-        c = np.zeros_like(h)
-        hs = np.empty((steps,) + h.shape)
+        hs = np.empty(state_shape)
+        hs[..., 0, :, :] = 0.0
+        c = hs[..., 0, :, :]
         if cache is not None:
-            gi, gf, gg, go, cs, tc = (np.empty_like(hs) for _ in range(6))
+            cs = np.empty_like(hs)
+            cs[..., 0, :, :] = 0.0
+            gi, gf, gg, go, tc = (np.empty_like(hs[..., 1:, :, :]) for _ in range(5))
         for t in range(steps):
-            z = layer_in[t] @ w_x_t
+            at, nxt = np.s_[..., t, :, :], np.s_[..., t + 1, :, :]
+            z = layer_in[at] @ w_x_t
             z += layer.b
-            z += h @ w_h_t
+            z += hs[at] @ w_h_t
             gates = sigmoid(z[..., : 3 * n])
             i, f, o = gates[..., :n], gates[..., n : 2 * n], gates[..., 2 * n :]
             g = np.tanh(z[..., 3 * n :])
             if cache is not None:
                 # at batch > 1 the gate slices are strided; the contiguous
                 # copies BPTT keeps are also faster to compute with
-                gi[t], gf[t], go[t], gg[t] = i, f, o, g
-                i, f, o = gi[t], gf[t], go[t]
+                gi[at], gf[at], go[at], gg[at] = i, f, o, g
+                i, f, o = gi[at], gf[at], go[at]
             c = f * c + i * g
             tanh_c = np.tanh(c)
-            h = o * tanh_c
-            hs[t] = h
+            np.multiply(o, tanh_c, out=hs[nxt])
             if cache is not None:
-                cs[t], tc[t] = c, tanh_c
+                cs[nxt], tc[at] = c, tanh_c
         if cache is not None:
             cache.append(
                 {"x": layer_in, "i": gi, "f": gf, "g": gg, "o": go, "c": cs, "tanh_c": tc, "h": hs}
             )
-        layer_in = hs
-    return layer_in[-1] @ np.swapaxes(model.head.w, -1, -2) + model.head.b
+        layer_in = hs[..., 1:, :, :]
+    return layer_in[..., -1, :, :] @ np.swapaxes(model.head.w, -1, -2) + model.head.b
 
 
 def forward(model: ForecastModel, window: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from .model import (
     forward,
     init_model,
     param_arrays,
+    stack_models,
 )
 
 __all__ = [
@@ -43,6 +44,9 @@ __all__ = [
     "backward",
     "adam_step",
     "train",
+    "train_split",
+    "train_stack",
+    "stack_width",
     "clamp_prediction",
     "predict_from_window",
     "predict_fleet",
@@ -172,66 +176,70 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-def _shift_back(arr: np.ndarray) -> np.ndarray:
-    """States at t-1: zeros at t=0, arr[t-1] elsewhere."""
-    out = np.zeros_like(arr)
-    out[1:] = arr[:-1]
-    return out
+def _bptt_layer(layer, lc, dh_seq, dh_carry, dz) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fill ``dz`` with one layer's gate gradients; return its (w_x, w_h, b) gradients.
+
+    ``dh_seq`` is dL/dh from the layer above, (..., T, B, H), or None for
+    the top layer, whose only such gradient is ``dh_carry`` at the last step.
+    """
+    n = dz.shape[-1] // 4
+    gi, gf, gg, go, tc, cs = lc["i"], lc["f"], lc["g"], lc["o"], lc["tanh_c"], lc["c"]
+    dc_carry = np.zeros_like(dh_carry)
+    for t in reversed(range(dz.shape[-3])):
+        at = np.s_[..., t, :, :]
+        dh = dh_carry + (0.0 if dh_seq is None else dh_seq[at])
+        do = dh * tc[at]
+        dc = dc_carry + dh * go[at] * (1.0 - tc[at] * tc[at])
+        dz_t = dz[at]
+        dz_t[..., 0 * n : 1 * n] = dc * gg[at] * gi[at] * (1.0 - gi[at])
+        # cs[at] is c at t - 1: slot 0 holds the zero initial state
+        dz_t[..., 1 * n : 2 * n] = dc * cs[at] * gf[at] * (1.0 - gf[at])
+        dz_t[..., 2 * n : 3 * n] = do * go[at] * (1.0 - go[at])
+        dz_t[..., 3 * n : 4 * n] = dc * gi[at] * (1.0 - gg[at] * gg[at])
+        dh_carry = dz_t @ layer.w_h
+        dc_carry = dc * gf[at]
+    lead, rows = dz.shape[:-3], dz.shape[-3] * dz.shape[-2]
+    dz_rows = dz.reshape(lead + (rows, 4 * n))
+    dz_rows_t = np.swapaxes(dz_rows, -1, -2)
+    gw_x = dz_rows_t @ lc["x"].reshape(lead + (rows, -1))
+    gw_h = dz_rows_t @ lc["h"][..., :-1, :, :].reshape(lead + (rows, n))
+    return gw_x, gw_h, dz_rows.sum(axis=-2).reshape(layer.b.shape)
 
 
 def _backward_from_cache(model, cache, dpred) -> list[np.ndarray]:
-    steps, batch, n_units = cache[0]["h"].shape
-    h_top_last = cache[-1]["h"][-1]
-    g_head_w = dpred.T @ h_top_last
-    g_head_b = dpred.sum(axis=0)
+    """BPTT through a cache of ``_lstm_stack``, which it empties.
 
-    # dL/dh of the top layer per step: only the final step feeds the head
-    dh_seq = np.zeros((steps, batch, n_units))
-    dh_seq[-1] = dpred @ model.head.w
-
-    grads_layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [None] * len(model.layers)
-    for l in reversed(range(len(model.layers))):
-        layer = model.layers[l]
-        lc = cache[l]
-        gi, gf, gg, go = lc["i"], lc["f"], lc["g"], lc["o"]
-        tc = lc["tanh_c"]
-        c_prev = _shift_back(lc["c"])
-        h_prev = _shift_back(lc["h"])
-        dz = np.empty((steps, batch, 4 * n_units))
-        dh_carry = np.zeros((batch, n_units))
-        dc_carry = np.zeros((batch, n_units))
-        for t in reversed(range(steps)):
-            dh = dh_seq[t] + dh_carry
-            do = dh * tc[t]
-            dc = dc_carry + dh * go[t] * (1.0 - tc[t] * tc[t])
-            dz_t = dz[t]
-            dz_t[:, 0 * n_units : 1 * n_units] = dc * gg[t] * gi[t] * (1.0 - gi[t])
-            dz_t[:, 1 * n_units : 2 * n_units] = dc * c_prev[t] * gf[t] * (1.0 - gf[t])
-            dz_t[:, 2 * n_units : 3 * n_units] = do * go[t] * (1.0 - go[t])
-            dz_t[:, 3 * n_units : 4 * n_units] = dc * gi[t] * (1.0 - gg[t] * gg[t])
-            dh_carry = dz_t @ layer.w_h
-            dc_carry = dc * gf[t]
-        x_seq = lc["x"]
-        dz_flat = dz.reshape(steps * batch, 4 * n_units)
-        gw_x = dz_flat.T @ x_seq.reshape(steps * batch, -1)
-        gw_h = dz_flat.T @ h_prev.reshape(steps * batch, n_units)
-        gb = dz_flat.sum(axis=0)
-        grads_layers[l] = (gw_x, gw_h, gb)
-        if l > 0:
-            dh_seq = dz @ layer.w_x  # (T, B, D_l) feeds the layer below
-
+    ``dpred`` is (..., B, output_dim) with the cache's leading model axes.
+    Each layer's cache is dropped as soon as its gradients are taken and one
+    ``dz`` buffer serves every layer, so the working set peaks at the top
+    layer. Returns the gradients in ``param_arrays`` order and shapes.
+    """
+    g_head_w = np.swapaxes(dpred, -1, -2) @ cache[-1]["h"][..., -1, :, :]
+    g_head_b = dpred.sum(axis=-2).reshape(model.head.b.shape)
+    gates_shape = cache[-1]["i"].shape  # (..., T, B, H)
+    dz = np.empty(gates_shape[:-1] + (4 * gates_shape[-1],))
     grads: list[np.ndarray] = []
-    for gw_x, gw_h, gb in grads_layers:
-        grads.extend([gw_x, gw_h, gb])
-    grads.extend([g_head_w, g_head_b])
-    return grads
+    dh_seq, dh_carry = None, dpred @ model.head.w
+    for l in reversed(range(len(model.layers))):
+        grads[:0] = _bptt_layer(model.layers[l], cache.pop(), dh_seq, dh_carry, dz)
+        if l > 0:
+            dh_seq = dz @ np.expand_dims(model.layers[l].w_x, -3)  # feeds the layer below
+            dh_carry = np.zeros_like(dh_carry)
+    return grads + [g_head_w, g_head_b]
 
 
-def _loss_and_gradients(model, inputs, targets) -> tuple[float, list[np.ndarray]]:
+def _loss_and_gradients(model, layer_in, targets) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Per-model mean batch MSE and gradients for input (..., T, B, D)."""
     cache: list[dict] = []
-    pred = _lstm_stack(model, np.ascontiguousarray(inputs.transpose(1, 0, 2)), cache)
-    dpred = 2.0 * (pred - targets) / pred.size
-    return mse_loss(pred, targets), _backward_from_cache(model, cache, dpred)
+    pred = _lstm_stack(model, layer_in, cache)
+    dpred = 2.0 * (pred - targets) / (pred.shape[-2] * pred.shape[-1])
+    return _mse(pred, targets), _backward_from_cache(model, cache, dpred)
+
+
+def _mse(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """``mse_loss`` of each model's (B, output_dim) block, bit for bit."""
+    diff = pred - target
+    return np.mean(diff * diff, axis=(-2, -1))
 
 
 def backward(model: ForecastModel, inputs: np.ndarray, targets: np.ndarray) -> list[np.ndarray]:
@@ -250,7 +258,7 @@ def backward(model: ForecastModel, inputs: np.ndarray, targets: np.ndarray) -> l
         raise ValueError(
             f"input dim {inputs.shape[2]} != configured {model.config.input_dim}"
         )
-    _, grads = _loss_and_gradients(model, inputs, targets)
+    _, grads = _loss_and_gradients(model, np.ascontiguousarray(inputs.transpose(1, 0, 2)), targets)
     return grads
 
 
@@ -291,60 +299,122 @@ def adam_step(
     return new_params, AdamState(new_m, new_v, t)
 
 
+def train_split(length: int, cfg: TrainingConfig) -> int:
+    """Hours of a ``length``-hour series that feed training (and its norm stats).
+
+    The split is chronological; the remaining hours are validation. Raises
+    ``InsufficientDataError`` unless the split leaves at least one training
+    and one validation window: this is the one length test of training.
+    """
+    split = int(np.floor(cfg.train_fraction * length))
+    if split <= cfg.lookback or split >= length:
+        raise InsufficientDataError(
+            f"series length {length} at train_fraction {cfg.train_fraction} "
+            f"leaves no training window (lookback {cfg.lookback})"
+        )
+    return split
+
+
+# Bound on one stack's BPTT working set, in bytes (see ``stack_width``).
+# Width probe, one stacked step (forward, BPTT, Adam) of 2 x 12-unit
+# models at lookback 24, best of 3 on a 2-vCPU VM with one OpenBLAS
+# thread, per-model time at stack widths M = 1 / 2 / 4 / 8 / 16 / 32:
+#   batch 16: 4.70 / 3.27 / 2.57 / 2.08 / 1.75 / 1.62 ms, 0.66 MiB traced per model;
+#   batch 9:  3.05 / 3.02 / 1.74 / 1.01 / 0.89 / 0.91 ms, 0.38 MiB traced per model.
+# Three MiB admits 4 models at batch 16 and 8 at batch 9: most of the gain,
+# while a wide round (hundreds of cells) adds at most ~3 MiB to the peak.
+STACK_BYTES = 3 << 20
+
+
+def stack_width(lstm_cfg: LstmConfig, cfg: TrainingConfig, length: int) -> int:
+    """How many models of ``length``-hour series one stack trains within ``STACK_BYTES``.
+
+    A model's share of the working set at the top layer's BPTT is every
+    layer's cache (i, f, g, o and tanh_c, plus c and h with their t = -1
+    slot), the ``dz`` buffer and the batch input.
+    """
+    batch = min(cfg.batch_size, train_split(length, cfg) - cfg.lookback)
+    steps, n = cfg.lookback, lstm_cfg.units_per_layer
+    cache = lstm_cfg.n_layers * (7 * steps + 2) * n
+    per_model = 8 * batch * (cache + steps * (4 * n + lstm_cfg.input_dim))
+    return max(1, STACK_BYTES // per_model)
+
+
+def train_stack(
+    series_list: list[KpiSeries],
+    lstm_cfg: LstmConfig,
+    train_cfgs: list[TrainingConfig],
+) -> list[tuple[ForecastModel, list[EpochStats]]]:
+    """Train one forecaster per series, all as one stack (see ``stack_models``).
+
+    The series must share one length and the configs may differ only in
+    their seed: length alone sets the split, the window count and the batch
+    schedule, so every model takes the same steps. Each step is one stacked
+    forward, one BPTT and one Adam update; each epoch ends with one stacked
+    validation forward. Model m draws its initialization and its per-epoch
+    batch order from its own generator, so its parameters and log equal,
+    bit for bit, those of training series m alone.
+
+    The split is chronological: the first ``train_fraction`` of hours feed
+    training windows (and the normalization statistics), the remainder is
+    validation (``train_split``).
+    """
+    cfg = train_cfgs[0]
+    length = len(series_list[0])
+    if any(len(s) != length for s in series_list):
+        raise ValueError("stacked series must share one length")
+    if any(replace(c, seed=cfg.seed) != cfg for c in train_cfgs):
+        raise ValueError("stacked training configs may differ only in their seed")
+    split = train_split(length, cfg)
+    n_train = split - cfg.lookback  # window i has target hour i + lookback
+    models, rngs, inputs, targets = [], [], [], []
+    for series, cell_cfg in zip(series_list, train_cfgs):
+        norm = compute_norm_stats(series.to_array()[:split])
+        windows = make_windows(series, cfg, norm)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cell_cfg.seed])))
+        models.append(init_model(lstm_cfg, norm, rng))
+        rngs.append(rng)
+        inputs.append(windows.inputs)
+        targets.append(windows.targets)
+    inputs, targets = np.stack(inputs), np.stack(targets)  # (M, N, T, D), (M, N, D)
+    train_inputs, train_targets = inputs[:, :n_train], targets[:, :n_train]
+    val_inputs = np.ascontiguousarray(inputs[:, n_train:].transpose(0, 2, 1, 3))
+    val_targets = targets[:, n_train:]
+
+    stack = stack_models(models)
+    params = param_arrays(stack)
+    state = AdamState.zeros_like(params)
+    logs: list[list[EpochStats]] = [[] for _ in models]
+    rows = np.arange(len(models))[:, np.newaxis]
+    for epoch in range(1, cfg.epochs + 1):
+        order = np.stack([rng.permutation(n_train) for rng in rngs])
+        sq_sum = np.zeros(len(models))
+        for lo in range(0, n_train, cfg.batch_size):
+            batch = order[:, lo : lo + cfg.batch_size]
+            layer_in = np.ascontiguousarray(train_inputs[rows, batch].transpose(0, 2, 1, 3))
+            losses, grads = _loss_and_gradients(stack, layer_in, train_targets[rows, batch])
+            sq_sum += losses * batch.shape[1]
+            params, state = adam_step(params, grads, state, cfg.adam)
+            _write_params(stack, params)
+        val_loss = _mse(_lstm_stack(stack, val_inputs), val_targets)
+        for m, log in enumerate(logs):
+            log.append(EpochStats(epoch, float(sq_sum[m] / n_train), float(val_loss[m])))
+    for m, model in enumerate(models):
+        _write_params(model, [a[m].reshape(p.shape) for a, p in zip(params, param_arrays(model))])
+        model.trained_epochs = cfg.epochs
+    return list(zip(models, logs))
+
+
 def train(
     series: KpiSeries,
     lstm_cfg: LstmConfig,
     train_cfg: TrainingConfig,
 ) -> tuple[ForecastModel, list[EpochStats]]:
-    """Train one forecaster on one cell's series.
+    """Train one forecaster on one cell's series: a stack of one (``train_stack``).
 
-    The split is chronological: the first ``train_fraction`` of hours feed
-    training windows (and the normalization statistics), the remainder is
-    validation. Fully deterministic given ``train_cfg.seed``.
+    Fully deterministic given ``train_cfg.seed``.
     """
-    raw = series.to_array()
-    length = len(series)
-    split = int(np.floor(train_cfg.train_fraction * length))
-    if split <= train_cfg.lookback:
-        raise InsufficientDataError(
-            f"series length {length} at train_fraction {train_cfg.train_fraction} "
-            f"leaves no training window (lookback {train_cfg.lookback})"
-        )
-    norm = compute_norm_stats(raw[:split])
-    windows = make_windows(series, train_cfg, norm)
-    # window i has target index i + lookback (relative to series start)
-    target_idx = np.arange(len(windows)) + train_cfg.lookback
-    train_mask = target_idx < split
-    train_inputs = windows.inputs[train_mask]
-    train_targets = windows.targets[train_mask]
-    val_inputs = windows.inputs[~train_mask]
-    val_targets = windows.targets[~train_mask]
-    if len(train_inputs) < 1 or len(val_inputs) < 1:
-        raise InsufficientDataError(
-            f"need at least one training and one validation window, got "
-            f"{len(train_inputs)}/{len(val_inputs)}"
-        )
-
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([train_cfg.seed])))
-    model = init_model(lstm_cfg, norm, rng)
-    params = param_arrays(model)
-    state = AdamState.zeros_like(params)
-    log: list[EpochStats] = []
-    n_train = len(train_inputs)
-    for epoch in range(1, train_cfg.epochs + 1):
-        order = rng.permutation(n_train)
-        sq_sum = 0.0
-        for lo in range(0, n_train, train_cfg.batch_size):
-            batch = order[lo : lo + train_cfg.batch_size]
-            loss, grads = _loss_and_gradients(model, train_inputs[batch], train_targets[batch])
-            sq_sum += loss * len(batch)
-            params, state = adam_step(params, grads, state, train_cfg.adam)
-            _write_params(model, params)
-        train_loss = sq_sum / n_train
-        val_loss = mse_loss(forward(model, val_inputs), val_targets)
-        log.append(EpochStats(epoch, train_loss, val_loss))
-    model.trained_epochs = train_cfg.epochs
-    return model, log
+    return train_stack([series], lstm_cfg, [train_cfg])[0]
 
 
 def clamp_prediction(pred: np.ndarray) -> np.ndarray:
@@ -376,7 +446,7 @@ def predict_fleet(fleet: ForecastModel, windows: np.ndarray) -> np.ndarray:
     raw, model m's trailing window in row m. Row m equals model m's
     ``predict_from_window`` bit for bit.
     """
-    normalized = fleet.norm.normalize(windows).transpose(1, 0, 2)[:, :, np.newaxis]
+    normalized = fleet.norm.normalize(windows)[:, :, np.newaxis]  # (M, T, 1, D)
     pred = _lstm_stack(fleet, normalized)  # (M, 1, output_dim)
     return clamp_prediction(fleet.norm.denormalize(pred)[:, 0])
 

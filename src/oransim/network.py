@@ -37,9 +37,7 @@ CellKey = tuple[int, int]  # (enb, cell index) - stable across generation bumps
 class ActiveCell:
     """Mutable per-cell simulation state."""
 
-    enb: int
-    cell: int
-    generation: int
+    cell_id: CellId            # replaced, not rebuilt, when a split bumps the generation
     origin: CellKey            # generation-0 ancestor owning the base waveform
     load_fraction: float       # share of the origin cell's load served here
     created_at: int            # first hour this cell exists
@@ -49,11 +47,11 @@ class ActiveCell:
 
     @property
     def key(self) -> CellKey:
-        return (self.enb, self.cell)
+        return (self.cell_id.enb, self.cell_id.cell)
 
     @property
-    def cell_id(self) -> CellId:
-        return CellId(self.enb, self.cell, self.generation)
+    def generation(self) -> int:
+        return self.cell_id.generation
 
 
 class SimulatedNetwork:
@@ -90,7 +88,7 @@ class SimulatedNetwork:
             key = (series.cell.enb, series.cell.cell)
             self._base[key] = series.to_array()
             self.cells[key] = ActiveCell(
-                enb=key[0], cell=key[1], generation=0, origin=key, load_fraction=1.0,
+                cell_id=series.cell, origin=key, load_fraction=1.0,
                 created_at=0, kpis=np.empty((self.total_hours, 2)),
             )
             nxt = self._next_cell_index.get(key[0], 0)
@@ -230,22 +228,21 @@ class SimulatedNetwork:
         state = self.load_state(key)
         # hourly realization applies the share_kpis law via the cumulative
         # load fraction, so only the load division happens here
-        _, _, event = split_cell(
-            state, policy, hour, rng, child_cell_index=self._next_cell_index[cell.enb]
+        enb = cell.cell_id.enb
+        after, _, event = split_cell(
+            state, policy, hour, rng, child_cell_index=self._next_cell_index[enb]
         )
-        self._next_cell_index[cell.enb] += 1
+        self._next_cell_index[enb] += 1
         share = event.r / 100.0
         child = ActiveCell(
-            enb=event.child.enb,
-            cell=event.child.cell,
-            generation=event.child.generation,
+            cell_id=event.child,
             origin=cell.origin,
             load_fraction=cell.load_fraction * share,
             created_at=hour,
             kpis=np.empty((self.total_hours - self.hour, 2)),
             last_split_hour=hour,
         )
-        cell.generation += 1
+        cell.cell_id = after.cell
         cell.load_fraction *= 1.0 - share
         cell.last_split_hour = hour
         self.cells[child.key] = child

@@ -21,7 +21,9 @@ from ..forecast import (
     model_to_json,
     predict_fleet,
     stack_models,
-    train,
+    stack_width,
+    train_split,
+    train_stack,
 )
 from ..kpi import CellId, CongestionRule, KpiSample, KpiSeries, evaluate_congestion
 from ..network import SimulatedNetwork
@@ -80,23 +82,37 @@ def train_cells(
     lstm_cfg: LstmConfig,
     train_cfg: TrainingConfig,
 ) -> tuple[dict[CellKey, ForecastModel], list[CellKey]]:
-    """The SMO's AI server: train one model per requested cell, in key order.
+    """The SMO's AI server: train one model per requested cell.
 
     Cells whose history cannot support training are excluded and returned
-    as failures. Per-cell seeds derive from the configured seed and the
-    cell key, so retrains are reproducible.
+    as failures. The rest are grouped by history length, the only input
+    that sets a model's batch schedule, and each group trains in key order
+    as stacks of at most ``stack_width`` models. Per-cell seeds derive from
+    the configured seed and the cell key, so every model equals the one its
+    cell would get alone, and retrains are reproducible. Models are
+    returned in key order.
     """
-    models: dict[CellKey, ForecastModel] = {}
+    groups: dict[int, list[CellKey]] = {}
     failures: list[CellKey] = []
     for key in sorted(histories):
+        length = len(histories[key])
         try:
-            model, _ = train(histories[key], lstm_cfg, train_cfg.for_cell(*key))
+            train_split(length, train_cfg)
         except InsufficientDataError as exc:
             logger.warning("training skipped for cell %s: %s", key, exc)
             failures.append(key)
             continue
-        models[key] = model
-    return models, failures
+        groups.setdefault(length, []).append(key)
+    models: dict[CellKey, ForecastModel] = {}
+    for length, keys in groups.items():
+        width = stack_width(lstm_cfg, train_cfg, length)
+        for lo in range(0, len(keys), width):
+            chunk = keys[lo : lo + width]
+            trained = train_stack(
+                [histories[k] for k in chunk], lstm_cfg, [train_cfg.for_cell(*k) for k in chunk]
+            )
+            models.update((k, model) for k, (model, _) in zip(chunk, trained))
+    return dict(sorted(models.items())), failures
 
 
 class NonRtRic:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..forecast import LstmConfig, TrainingConfig, accuracy
+from ..forecast import InsufficientDataError, LstmConfig, TrainingConfig, accuracy, train_split
 from ..kpi import CongestionRule, KpiSample, congested_hours
 from ..network import SimulatedNetwork
 from ..splitting import SplitPolicy
@@ -148,6 +148,18 @@ def run_control_loop(
             f"horizon {horizon_hours} exceeds remaining base traffic "
             f"({network.total_hours - network.hour} hours)"
         )
+    # the first round trains every active cell, and the longest history is the
+    # likeliest to train: if it cannot, no cell is predicted and the first
+    # feedback window is empty
+    history = max(len(network.training_history(k)) for k in network.active_keys())
+    try:
+        train_split(history, train_cfg)
+    except InsufficientDataError:
+        raise ValueError(
+            f"horizon_hours {horizon_hours} leaves {history} of the traffic's "
+            f"{network.total_hours} hours as history, too few to train at training.lookback "
+            f"{train_cfg.lookback} and training.train_fraction {train_cfg.train_fraction}"
+        ) from None
     if split_policy.max_factor != loop_cfg.max_split_factor:
         raise ValueError(
             f"split policy max_factor {split_policy.max_factor} != loop "

@@ -254,6 +254,16 @@ class TestRun:
             main(["run", "-c", str(cfg), "-o", str(root / "run")])
         assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
+    def test_horizon_leaving_too_little_history_exits_one(self, tmp_path, capsys):
+        doc = {"horizon_hours": 20,
+               "traffic": {"synthetic": {"n_enb": 1, "cells_per_enb": 2, "n_days": 2}}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "-c", str(cfg), "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        for key in ("horizon_hours", "training.lookback", "training.train_fraction"):
+            assert key in err
+        assert not (tmp_path / "out").exists()
+
     def test_csv_traffic_run(self, tmp_path):
         cfg_doc = json.loads(json.dumps(TINY))
         gen_cfg = write_config(tmp_path, TINY, name="gen.json")

@@ -40,7 +40,7 @@ from oransim.forecast import (
     save_model,
     train,
 )
-from oransim.forecast.model import _lstm_stack, sigmoid
+from oransim.forecast.model import _lstm_stack, _write_params, sigmoid
 
 
 def rng_for(seed):
@@ -170,6 +170,80 @@ def seed_forward_cached(model, inputs):
     return pred, cache
 
 
+def seed_backward(model, inputs, targets):
+    """BPTT (``_backward_from_cache``) as it was before stacking: time-major,
+    with zero-shifted copies of the states."""
+    pred, cache = seed_forward_cached(model, inputs)
+    dpred = 2.0 * (pred - targets) / pred.size
+    steps, batch, n_units = cache[0]["h"].shape
+
+    def shift_back(arr):
+        out = np.zeros_like(arr)
+        out[1:] = arr[:-1]
+        return out
+
+    g_head_w = dpred.T @ cache[-1]["h"][-1]
+    g_head_b = dpred.sum(axis=0)
+    dh_seq = np.zeros((steps, batch, n_units))
+    dh_seq[-1] = dpred @ model.head.w
+    grads_layers = [None] * len(model.layers)
+    for l in reversed(range(len(model.layers))):
+        layer, lc = model.layers[l], cache[l]
+        gi, gf, gg, go, tc = lc["i"], lc["f"], lc["g"], lc["o"], lc["tanh_c"]
+        c_prev, h_prev = shift_back(lc["c"]), shift_back(lc["h"])
+        dz = np.empty((steps, batch, 4 * n_units))
+        dh_carry = np.zeros((batch, n_units))
+        dc_carry = np.zeros((batch, n_units))
+        for t in reversed(range(steps)):
+            dh = dh_seq[t] + dh_carry
+            do = dh * tc[t]
+            dc = dc_carry + dh * go[t] * (1.0 - tc[t] * tc[t])
+            dz[t][:, 0 * n_units : 1 * n_units] = dc * gg[t] * gi[t] * (1.0 - gi[t])
+            dz[t][:, 1 * n_units : 2 * n_units] = dc * c_prev[t] * gf[t] * (1.0 - gf[t])
+            dz[t][:, 2 * n_units : 3 * n_units] = do * go[t] * (1.0 - go[t])
+            dz[t][:, 3 * n_units : 4 * n_units] = dc * gi[t] * (1.0 - gg[t] * gg[t])
+            dh_carry = dz[t] @ layer.w_h
+            dc_carry = dc * gf[t]
+        dz_flat = dz.reshape(steps * batch, 4 * n_units)
+        grads_layers[l] = (
+            dz_flat.T @ lc["x"].reshape(steps * batch, -1),
+            dz_flat.T @ h_prev.reshape(steps * batch, n_units),
+            dz_flat.sum(axis=0),
+        )
+        if l > 0:
+            dh_seq = dz @ layer.w_x
+    grads = [g for layer_grads in grads_layers for g in layer_grads]
+    return mse_loss(pred, targets), grads + [g_head_w, g_head_b]
+
+
+def seed_train(series, lstm_cfg, cfg):
+    """The per-cell training loop of ``train`` as it was before stacking."""
+    split = int(np.floor(cfg.train_fraction * len(series)))
+    norm = compute_norm_stats(series.to_array()[:split])
+    windows = make_windows(series, cfg, norm)
+    n_train = split - cfg.lookback
+    train_inputs, train_targets = windows.inputs[:n_train], windows.targets[:n_train]
+    rng = rng_for(cfg.seed)
+    model = init_model(lstm_cfg, norm, rng)
+    params = param_arrays(model)
+    state = AdamState.zeros_like(params)
+    log = []
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(n_train)
+        sq_sum = 0.0
+        for lo in range(0, n_train, cfg.batch_size):
+            batch = order[lo : lo + cfg.batch_size]
+            loss, grads = seed_backward(model, train_inputs[batch], train_targets[batch])
+            sq_sum += loss * len(batch)
+            params, state = adam_step(params, grads, state, cfg.adam)
+            _write_params(model, params)
+        val_pred = seed_forward(model, windows.inputs[n_train:])
+        val_loss = mse_loss(val_pred, windows.targets[n_train:])
+        log.append((epoch, sq_sum / n_train, val_loss))
+    model.trained_epochs = cfg.epochs
+    return model, log
+
+
 class TestForward:
     def test_zero_parameters_give_zero_prediction(self):
         cfg = LstmConfig(2, 3, 2, 2)
@@ -231,7 +305,30 @@ class TestSeedReference:
         for layer, ref_layer in zip(cache, ref_cache):
             assert layer.keys() == ref_layer.keys()
             for name, arr in layer.items():
+                if name in ("c", "h"):
+                    # slot 0 holds the zero state at t = -1
+                    assert np.array_equal(arr[0], np.zeros_like(arr[0])), name
+                    arr = arr[1:]
                 assert np.array_equal(arr, ref_layer[name]), name
+
+    def test_backward_matches_seed_bptt(self, n_layers, batch):
+        model, windows = self.model_and_windows(n_layers, batch)
+        targets = rng_for(40 + batch).uniform(0, 1, size=(batch, 2))
+        _, ref_grads = seed_backward(model, windows, targets)
+        grads = backward(model, windows, targets)
+        assert len(grads) == len(ref_grads)
+        for grad, ref in zip(grads, ref_grads):
+            assert np.array_equal(grad, ref)
+
+    def test_train_matches_seed_loop(self, n_layers, batch):
+        # 41 windows: batch 16 leaves a remainder of 9 in every epoch
+        series = sine_series(64, noise=0.2)
+        cfg = TrainingConfig(batch_size=batch, epochs=2, lookback=10, seed=n_layers)
+        lstm = LstmConfig(n_layers, 5, 2, 2)
+        model, log = train(series, lstm, cfg)
+        ref_model, ref_log = seed_train(series, lstm, cfg)
+        assert model_to_json(model) == model_to_json(ref_model)
+        assert [(e.epoch, e.train_loss, e.val_loss) for e in log] == ref_log
 
 
 class TestMseLoss:

@@ -4,20 +4,27 @@ Hypothesis runs derandomized and without a deadline, so every run of the
 suite draws the same examples.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oransim.forecast import (
+    InsufficientDataError,
     LstmConfig,
     NormStats,
+    TrainingConfig,
     clamp_prediction,
     forward,
     init_model,
+    model_to_json,
     predict_fleet,
     stack_models,
+    train,
 )
+from oransim.forecast import training
 from oransim.kpi import (
     CellId,
     CongestionRule,
@@ -26,6 +33,7 @@ from oransim.kpi import (
     congested_hours,
     evaluate_congestion,
 )
+from oransim.ric import hosts
 from oransim.splitting import default_bin_edges, histogram_hours
 from oransim.traffic import DatasetSchema, export_csv, ingest_csv
 
@@ -133,3 +141,62 @@ def test_fleet_forward_matches_each_model_alone(fleet):
     assert got.shape == (len(models), 2)
     for row, ref in zip(got, reference):
         assert np.array_equal(row, ref)
+
+
+@st.composite
+def training_rounds(draw):
+    """A round of cell histories drawn from a few lengths, some too short to train."""
+    lstm = LstmConfig(n_layers=draw(st.integers(1, 2)), units_per_layer=draw(st.integers(1, 4)))
+    cfg = TrainingConfig(
+        batch_size=draw(st.integers(1, 6)),
+        epochs=draw(st.integers(1, 3)),
+        lookback=draw(st.integers(1, 5)),
+        train_fraction=draw(st.sampled_from([0.5, 0.8])),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    lengths = draw(st.lists(st.integers(1, 24), min_size=1, max_size=3, unique=True))
+    cell_keys = st.tuples(st.integers(0, 2), st.integers(0, 5))
+    keys = draw(st.lists(cell_keys, min_size=1, max_size=8, unique=True))
+    histories = {}
+    for enb, cell in keys:
+        rng = np.random.default_rng(draw(st.integers(0, 999)))
+        n = draw(st.sampled_from(lengths))
+        values = np.column_stack([rng.uniform(0.0, 100.0, n), rng.uniform(0.0, 20.0, n)])
+        histories[(enb, cell)] = KpiSeries(CellId(enb, cell), draw(st.integers(0, 50)), values)
+    # from one model per stack to every model of a length in one stack
+    stack_bytes = draw(st.sampled_from([1, 2_000, 20_000, 10**9]))
+    return histories, lstm, cfg, stack_bytes
+
+
+@PROPERTY
+@given(round_=training_rounds())
+def test_stacked_training_matches_each_cell_alone(round_):
+    histories, lstm, cfg, stack_bytes = round_
+    expected_models, expected_logs, expected_failures = {}, {}, []
+    for key in sorted(histories):
+        try:
+            model, log = train(histories[key], lstm, cfg.for_cell(*key))
+        except InsufficientDataError:
+            expected_failures.append(key)
+            continue
+        expected_models[key], expected_logs[key] = model_to_json(model), log
+
+    stacks = []
+
+    def recording_train_stack(series_list, lstm_cfg, train_cfgs):
+        trained = training.train_stack(series_list, lstm_cfg, train_cfgs)
+        stacks.append(([(s.cell.enb, s.cell.cell) for s in series_list], trained))
+        return trained
+
+    with mock.patch.object(training, "STACK_BYTES", stack_bytes), \
+            mock.patch.object(hosts, "train_stack", recording_train_stack):
+        models, failures = hosts.train_cells(histories, lstm, cfg)
+
+    assert failures == expected_failures
+    assert {k: model_to_json(m) for k, m in models.items()} == expected_models
+    logs = {}
+    for keys, trained in stacks:
+        width = training.stack_width(lstm, cfg, len(histories[keys[0]]))
+        assert 1 <= len(keys) <= width
+        logs.update((k, log) for k, (_, log) in zip(keys, trained))
+    assert logs == expected_logs
