@@ -81,7 +81,7 @@ class LoopResult:
     terminated_early: bool
     deployments: list[dict] = field(default_factory=list)
     e2_requests: list[E2ControlRequest] = field(default_factory=list)
-    feedback_history: list[list[ModelPerformanceFeedback]] = field(default_factory=list)
+    final_feedback: list[ModelPerformanceFeedback] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
 
 
@@ -277,7 +277,7 @@ def run_control_loop(
             act_arr = network.realized(key)[list(rows)]
             evaluations[key] = (cell.cell_id, accuracy(pred_arr, act_arr))
         feedbacks = xapp.feedback(evaluations, loop_cfg.retrain_accuracy_threshold, hour)
-        result.feedback_history.append(feedbacks)
+        result.final_feedback = feedbacks
 
         flagged: list[CellKey] = []
         for key in sorted(evaluations):
@@ -315,7 +315,7 @@ def run_control_loop(
 
     result.end_hour = hour
     result.metrics = summarize_run(network, rule, start, hour)
-    acc_values = [f.window_accuracy for f in result.feedback_history[-1]] if result.feedback_history else []
+    acc_values = [f.window_accuracy for f in result.final_feedback]
     result.metrics["mean_final_accuracy"] = (
         float(np.mean(acc_values)) if acc_values else None
     )

@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import compress, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -40,6 +43,10 @@ THROUGHPUT_FLOOR_MBPS = 0.05
 _NORMAL_PEAK_RATIO = 0.55
 # Relative amplitude of the weekly modulation applied to the diurnal swing.
 _WEEKLY_AMPLITUDE = 0.05
+
+# Dataset CSV rows parsed per column-wise batch on ingest: bounds the rows held as
+# Python strings at once, whatever the file size.
+_INGEST_CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -191,6 +198,8 @@ def _parse_timestamp(text: str, schema: DatasetSchema, row: int) -> float:
             return float(int(text))
         except ValueError:
             raise IngestError(row, f"unparsable hour offset {text!r}") from None
+        except OverflowError:
+            raise IngestError(row, f"hour offset out of range {text!r}") from None
     try:
         stamp = datetime.fromisoformat(text)
     except ValueError:
@@ -204,23 +213,96 @@ def _parse_timestamp(text: str, schema: DatasetSchema, row: int) -> float:
 def export_csv(series_list: list[KpiSeries], schema: DatasetSchema = DatasetSchema()) -> bytes:
     """Serialize series to CSV, bit-exact: ``ingest_csv(export_csv(x)) == x``.
 
-    Float cells use Python's shortest round-trip repr.
+    Float cells use Python's shortest round-trip repr. Each distinct hour's
+    timestamp is formatted once. Data fields (ints, float reprs and stamps)
+    never need quoting, so only the header goes through ``csv.writer``.
     """
     buf = io.StringIO(newline="")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(schema.columns)
+    csv.writer(buf, lineterminator="\n").writerow(schema.columns)
+    stamps: dict[int, str] = {}
     for series in sorted(series_list, key=lambda s: s.cell):
-        for i, (prb, thr) in enumerate(series.to_array().tolist()):
-            writer.writerow(
-                [
-                    series.cell.enb,
-                    series.cell.cell,
-                    _format_timestamp(series.start + i, schema),
-                    repr(prb),
-                    repr(thr),
-                ]
-            )
+        hours = range(series.start, series.start + len(series))
+        for hour in sorted(set(hours).difference(stamps)):
+            stamps[hour] = _format_timestamp(hour, schema)
+        prb, thr = series.values.T.tolist()
+        line = f"{series.cell.enb},{series.cell.cell},{{}},{{}},{{}}\n".format
+        rows = map(line, map(stamps.__getitem__, hours), map(repr, prb), map(repr, thr))
+        buf.write("".join(rows))
     return buf.getvalue().encode("utf-8")
+
+
+def _decode(source) -> str:
+    """CSV text of ``source``; undecodable bytes raise IngestError naming their row."""
+    raw = source if isinstance(source, (bytes, bytearray)) else source.read()
+    if not isinstance(raw, (bytes, bytearray)):
+        return raw
+    try:
+        return bytes(raw).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        reason = f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}"
+        escaped = bytes(raw).decode("utf-8", "surrogateescape")
+        try:
+            for row_no, row in enumerate(csv.reader(io.StringIO(escaped)), start=1):
+                # surrogateescape leaves each undecodable byte as U+DC80..U+DCFF
+                if re.search("[\udc80-\udcff]", "".join(row)):
+                    raise IngestError(row_no, reason) from None
+        except csv.Error:
+            pass
+        raise IngestError(raw.count(b"\n", 0, exc.start) + 1, reason) from None
+
+
+def _check_rows(chunk: list[list[str]], first_row: int, width: int, cols: list[int],
+                schema: DatasetSchema) -> None:
+    """Raise the IngestError of the first malformed row of ``chunk``, in file order."""
+    enb_i, cell_i, time_i, prb_i, thr_i = cols
+    for row_no, row in enumerate(chunk, start=first_row):
+        if not row:
+            continue
+        if len(row) < width:
+            raise IngestError(row_no, f"expected {width} fields, got {len(row)}")
+        try:
+            int(row[enb_i])
+            int(row[cell_i])
+        except ValueError:
+            raise IngestError(row_no, "unparsable eNB/cell index") from None
+        _parse_timestamp(row[time_i], schema, row_no)
+        try:
+            float(row[prb_i])
+            float(row[thr_i])
+        except ValueError:
+            raise IngestError(row_no, "unparsable KPI value") from None
+
+
+def _parse_chunk(chunk, first_row, width, cols, schema, cell_codes, stamp_hours):
+    """Columns of one chunk of CSV rows: (cell codes, hours, (n, 2) KPIs, row numbers).
+
+    ``cell_codes`` and ``stamp_hours`` map each distinct (enb, cell) and
+    timestamp text seen so far to its code and its hours, so each distinct
+    timestamp is parsed once per file. Returns None if any row is malformed.
+    """
+    lengths = np.fromiter(map(len, chunk), np.int64, len(chunk))
+    filled = lengths > 0
+    row_nos = first_row + np.flatnonzero(filled)
+    if not filled.all():
+        chunk = list(compress(chunk, filled))
+    n = len(chunk)
+    if n and lengths[filled].min() < width:
+        return None
+    enbs, cells, stamps, prbs, thrs = (list(map(itemgetter(i), chunk)) for i in cols)
+    try:
+        keys = list(zip(map(int, enbs), map(int, cells)))
+        for key in set(keys).difference(cell_codes):
+            cell_codes[key] = len(cell_codes)
+        for text in set(stamps).difference(stamp_hours):
+            stamp_hours[text] = _parse_timestamp(text, schema, 0)
+        values = np.empty((n, 2))
+        values[:, 0] = np.fromiter(map(float, prbs), np.float64, n)
+        values[:, 1] = np.fromiter(map(float, thrs), np.float64, n)
+    except ValueError:
+        return None
+    codes = np.fromiter(map(cell_codes.__getitem__, keys), np.int64, n)
+    hours = np.fromiter(map(stamp_hours.__getitem__, stamps), np.float64, n)
+    return codes, hours, values, row_nos
 
 
 def ingest_csv(source, schema: DatasetSchema = DatasetSchema()) -> list[KpiSeries]:
@@ -228,78 +310,100 @@ def ingest_csv(source, schema: DatasetSchema = DatasetSchema()) -> list[KpiSerie
 
     ``source`` is bytes or a binary/text file object. Rows are grouped by
     (enb, cell), sorted by time, and converted to integer hour offsets from
-    the earliest timestamp in the file. Any malformed row, out-of-range
-    value, duplicate hour, or gap in a cell's hourly grid raises IngestError
-    naming the row.
-    """
-    if isinstance(source, (bytes, bytearray)):
-        text = bytes(source).decode("utf-8")
-    else:
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, (bytes, bytearray)) else raw
+    the earliest timestamp in the file. Any malformed row, undecodable byte,
+    out-of-range value, duplicate hour, or gap in a cell's hourly grid raises
+    IngestError naming the row.
 
-    reader = csv.reader(io.StringIO(text))
+    Rows are parsed column-wise in chunks of ``_INGEST_CHUNK_ROWS``; a chunk
+    holding a malformed row is rescanned row by row to name the first one.
+    """
+    reader = csv.reader(io.StringIO(_decode(source)))
     try:
         header = next(reader)
     except StopIteration:
         raise IngestError(1, "empty file (missing header)") from None
-    col_idx = {}
     for name in schema.columns:
         if name not in header:
             raise IngestError(1, f"missing column {name!r} in header {header}")
-        col_idx[name] = header.index(name)
+    width, cols = len(header), [header.index(name) for name in schema.columns]
 
-    rows: dict[tuple[int, int], list[tuple[float, float, float, int]]] = {}
-    for row_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) < len(header):
-            raise IngestError(row_no, f"expected {len(header)} fields, got {len(row)}")
+    cell_codes: dict[tuple[int, int], int] = {}
+    stamp_hours: dict[str, float] = {}
+    parts = []
+    next_row = 2
+    while True:
+        chunk: list[list[str]] = []
         try:
-            enb = int(row[col_idx[schema.enb_col]])
-            cell = int(row[col_idx[schema.cell_col]])
-        except ValueError:
-            raise IngestError(row_no, "unparsable eNB/cell index") from None
-        hours = _parse_timestamp(row[col_idx[schema.time_col]], schema, row_no)
-        try:
-            prb = float(row[col_idx[schema.prb_col]])
-            thr = float(row[col_idx[schema.thr_col]])
-        except ValueError:
-            raise IngestError(row_no, "unparsable KPI value") from None
-        rows.setdefault((enb, cell), []).append((hours, prb, thr, row_no))
-
-    if not rows:
+            chunk.extend(islice(reader, _INGEST_CHUNK_ROWS))
+        except csv.Error:
+            # rows before the one csv cannot read keep their own errors
+            _check_rows(chunk, next_row, width, cols, schema)
+            raise
+        if not chunk:
+            break
+        part = _parse_chunk(chunk, next_row, width, cols, schema, cell_codes, stamp_hours)
+        if part is None:
+            _check_rows(chunk, next_row, width, cols, schema)
+            raise AssertionError("chunk failed to parse but every row is well-formed")
+        parts.append(part)
+        next_row += len(chunk)
+    if not cell_codes:
         return []
+    return _series_from_columns(*(np.concatenate(c) for c in zip(*parts)), cell_codes)
 
-    earliest = min(r[0] for cell_rows in rows.values() for r in cell_rows)
-    out = []
-    for (enb, cell) in sorted(rows):
-        cell_rows = sorted(rows[(enb, cell)], key=lambda r: r[0])
-        samples_prb, samples_thr = [], []
-        offsets = []
-        for hours, prb, thr, row_no in cell_rows:
-            rel = hours - earliest
-            offset = round(rel)
-            if abs(rel - offset) > 1e-9:
-                raise IngestError(row_no, f"timestamp not on the hourly grid ({rel}h)")
-            if offsets and offset == offsets[-1]:
-                raise IngestError(
-                    row_no, f"duplicate sample for cell ({enb},{cell}) at hour {offset}"
-                )
-            if offsets and offset != offsets[-1] + 1:
-                raise IngestError(
-                    row_no,
-                    f"gap in hourly grid for cell ({enb},{cell}): "
-                    f"hour {offsets[-1]} followed by {offset}",
-                )
-            if not (0.0 <= prb <= 100.0):
-                raise IngestError(row_no, f"prb_util out of range [0, 100]: {prb}")
-            if not (np.isfinite(thr) and thr >= 0.0):
-                raise IngestError(row_no, f"ip_throughput must be finite and >= 0: {thr}")
-            offsets.append(offset)
-            samples_prb.append(prb)
-            samples_thr.append(thr)
-        out.append(
-            KpiSeries.from_arrays(CellId(enb, cell), offsets[0], samples_prb, samples_thr)
+
+def _series_from_columns(codes, hours, values, row_nos, cell_codes) -> list[KpiSeries]:
+    """Validate the hourly grid and KPI bounds of every row, then cut per-cell series.
+
+    One stable sort orders rows by (enb, cell) and then hours, with ties in
+    file order, so the first violation found is the first one a row-by-row
+    scan in that order would meet.
+    """
+    keys = sorted(cell_codes)
+    rank = np.empty(len(keys), np.int64)
+    rank[[cell_codes[key] for key in keys]] = np.arange(len(keys))
+    cell_rank = rank[codes]
+    order = np.lexsort((hours, cell_rank))
+    cell_rank, values, row_nos = cell_rank[order], values[order], row_nos[order]
+    bounds = np.append(np.flatnonzero(np.diff(cell_rank, prepend=-1)), len(order))
+    prb, thr = values.T
+    with np.errstate(over="ignore", invalid="ignore"):  # spans past the float range
+        rel = hours[order] - hours.min()
+        offset = np.rint(rel)
+        step = np.diff(offset, prepend=np.nan)
+        step[bounds[:-1]] = 1.0  # a cell's first row has no predecessor
+        bad = (
+            ~np.isfinite(rel)
+            | (np.abs(rel - offset) > 1e-9)
+            | (step != 1.0)
+            | ~((prb >= 0.0) & (prb <= 100.0))
+            | ~(np.isfinite(thr) & (thr >= 0.0))
         )
+    first_bad = int(np.argmax(bad)) if bad.any() else len(rel)
+
+    out = []
+    for (enb, cell), lo, hi in zip(keys, bounds[:-1], bounds[1:]):
+        if first_bad < hi:
+            i = first_bad
+            prev = None if i == lo else int(offset[i - 1])
+            reason = _violation(enb, cell, float(rel[i]), prev, float(prb[i]), float(thr[i]))
+            raise IngestError(int(row_nos[i]), reason)
+        out.append(KpiSeries(CellId(enb, cell), int(offset[lo]), values[lo:hi]))
     return out
+
+
+def _violation(enb, cell, rel, prev, prb, thr) -> str:
+    """Reason for the first failing check of one row; ``prev`` is the cell's previous offset."""
+    if not np.isfinite(rel):
+        return f"hour offset out of range ({rel}h)"
+    offset = round(rel)
+    if abs(rel - offset) > 1e-9:
+        return f"timestamp not on the hourly grid ({rel}h)"
+    if prev is not None:
+        if offset == prev:
+            return f"duplicate sample for cell ({enb},{cell}) at hour {offset}"
+        if offset != prev + 1:
+            return f"gap in hourly grid for cell ({enb},{cell}): hour {prev} followed by {offset}"
+    if not (0.0 <= prb <= 100.0):
+        return f"prb_util out of range [0, 100]: {prb}"
+    return f"ip_throughput must be finite and >= 0: {thr}"

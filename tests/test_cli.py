@@ -192,6 +192,24 @@ class TestTrain:
         assert main(["train", "-c", str(cfg), "-d", str(tmp_path / "nope.csv"),
                      "-o", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("timestamp_format, stamps, kpi, message", [
+        ("hours", ["0", "1", "9" * 400], b"50.0", "row 4: hour offset out of range"),
+        ("iso8601", ["2000-01-01T00:00", "2000-01-01T01:00", "2000-01-01T02:00"], b"5\xff.0",
+         "row 4: invalid UTF-8 byte 0xff"),
+    ])
+    def test_bad_dataset_row_exits_one_naming_row(self, tmp_path, capsys, timestamp_format,
+                                                  stamps, kpi, message):
+        cfg = write_config(tmp_path, {**TINY, "schema": {"timestamp_format": timestamp_format}})
+        rows = [f"0,0,{stamp},".encode() for stamp in stamps]
+        rows[-1] += kpi
+        rows[:-1] = [row + b"50.0" for row in rows[:-1]]
+        dataset = tmp_path / "dataset.csv"
+        dataset.write_bytes(b"enb_id,cell_id,timestamp,prb_util,ip_throughput\n"
+                            + b"".join(row + b",1.0\n" for row in rows))
+        assert main(["train", "-c", str(cfg), "-d", str(dataset),
+                     "-o", str(tmp_path / "x")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
 
 class TestRun:
     def run_outputs(self, tmp_path, doc, name="run"):

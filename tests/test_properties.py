@@ -35,7 +35,9 @@ from oransim.kpi import (
 )
 from oransim.ric import hosts
 from oransim.splitting import default_bin_edges, histogram_hours
+from oransim import traffic
 from oransim.traffic import DatasetSchema, export_csv, ingest_csv
+from test_traffic import ingest_outcome, seed_export_csv, seed_ingest_csv
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -70,6 +72,89 @@ def series_of(draw, prb_values, thr_values):
 def test_export_ingest_identity(timestamp_format, fleet):
     schema = DatasetSchema(timestamp_format=timestamp_format)
     assert ingest_csv(export_csv(fleet, schema), schema) == fleet
+
+
+@pytest.mark.parametrize("timestamp_format", ["iso8601", "hours"])
+@PROPERTY
+@given(fleet=fleets(), data=st.data())
+def test_export_matches_seed_bytes(timestamp_format, fleet, data):
+    # any input order, and a cell may appear twice
+    fleet = data.draw(st.permutations(fleet + fleet[:data.draw(st.integers(0, 1))]))
+    epochs = ["2000-01-01T00:00", "1999-12-31T23:00", "2024-02-28T22:00"]
+    epoch = data.draw(st.sampled_from(epochs))
+    schema = DatasetSchema(timestamp_format=timestamp_format, epoch=epoch)
+    assert export_csv(fleet, schema) == seed_export_csv(fleet, schema)
+
+
+# Field texts that break a row, a cell's grid or a KPI bound, or that parse despite looking odd.
+ODD_TEXT = {
+    "index": ["x", "", "-1", " 2", "1.5", "+1", "7" * 25],
+    "iso8601": ["noon", "", "2000-01-01T00:00+01:00", "2000-01-01T00:30", "2000-01-01T01:00:00.5",
+                "1999-12-31T23:00", "2000-01-01 03:00", "2000-01-01", "2000-01-01T02"],
+    "hours": ["x", "", "1.5", "-3", " 7", "+2", "100000"],
+    "kpi": ["nan", "inf", "-inf", "-1", "100.5", "abc", "1e400", "", "-0.0", " 5 ", "1_0"],
+}
+MUTATIONS = ["shuffle", "blank", "blank", "quote", "extra_column", "extra_field", "reorder",
+             "short", "field", "field", "field", "duplicate", "drop"]
+
+
+@st.composite
+def mutated_csvs(draw):
+    """A valid export of a random fleet after one to five row or field mutations."""
+    schema = DatasetSchema(timestamp_format=draw(st.sampled_from(["iso8601", "hours"])))
+    text = seed_export_csv(draw(fleets()), schema).decode()
+    header, *body = [line.split(",") for line in text.splitlines()]
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=5)):
+        if not body:
+            break
+        i = draw(st.integers(0, len(body) - 1))
+        row = body[i]
+        if kind == "shuffle":
+            body = draw(st.permutations(body))
+        elif kind == "blank":
+            body.insert(i, [])
+        elif kind == "quote" and row:
+            j = draw(st.integers(0, len(row) - 1))
+            row[j] = f'"{row[j]}"'
+        elif kind == "extra_column":
+            pos = draw(st.integers(0, len(header)))
+            header.insert(pos, "note")
+            for other in body:
+                if len(other) >= pos:
+                    other.insert(pos, '"a,b"')
+        elif kind == "extra_field":
+            row.append("x")
+        elif kind == "reorder":
+            perm = draw(st.permutations(range(len(header))))
+            header = [header[k] for k in perm]
+            body = [[r[k] for k in perm] + r[len(perm):] if len(r) >= len(perm) else r
+                    for r in body]
+        elif kind == "short" and row:
+            row.pop()
+        elif kind == "field":
+            col = draw(st.sampled_from(schema.columns))
+            k = header.index(col)
+            if col == schema.time_col:
+                odd = ODD_TEXT[schema.timestamp_format]
+            else:
+                odd = ODD_TEXT["index" if col in (schema.enb_col, schema.cell_col) else "kpi"]
+            if len(row) > k:
+                row[k] = draw(st.sampled_from(odd))
+        elif kind == "duplicate":
+            body.insert(draw(st.integers(0, len(body))), list(row))
+        elif kind == "drop":
+            del body[i]
+    lines = [",".join(r) for r in [header] + body]
+    return schema, ("\n".join(lines) + "\n").encode()
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(case=mutated_csvs(), chunk_rows=st.sampled_from([1, 2, 3, 5, 8, 2048]))
+def test_ingest_matches_seed_on_mutated_csvs(case, chunk_rows):
+    schema, payload = case
+    expected = ingest_outcome(seed_ingest_csv, payload, schema)
+    with mock.patch.object(traffic, "_INGEST_CHUNK_ROWS", chunk_rows):
+        assert ingest_outcome(ingest_csv, payload, schema) == expected
 
 
 @PROPERTY

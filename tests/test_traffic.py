@@ -1,11 +1,15 @@
 """Tests for the synthetic traffic generator and CSV interchange."""
 
+import csv
 import io
+from datetime import datetime, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from oransim.kpi import CellId, CongestionRule, congested_hours
+from oransim import traffic
+from oransim.kpi import CellId, CongestionRule, KpiSeries, congested_hours
 from oransim.traffic import (
     THROUGHPUT_FLOOR_MBPS,
     DatasetSchema,
@@ -17,6 +21,143 @@ from oransim.traffic import (
 )
 
 SMALL = SyntheticProfile(n_enb=2, cells_per_enb=3, n_days=3, seed=7)
+
+
+# -- the seed's per-row CSV code, kept verbatim as the reference for the column-wise path
+
+
+def seed_format_timestamp(hour, schema):
+    if schema.timestamp_format == "hours":
+        return str(hour)
+    stamp = datetime.fromisoformat(schema.epoch) + timedelta(hours=hour)
+    return stamp.strftime("%Y-%m-%dT%H:%M")
+
+
+def seed_parse_timestamp(text, schema, row):
+    if schema.timestamp_format == "hours":
+        try:
+            return float(int(text))
+        except ValueError:
+            raise IngestError(row, f"unparsable hour offset {text!r}") from None
+    try:
+        stamp = datetime.fromisoformat(text)
+    except ValueError:
+        raise IngestError(row, f"unparsable ISO-8601 timestamp {text!r}") from None
+    if stamp.tzinfo is not None:
+        raise IngestError(row, f"timezone-qualified timestamp {text!r}")
+    delta = stamp - datetime.fromisoformat(schema.epoch)
+    return delta.total_seconds() / 3600.0
+
+
+def seed_export_csv(series_list, schema=DatasetSchema()):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(schema.columns)
+    for series in sorted(series_list, key=lambda s: s.cell):
+        for i, (prb, thr) in enumerate(series.to_array().tolist()):
+            writer.writerow(
+                [
+                    series.cell.enb,
+                    series.cell.cell,
+                    seed_format_timestamp(series.start + i, schema),
+                    repr(prb),
+                    repr(thr),
+                ]
+            )
+    return buf.getvalue().encode("utf-8")
+
+
+def seed_ingest_csv(source, schema=DatasetSchema()):
+    if isinstance(source, (bytes, bytearray)):
+        text = bytes(source).decode("utf-8")
+    else:
+        raw = source.read()
+        text = raw.decode("utf-8") if isinstance(raw, (bytes, bytearray)) else raw
+
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestError(1, "empty file (missing header)") from None
+    col_idx = {}
+    for name in schema.columns:
+        if name not in header:
+            raise IngestError(1, f"missing column {name!r} in header {header}")
+        col_idx[name] = header.index(name)
+
+    rows = {}
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) < len(header):
+            raise IngestError(row_no, f"expected {len(header)} fields, got {len(row)}")
+        try:
+            enb = int(row[col_idx[schema.enb_col]])
+            cell = int(row[col_idx[schema.cell_col]])
+        except ValueError:
+            raise IngestError(row_no, "unparsable eNB/cell index") from None
+        hours = seed_parse_timestamp(row[col_idx[schema.time_col]], schema, row_no)
+        try:
+            prb = float(row[col_idx[schema.prb_col]])
+            thr = float(row[col_idx[schema.thr_col]])
+        except ValueError:
+            raise IngestError(row_no, "unparsable KPI value") from None
+        rows.setdefault((enb, cell), []).append((hours, prb, thr, row_no))
+
+    if not rows:
+        return []
+
+    earliest = min(r[0] for cell_rows in rows.values() for r in cell_rows)
+    out = []
+    for (enb, cell) in sorted(rows):
+        cell_rows = sorted(rows[(enb, cell)], key=lambda r: r[0])
+        samples_prb, samples_thr = [], []
+        offsets = []
+        for hours, prb, thr, row_no in cell_rows:
+            rel = hours - earliest
+            offset = round(rel)
+            if abs(rel - offset) > 1e-9:
+                raise IngestError(row_no, f"timestamp not on the hourly grid ({rel}h)")
+            if offsets and offset == offsets[-1]:
+                raise IngestError(
+                    row_no, f"duplicate sample for cell ({enb},{cell}) at hour {offset}"
+                )
+            if offsets and offset != offsets[-1] + 1:
+                raise IngestError(
+                    row_no,
+                    f"gap in hourly grid for cell ({enb},{cell}): "
+                    f"hour {offsets[-1]} followed by {offset}",
+                )
+            if not (0.0 <= prb <= 100.0):
+                raise IngestError(row_no, f"prb_util out of range [0, 100]: {prb}")
+            if not (np.isfinite(thr) and thr >= 0.0):
+                raise IngestError(row_no, f"ip_throughput must be finite and >= 0: {thr}")
+            offsets.append(offset)
+            samples_prb.append(prb)
+            samples_thr.append(thr)
+        out.append(
+            KpiSeries.from_arrays(CellId(enb, cell), offsets[0], samples_prb, samples_thr)
+        )
+    return out
+
+
+def set_field(text, row, col, value):
+    """``text`` with field ``col`` of CSV line ``row`` (1-based, header included) replaced."""
+    lines = text.split("\n")
+    fields = lines[row - 1].split(",")
+    fields[col] = value
+    lines[row - 1] = ",".join(fields)
+    return "\n".join(lines)
+
+
+def ingest_outcome(ingest, payload, schema):
+    """What an ingest function makes of ``payload``: its series, or its error's row and text."""
+    try:
+        return ("ok", ingest(payload, schema))
+    except IngestError as exc:
+        return ("IngestError", exc.row, str(exc))
+    except ValueError as exc:  # a negative index fails in CellId, after its rows pass
+        return (type(exc).__name__, str(exc))
 
 
 class TestGenerator:
@@ -208,6 +349,135 @@ class TestIngestErrors:
         with pytest.raises(IngestError) as exc:
             ingest_csv(payload)
         assert exc.value.row == 4
+
+
+    def test_huge_hour_offset_names_row(self):
+        schema = DatasetSchema(timestamp_format="hours")
+        payload = (self.HEADER + "0,0,0,50.0,1.0\n" + "0,0," + "9" * 400 + ",50.0,1.0\n").encode()
+        with pytest.raises(IngestError, match="hour offset out of range") as exc:
+            ingest_csv(payload, schema)
+        assert exc.value.row == 3
+
+    def test_hour_span_beyond_float_range_names_row(self):
+        # each offset is a finite float, but their distance from the earliest is not
+        schema = DatasetSchema(timestamp_format="hours")
+        big = "9" * 308
+        payload = (self.HEADER + f"0,0,-{big},50.0,1.0\n" + f"0,1,{big},50.0,1.0\n").encode()
+        with pytest.raises(IngestError, match="hour offset out of range") as exc:
+            ingest_csv(payload, schema)
+        assert exc.value.row == 3
+
+    def test_non_utf8_byte_names_row(self):
+        payload = (
+            self.HEADER.encode()
+            + b"0,0,2000-01-01T00:00,50.0,1.0\n"
+            + b"0,0,2000-01-01T01:00,50.0,1.0\n"
+            + b"0,0,2000-01-01T02:00,5\xff.0,1.0\n"
+            + b"0,0,2000-01-01T03:00,5\xfe.0,1.0\n"
+        )
+        with pytest.raises(IngestError, match="invalid UTF-8 byte 0xff") as exc:
+            ingest_csv(payload)
+        assert exc.value.row == 4
+        with pytest.raises(IngestError) as exc:
+            ingest_csv(io.BytesIO(payload))
+        assert exc.value.row == 4
+
+    def test_non_utf8_byte_after_multiline_field_counts_records(self):
+        payload = (
+            b"enb_id,cell_id,timestamp,prb_util,ip_throughput,note\n"
+            b'0,0,2000-01-01T00:00,50.0,1.0,"two\nlines"\n'
+            b"0,0,2000-01-01T01:00,50.0,1.0,\xff\n"
+        )
+        with pytest.raises(IngestError, match="0xff") as exc:
+            ingest_csv(payload)
+        assert exc.value.row == 3
+
+    def test_first_of_two_errors_in_different_chunks(self):
+        payload = (
+            self.HEADER
+            + "0,0,2000-01-01T00:00,50.0,1.0\n"
+            + "0,0,2000-01-01T01:00,x,1.0\n"
+            + "\n"
+            + "0,0,2000-01-01T02:00,50.0,1.0\n"
+            + "0,0,2000-01-01T03:00,50.0,1.0,extra\n"
+            + "0,y,2000-01-01T04:00,50.0,1.0\n"
+        ).encode()
+        for rows in (1, 2, 3, 2048):
+            with mock.patch.object(traffic, "_INGEST_CHUNK_ROWS", rows):
+                with pytest.raises(IngestError, match="unparsable KPI") as exc:
+                    ingest_csv(payload)
+                assert exc.value.row == 3
+                # the later chunk's error once the first is mended
+                with pytest.raises(IngestError, match="eNB/cell") as exc:
+                    ingest_csv(payload.replace(b",x,", b",5,"))
+                assert exc.value.row == 7
+
+    def test_parse_error_in_later_chunk_precedes_grid_error(self):
+        # rows are parsed before any cell's grid is checked, as in a single pass
+        payload = (
+            self.HEADER
+            + "0,0,2000-01-01T00:00,50.0,1.0\n"
+            + "0,0,2000-01-01T00:00,50.0,1.0\n"
+            + "0,1,2000-01-01T00:00,50.0,1.0\n"
+            + "0,1,2000-01-01T01:00,50.0,1.0\n"
+            + "0,1,2000-01-01T02:00,abc,1.0\n"
+        ).encode()
+        with mock.patch.object(traffic, "_INGEST_CHUNK_ROWS", 2):
+            with pytest.raises(IngestError, match="unparsable KPI") as exc:
+                ingest_csv(payload)
+        assert exc.value.row == 6
+
+    def test_tied_timestamps_name_the_later_row(self):
+        payload = (
+            self.HEADER
+            + "0,0,2000-01-01T01:00,50.0,1.0\n"
+            + "0,1,2000-01-01T00:00,50.0,1.0\n"
+            + "0,0,2000-01-01T00:00,50.0,1.0\n"
+            + "0,0,2000-01-01T01:00,60.0,1.0\n"
+        ).encode()
+        with pytest.raises(IngestError) as exc:
+            ingest_csv(payload)
+        assert exc.value.row == 5
+        assert exc.value.reason == "duplicate sample for cell (0,0) at hour 1"
+
+
+class TestSeedReference:
+    """The column-wise CSV path reproduces the seed's per-row code byte for byte."""
+
+    @pytest.mark.parametrize("timestamp_format", ["iso8601", "hours"])
+    def test_export_bytes_and_ingest_match(self, timestamp_format):
+        schema = DatasetSchema(timestamp_format=timestamp_format)
+        profile = SyntheticProfile(n_enb=3, cells_per_enb=4, n_days=4, seed=11)
+        series = generate_synthetic(profile)[::-1]
+        payload = export_csv(series, schema)
+        assert payload == seed_export_csv(series, schema)
+        assert ingest_csv(payload, schema) == seed_ingest_csv(payload, schema)
+
+    def test_duplicate_cells_and_empty_series_export(self):
+        a, b = generate_synthetic(SMALL)[:2]
+        empty = KpiSeries(CellId(1, 0), 5, np.empty((0, 2)))
+        fleet = [b, a, empty, KpiSeries(a.cell, 40, a.values[:3])]
+        assert export_csv(fleet) == seed_export_csv(fleet)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda t: t.replace("0,1,", "-1,1,"),
+        lambda t: t.replace("0,0,", "0,-2,", 1),
+        lambda t: t.replace("\n1,0,", "\n\n1,0,").replace("\n1,2,", '\n"1",2,'),
+        lambda t: t.replace(",2000-01-02T", ",2000-01-02 "),
+        lambda t: t.replace("T05:00,", "T05:00+00:00,"),
+        lambda t: t.replace("T07:00,", "T07:30,"),
+        lambda t: set_field(set_field(t, 5, 3, "nan"), 3, 4, "-1.5"),
+        lambda t: set_field(t, 9, 4, "inf"),
+        lambda t: set_field(t, 12, 3, "100.000001"),
+        lambda t: "\n".join(t.split("\n")[:30] + t.split("\n")[31:]),
+    ])
+    def test_mutated_ingest_matches(self, mutate):
+        text = seed_export_csv(generate_synthetic(SMALL)).decode()
+        payload = mutate(text).encode()
+        for rows in (1, 7, 2048):
+            with mock.patch.object(traffic, "_INGEST_CHUNK_ROWS", rows):
+                got = ingest_outcome(ingest_csv, payload, DatasetSchema())
+            assert got == ingest_outcome(seed_ingest_csv, payload, DatasetSchema())
 
 
 class TestSchema:
