@@ -18,7 +18,6 @@ from .kpi import (
     KpiSeries,
     congested_hours,
     evaluate_congestion,
-    window_average,
 )
 
 __version__ = "0.1.0"
@@ -30,6 +29,5 @@ __all__ = [
     "KpiSeries",
     "congested_hours",
     "evaluate_congestion",
-    "window_average",
     "__version__",
 ]

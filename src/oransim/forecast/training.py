@@ -50,7 +50,6 @@ __all__ = [
     "clamp_prediction",
     "predict_from_window",
     "predict_fleet",
-    "predict_next_hour",
     "evaluate_heldout",
     "accuracy",
 ]
@@ -449,16 +448,6 @@ def predict_fleet(fleet: ForecastModel, windows: np.ndarray) -> np.ndarray:
     normalized = fleet.norm.normalize(windows)[:, :, np.newaxis]  # (M, T, 1, D)
     pred = _lstm_stack(fleet, normalized)  # (M, 1, output_dim)
     return clamp_prediction(fleet.norm.denormalize(pred)[:, 0])
-
-
-def predict_next_hour(model: ForecastModel, series: KpiSeries, lookback: int) -> KpiSample:
-    """Predict the hour following the series from its trailing window."""
-    if len(series) < lookback:
-        raise InsufficientDataError(
-            f"series length {len(series)} < lookback {lookback}"
-        )
-    window = series.to_array()[-lookback:]
-    return predict_from_window(model, window, series.start + len(series))
 
 
 def evaluate_heldout(

@@ -18,7 +18,6 @@ __all__ = [
     "KpiSeries",
     "CongestionRule",
     "evaluate_congestion",
-    "window_average",
     "congested_hours",
 ]
 
@@ -153,24 +152,6 @@ class CongestionRule:
 def evaluate_congestion(sample: KpiSample, rule: CongestionRule) -> bool:
     """True iff the sample violates both thresholds (strict inequalities)."""
     return bool(rule.congested(sample.prb_util, sample.ip_throughput))
-
-
-def window_average(series: KpiSeries, start: int, length: int) -> tuple[float, float]:
-    """Arithmetic mean of (prb_util, ip_throughput) over [start, start+length).
-
-    ``start`` is an absolute hour; the window must lie inside the series.
-    """
-    if length < 1:
-        raise ValueError(f"window length must be >= 1, got {length}")
-    lo = start - series.start
-    hi = lo + length
-    if lo < 0 or hi > len(series):
-        raise ValueError(
-            f"window [{start}, {start + length}) outside series "
-            f"[{series.start}, {series.start + len(series)})"
-        )
-    mean_prb, mean_thr = series.values[lo:hi].sum(axis=0) / length
-    return float(mean_prb), float(mean_thr)
 
 
 def congested_hours(series: KpiSeries, rule: CongestionRule) -> int:

@@ -20,11 +20,11 @@ fresh index within the eNB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kpi import CellId, KpiSample, KpiSeries
+from .kpi import CellId, KpiSeries
 from .splitting import CellLoadState, SplitEvent, SplitPolicy, share_kpis, split_cell
 from .traffic import SyntheticProfile, generate_synthetic
 
@@ -44,6 +44,10 @@ class ActiveCell:
     kpis: np.ndarray           # (util, thr) row per hour the cell can exist
     n_samples: int = 0         # rows realized so far
     last_split_hour: int | None = None
+    predictions: np.ndarray = field(init=False)  # forecast per ``kpis`` row, NaN if none
+
+    def __post_init__(self):
+        self.predictions = np.full_like(self.kpis, np.nan)
 
     @property
     def key(self) -> CellKey:
@@ -126,19 +130,18 @@ class SimulatedNetwork:
         base_u, base_t = self._base[cell.origin][hour].tolist()
         return share_kpis(base_u, base_t, cell.load_fraction, self.throughput_cap)
 
-    def realize_hour(self) -> dict[CellKey, KpiSample]:
-        """Produce and record every active cell's KPI sample for the next hour."""
+    def realize_hour(self) -> np.ndarray:
+        """Realize and record the next hour; return its (util, thr) rows in
+        ``active_keys`` order."""
         if self.hour >= self.total_hours:
             raise ValueError(f"base waveforms exhausted at hour {self.hour}")
-        out = {}
-        for key in self.active_keys():
+        rows = np.empty((len(self.cells), 2))
+        for i, key in enumerate(self.active_keys()):
             cell = self.cells[key]
-            util, thr = self._kpis_at(cell, self.hour)
-            cell.kpis[cell.n_samples] = util, thr
+            rows[i] = cell.kpis[cell.n_samples] = self._kpis_at(cell, self.hour)
             cell.n_samples += 1
-            out[key] = KpiSample(self.hour, util, thr)
         self.hour += 1
-        return out
+        return rows
 
     # series access -----------------------------------------------------
 

@@ -17,7 +17,6 @@ from ..forecast import (
     InsufficientDataError,
     LstmConfig,
     TrainingConfig,
-    model_from_json,
     model_to_json,
     predict_fleet,
     stack_models,
@@ -25,7 +24,7 @@ from ..forecast import (
     train_split,
     train_stack,
 )
-from ..kpi import CellId, CongestionRule, KpiSample, KpiSeries, evaluate_congestion
+from ..kpi import CellId, CongestionRule, KpiSeries
 from ..network import SimulatedNetwork
 from ..splitting import SplitPolicy
 from .messages import (
@@ -116,7 +115,11 @@ def train_cells(
 
 
 class NonRtRic:
-    """Non-RT RIC: owns the model cache, versioning, and A1 deployments."""
+    """Non-RT RIC: owns the model cache, versioning, and A1 deployments.
+
+    Deployed models are shared with the xApp, which restacks their arrays,
+    so no host writes into a model in place.
+    """
 
     # What each training round asks of the AI server, which supports it.
     CAPABILITY_QUERY = {
@@ -128,12 +131,11 @@ class NonRtRic:
     def __init__(self, log: EventLog):
         self.log = log
         self.version = 0
-        self._serialized: dict[CellKey, bytes] = {}
+        self._models: dict[CellKey, ForecastModel] = {}
         self._digests: dict[CellKey, str] = {}
-        self._capabilities_ok = False
 
     def has_model(self, key: CellKey) -> bool:
-        return key in self._serialized
+        return key in self._models
 
     def train_and_update(
         self,
@@ -147,7 +149,6 @@ class NonRtRic:
         Returns the cells whose training failed (they keep any prior model).
         """
         self.log.append(EventTag.CAPABILITY_QUERY, hour=hour, payload=self.CAPABILITY_QUERY)
-        self._capabilities_ok = True
         ids = [histories[k].cell for k in sorted(histories)]
         self.log.append(
             EventTag.TRAIN_REQUEST,
@@ -157,8 +158,8 @@ class NonRtRic:
         )
         models, failures = train_cells(histories, lstm_cfg, train_cfg)
         for key, model in models.items():
+            self._models[key] = model
             blob = model_to_json(model).encode("utf-8")
-            self._serialized[key] = blob
             self._digests[key] = hashlib.sha256(blob).hexdigest()[:16]
         trained_ids = [histories[k].cell for k in sorted(models)]
         self.log.append(
@@ -173,28 +174,19 @@ class NonRtRic:
         return failures
 
     def register_child(self, parent_key: CellKey, child_key: CellKey) -> None:
-        """Seed a freshly split cell with a copy of its parent's model."""
-        if parent_key in self._serialized:
-            self._serialized[child_key] = self._serialized[parent_key]
+        """Seed a freshly split cell with its parent's model."""
+        if parent_key in self._models:
+            self._models[child_key] = self._models[parent_key]
             self._digests[child_key] = self._digests[parent_key]
 
     def build_deployment(
         self, policy: CongestionRule, targets: dict[CellKey, CellId], hour: int
     ) -> A1Deployment:
         """Package the current model set for the target cells; bump version."""
-        if not self._capabilities_ok:
-            raise RuntimeError("capability negotiation must precede deployment")
         self.version += 1
-        models = {
-            cell_id: self._serialized[key]
-            for key, cell_id in sorted(targets.items())
-            if key in self._serialized
-        }
-        digests = {
-            cell_id: self._digests[key]
-            for key, cell_id in sorted(targets.items())
-            if key in self._digests
-        }
+        deployed = [(k, cell_id) for k, cell_id in sorted(targets.items()) if k in self._models]
+        models = {cell_id: self._models[key] for key, cell_id in deployed}
+        digests = {cell_id: self._digests[key] for key, cell_id in deployed}
         deployment = A1Deployment(self.version, policy, models, digests)
         self.log.append(
             EventTag.A1_DEPLOY,
@@ -217,10 +209,10 @@ class CpmXapp:
         self._fleets: list[tuple[list[CellKey], ForecastModel]] = []
 
     def receive_deployment(self, deployment: A1Deployment) -> None:
-        """Activate a deployment; deserialize only new or changed models.
+        """Activate a deployment; take in only new or changed models.
 
-        The stacked fleets are rebuilt only when a model was parsed or a
-        cell left the deployment.
+        The stacked fleets are rebuilt only when a model changed or a cell
+        left the deployment.
         """
         if self.deployment is not None and deployment.version <= self.deployment.version:
             raise ValueError(
@@ -228,11 +220,11 @@ class CpmXapp:
                 f"{self.deployment.version}"
             )
         changed = False
-        for cell_id, blob in deployment.models.items():
+        for cell_id, model in deployment.models.items():
             key = (cell_id.enb, cell_id.cell)
             digest = deployment.digests[cell_id]
             if self._digests.get(key) != digest:
-                self._models[key] = model_from_json(blob.decode("utf-8"))
+                self._models[key] = model
                 self._digests[key] = digest
                 changed = True
         dropped = self._models.keys() - {(c.enb, c.cell) for c in deployment.models}
@@ -252,13 +244,15 @@ class CpmXapp:
         windows: dict[CellKey, tuple[CellId, np.ndarray]],
         hour: int,
         lookback: int,
-    ) -> dict[CellKey, tuple[CellId, KpiSample, bool]]:
+    ) -> dict[CellKey, tuple[np.ndarray, bool]]:
         """Predict hour ``hour`` per cell and evaluate the alarm predicate.
 
         ``windows`` maps each inferable cell to (current id, trailing raw
-        window). Cells without a deployed model are skipped. Each fleet of
-        stacked models runs one forward; a model whose cell has no window
-        rides along on a zero window, so the stack needs no per-hour copy.
+        window). Cells without a deployed model are skipped; every other
+        cell maps to its (prb_util, ip_throughput) prediction and alarm.
+        Each fleet of stacked models runs one forward; a model whose cell
+        has no window rides along on a zero window, so the stack needs no
+        per-hour copy.
         """
         if self.deployment is None:
             raise RuntimeError("no active A1 deployment")
@@ -278,30 +272,30 @@ class CpmXapp:
             for m in covered:
                 raw[m] = windows[keys[m]][1]
             out = predict_fleet(fleet, raw)
+            if not np.isfinite(out).all():
+                raise ValueError(f"non-finite prediction for hour {hour}")
             for m in covered:
                 preds[keys[m]] = out[m]
-        results: dict[CellKey, tuple[CellId, KpiSample, bool]] = {}
-        for key in sorted(preds):
-            cell_id = windows[key][0]
-            pred = KpiSample(hour, float(preds[key][0]), float(preds[key][1]))
-            results[key] = (cell_id, pred, evaluate_congestion(pred, self.deployment.policy))
+        policy = self.deployment.policy
+        results = {
+            key: (pred, bool(policy.congested(pred[0], pred[1])))
+            for key, pred in sorted(preds.items())
+        }
+        ids = [windows[key][0] for key in results]
         self.log.append(
             EventTag.INFERENCE,
             hour=hour,
-            cells=[results[k][0] for k in sorted(results)],
-            payload={
-                results[k][0].label(): [results[k][1].prb_util, results[k][1].ip_throughput]
-                for k in sorted(results)
-            },
+            cells=ids,
+            payload={c.label(): results[key][0].tolist() for c, key in zip(ids, results)},
         )
         return results
 
-    def raise_alarm(self, cell_id: CellId, prediction: KpiSample, hour: int) -> None:
+    def raise_alarm(self, cell_id: CellId, prediction: np.ndarray, hour: int) -> None:
         self.log.append(
             EventTag.ALARM_RAISED,
             hour=hour,
             cells=(cell_id,),
-            payload={"prediction": [prediction.prb_util, prediction.ip_throughput]},
+            payload={"prediction": prediction.tolist()},
         )
 
     def issue_e2(

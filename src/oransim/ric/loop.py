@@ -19,13 +19,12 @@ by the post-split cells (the preemptive remedy).
 from __future__ import annotations
 
 import logging
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..forecast import InsufficientDataError, LstmConfig, TrainingConfig, accuracy, train_split
-from ..kpi import CongestionRule, KpiSample, congested_hours
+from ..kpi import CongestionRule, congested_hours
 from ..network import SimulatedNetwork
 from ..splitting import SplitPolicy
 from .hosts import CpmXapp, DataCollector, NonRtRic
@@ -179,7 +178,6 @@ def run_control_loop(
         end_hour=network.hour,
         terminated_early=False,
     )
-    predictions: dict[CellKey, list[tuple[int, KpiSample]]] = defaultdict(list)
     pending_retrain: set[CellKey] = set()
     last_train_attempt: dict[CellKey, int] = {}
     training_due = True
@@ -226,18 +224,19 @@ def run_control_loop(
             if window is not None:
                 windows[key] = (network.cells[key].cell_id, window)
         inferences = xapp.infer(windows, hour, train_cfg.lookback)
-        for key in sorted(inferences):
-            predictions[key].append((hour, inferences[key][1]))
+        for key, (pred, _) in inferences.items():
+            cell = network.cells[key]
+            cell.predictions[hour - cell.created_at] = pred
 
         # (7) alarms and the cell-split control action
         alarmed_ids = set()
-        for key in sorted(inferences):
-            cell_id, pred, alarm = inferences[key]
+        for key, (pred, alarm) in inferences.items():
             if not alarm:
                 continue
+            cell = network.cells[key]
+            cell_id = cell.cell_id
             xapp.raise_alarm(cell_id, pred, hour)
             alarmed_ids.add(cell_id)
-            cell = network.cells[key]
             at_cap = cell_id.split_factor >= loop_cfg.max_split_factor
             cooling = (
                 cell.last_split_hour is not None
@@ -260,22 +259,18 @@ def run_control_loop(
         for _ in range(realize_n):
             network.realize_hour()
 
-        # feedback on the freshly realized actuals
+        # feedback on the freshly realized actuals: the predictions for the
+        # feedback_window_hours hours that end at this cycle's hour
         evaluations = {}
-        window_lo = hour + 1 - loop_cfg.feedback_window_hours
         for key in network.active_keys():
             cell = network.cells[key]
-            pairs = [
-                (ph - cell.created_at, pred)
-                for ph, pred in predictions[key]
-                if ph >= window_lo and 0 <= ph - cell.created_at < cell.n_samples
-            ]
-            if not pairs:
-                continue
-            rows, preds = zip(*pairs)
-            pred_arr = np.array([[p.prb_util, p.ip_throughput] for p in preds])
-            act_arr = network.realized(key)[list(rows)]
-            evaluations[key] = (cell.cell_id, accuracy(pred_arr, act_arr))
+            hi = hour + 1 - cell.created_at
+            lo = max(0, hi - loop_cfg.feedback_window_hours)
+            preds = cell.predictions[lo:hi]
+            made = ~np.isnan(preds[:, 0])
+            if made.any():
+                act = cell.kpis[lo:hi][made]
+                evaluations[key] = (cell.cell_id, accuracy(preds[made], act))
         feedbacks = xapp.feedback(evaluations, loop_cfg.retrain_accuracy_threshold, hour)
         result.final_feedback = feedbacks
 

@@ -12,6 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+from ..forecast import ForecastModel
 from ..kpi import CellId, CongestionRule
 from ..splitting import SplitPolicy
 
@@ -173,16 +174,16 @@ class O1Report:
 
 @dataclass(frozen=True)
 class A1Deployment:
-    """Policy plus per-cell serialized forecast models pushed over A1.
+    """Policy plus per-cell trained forecast models pushed over A1.
 
-    ``models`` maps the target cell to the model file bytes; ``digests``
-    carries each blob's content digest so the receiving xApp can skip
-    re-parsing unchanged models.
+    Both RICs run in one process, so ``models`` maps the target cell to its
+    trained model itself; ``digests`` carries each model file's content
+    digest so the receiving xApp can skip restacking unchanged models.
     """
 
     version: int
     policy: CongestionRule
-    models: dict[CellId, bytes]
+    models: dict[CellId, ForecastModel]
     digests: dict[CellId, str]
 
     def __post_init__(self):

@@ -188,7 +188,7 @@ def _format_timestamp(hour: int, schema: DatasetSchema) -> str:
     if schema.timestamp_format == "hours":
         return str(hour)
     stamp = datetime.fromisoformat(schema.epoch) + timedelta(hours=hour)
-    return stamp.strftime("%Y-%m-%dT%H:%M")
+    return stamp.isoformat(timespec="minutes")
 
 
 def _parse_timestamp(text: str, schema: DatasetSchema, row: int) -> float:

@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line interface and scenario config."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from oransim.cli import main
 from oransim.config import config_from_dict, derive_seed, load_config
+from oransim.forecast import load_model, model
 from oransim.ric import validate_jsonl
 
 TINY = {
@@ -230,6 +232,28 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["window_hours"] == 12
         assert summary["n_cells_baseline"] == 2
+
+    def test_run_parses_no_model_file(self, tmp_path, monkeypatch):
+        parsed = []
+        original = model.model_from_json
+
+        def counting(text):
+            parsed.append(len(text))
+            return original(text)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "oransim":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        cfg = write_config(tmp_path, TINY)
+        main(["generate", "-c", str(cfg), "-o", str(tmp_path / "gen")])
+        main(["train", "-c", str(cfg), "-d", str(tmp_path / "gen" / "dataset.csv"),
+              "-o", str(tmp_path / "train")])
+        self.run_outputs(tmp_path, TINY)
+        assert parsed == []
+        load_model(next((tmp_path / "train" / "models").iterdir()))
+        assert len(parsed) == 1  # the counter sees a model file being read
 
     def test_cli_validate_accepts_run_log(self, tmp_path, capsys):
         out = self.run_outputs(tmp_path, TINY)

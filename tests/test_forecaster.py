@@ -36,7 +36,6 @@ from oransim.forecast import (
     mse_loss,
     param_arrays,
     predict_from_window,
-    predict_next_hour,
     save_model,
     train,
 )
@@ -550,10 +549,9 @@ class TestPrediction:
         series = series_from_arrays([60.0] * 80, [3.0] * 80)
         cfg = TrainingConfig(epochs=60, lookback=8, seed=3)
         model, _ = train(series, LstmConfig(1, 4, 2, 2), cfg)
-        pred = predict_next_hour(model, series, lookback=8)
+        pred = predict_from_window(model, series.to_array()[-8:], next_timestamp=80)
         assert pred.prb_util == pytest.approx(60.0, abs=1e-3)
         assert pred.ip_throughput == pytest.approx(3.0, abs=1e-3)
-        assert pred.timestamp == 80
 
     def test_clamping_to_valid_kpi_range(self):
         model = small_model(seed=13)
@@ -579,12 +577,6 @@ class TestPrediction:
         pred = predict_from_window(model, np.ones((4, 2)), next_timestamp=4)
         assert pred.prb_util == 10.0
         assert pred.ip_throughput == 0.5
-
-    def test_short_series_rejected(self):
-        model = small_model()
-        series = sine_series(10)
-        with pytest.raises(InsufficientDataError):
-            predict_next_hour(model, series, lookback=24)
 
 
 class TestAccuracy:

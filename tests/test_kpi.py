@@ -10,7 +10,6 @@ from oransim.kpi import (
     KpiSeries,
     congested_hours,
     evaluate_congestion,
-    window_average,
 )
 
 
@@ -67,43 +66,6 @@ class TestCongestionRule:
             CongestionRule(prb_min=100.0)
         with pytest.raises(ValueError):
             CongestionRule(prb_min=0.0)
-
-
-class TestWindowAverage:
-    def test_full_window_mean(self):
-        s = series_from([(10, 1.0), (20, 2.0), (30, 3.0)])
-        prb, thr = window_average(s, 0, 3)
-        assert prb == pytest.approx(20.0)
-        assert thr == pytest.approx(2.0)
-
-    def test_single_sample_window(self):
-        s = series_from([(10, 1.0), (20, 2.0)])
-        assert window_average(s, 1, 1) == (20.0, 2.0)
-
-    def test_two_sample_prb(self):
-        s = series_from([(80, 1.0), (100, 1.0)])
-        assert window_average(s, 0, 2)[0] == pytest.approx(90.0)
-
-    def test_respects_series_offset(self):
-        s = series_from([(10, 1.0), (20, 2.0)], start=100)
-        assert window_average(s, 101, 1) == (20.0, 2.0)
-
-    def test_out_of_range_window(self):
-        s = series_from([(10, 1.0), (20, 2.0)])
-        with pytest.raises(ValueError):
-            window_average(s, 1, 2)
-        with pytest.raises(ValueError):
-            window_average(s, -1, 1)
-        with pytest.raises(ValueError):
-            window_average(s, 0, 0)
-
-    def test_whole_series_matches_independent_sum(self):
-        rng = np.random.Generator(np.random.PCG64(7))
-        values = [(rng.uniform(0, 100), rng.uniform(0, 10)) for _ in range(50)]
-        s = series_from(values)
-        prb, thr = window_average(s, 0, 50)
-        assert prb == pytest.approx(sum(v[0] for v in values) / 50, rel=1e-12)
-        assert thr == pytest.approx(sum(v[1] for v in values) / 50, rel=1e-12)
 
 
 class TestCongestedHours:

@@ -26,6 +26,13 @@ class TestRealization:
             match = [b for b in base if (b.cell.enb, b.cell.cell) == key]
             assert series == match[0]
 
+    def test_realize_hour_returns_rows_in_key_order(self):
+        net = flat_network(n_hours=6, util=80.0, thr=2.0, cells=3, history=2)
+        rows = net.realize_hour()
+        assert rows.shape == (3, 2) and rows.tolist() == [[80.0, 2.0]] * 3
+        assert all(net.realized(k)[-1].tolist() == [80.0, 2.0] for k in net.active_keys())
+        assert net.hour == 3
+
     def test_history_prerealized(self):
         net = flat_network(history=10)
         assert net.hour == 10
@@ -50,20 +57,21 @@ class TestSplitEffects:
         event = net.split((0, 0), policy, policy.rng(), hour=4)
         assert event.parent == CellId(0, 0, 0)
         assert event.child == CellId(0, 2, 1)  # next free index in the eNB
-        samples = net.realize_hour()
-        parent, child = samples[(0, 0)], samples[(0, 2)]
-        assert parent.prb_util == pytest.approx(90.0 * 0.4)
-        assert child.prb_util == pytest.approx(90.0 * 0.6)
-        assert parent.ip_throughput == pytest.approx(0.9 / 0.4)
-        assert child.ip_throughput == pytest.approx(0.9 / 0.6)
+        rows = net.realize_hour()
+        assert net.active_keys() == [(0, 0), (0, 1), (0, 2)]
+        (parent_prb, parent_thr), _, (child_prb, child_thr) = rows.tolist()
+        assert parent_prb == pytest.approx(90.0 * 0.4)
+        assert child_prb == pytest.approx(90.0 * 0.6)
+        assert parent_thr == pytest.approx(0.9 / 0.4)
+        assert child_thr == pytest.approx(0.9 / 0.6)
 
     def test_throughput_capped_after_split(self):
         net = flat_network(util=20.0, thr=6.0, cap=10.0, history=4)
         policy = SplitPolicy(r_min=75.0, r_max=75.0, max_factor=2)
         net.split((0, 0), policy, policy.rng(), hour=4)
-        samples = net.realize_hour()
-        assert samples[(0, 0)].ip_throughput == 10.0  # 6/0.25 = 24, capped
-        assert samples[(0, 2)].ip_throughput == pytest.approx(6.0 / 0.75)
+        rows = net.realize_hour()
+        assert rows[0, 1] == 10.0  # 6/0.25 = 24, capped
+        assert rows[2, 1] == pytest.approx(6.0 / 0.75)
 
     def test_generation_advances_for_both_halves(self):
         net = flat_network(history=4)
@@ -80,9 +88,9 @@ class TestSplitEffects:
         net.split((0, 0), policy, rng, hour=2)
         net.split((0, 0), policy, rng, hour=2)
         assert net.cells[(0, 0)].load_fraction == pytest.approx(0.25)
-        sample = net.realize_hour()[(0, 0)]
-        assert sample.prb_util == pytest.approx(20.0)
-        assert sample.ip_throughput == pytest.approx(4.0)
+        prb, thr = net.realize_hour()[0]
+        assert prb == pytest.approx(20.0)
+        assert thr == pytest.approx(4.0)
 
     def test_split_rejects_hour_other_than_current(self):
         net = flat_network(history=4)

@@ -4,6 +4,7 @@ Hypothesis runs derandomized and without a deadline, so every run of the
 suite draws the same examples.
 """
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -33,8 +34,9 @@ from oransim.kpi import (
     congested_hours,
     evaluate_congestion,
 )
-from oransim.ric import hosts
-from oransim.splitting import default_bin_edges, histogram_hours
+from oransim.network import SimulatedNetwork
+from oransim.ric import ControlLoopConfig, EventTag, hosts, run_control_loop, validate_events
+from oransim.splitting import SplitPolicy, default_bin_edges, histogram_hours
 from oransim import traffic
 from oransim.traffic import DatasetSchema, export_csv, ingest_csv
 from test_traffic import ingest_outcome, seed_export_csv, seed_ingest_csv
@@ -285,3 +287,94 @@ def test_stacked_training_matches_each_cell_alone(round_):
         assert 1 <= len(keys) <= width
         logs.update((k, log) for k, (_, log) in zip(keys, trained))
     assert logs == expected_logs
+
+
+@st.composite
+def loop_logs(draw):
+    """The event log of a small control loop with random cadence, windows and policy.
+
+    A cell's KPIs are constant, congested or clear, or noisy. A constant
+    history makes the forecast exact, so congested cells raise alarms and split.
+    """
+    horizon = draw(st.integers(4, 24))
+    n_hours = draw(st.integers(30, 40)) + horizon
+    base = []
+    for c in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["congested", "clear", "noisy"]))
+        if kind == "noisy":
+            rng = np.random.default_rng(draw(st.integers(0, 999)))
+            util, thr = rng.uniform(0.0, 100.0, n_hours), rng.uniform(0.0, 10.0, n_hours)
+        else:
+            util, thr = (96.0, 0.4) if kind == "congested" else (30.0, 6.0)
+            util, thr = [util] * n_hours, [thr] * n_hours
+        base.append(KpiSeries.from_arrays(CellId(0, c), 0, util, thr))
+    factor = draw(st.sampled_from([2, 4, 8]))
+    windows = st.integers(1, 24)
+    cooldowns = st.integers(0, 12)
+    loop_cfg = ControlLoopConfig(
+        collection_period=draw(st.integers(1, 4)),
+        retrain_accuracy_threshold=draw(st.sampled_from([0.0, 100.0]) | st.floats(0.0, 100.0)),
+        feedback_window_hours=draw(windows),
+        max_congested_hours=draw(st.none() | st.integers(0, 3)),
+        target_window_hours=draw(windows),
+        max_split_factor=factor,
+        split_cooldown_hours=draw(cooldowns),
+        retrain_cooldown_hours=draw(cooldowns),
+    )
+    result = run_control_loop(
+        SimulatedNetwork(base, throughput_cap=10.0, history_hours=n_hours - horizon),
+        rule=CongestionRule(),
+        lstm_cfg=LstmConfig(n_layers=1, units_per_layer=3),
+        train_cfg=TrainingConfig(batch_size=64, epochs=1, lookback=4,
+                                 seed=draw(st.integers(0, 99))),
+        loop_cfg=loop_cfg,
+        split_policy=SplitPolicy(max_factor=factor, seed=draw(st.integers(0, 99))),
+        horizon_hours=max(horizon, loop_cfg.collection_period),
+    )
+    return list(result.log)
+
+
+def renumbered(events):
+    return [dataclasses.replace(e, seq=i) for i, e in enumerate(events)]
+
+
+# Events a cycle cannot do without; a Retrain, or an alarm without its E2, may be absent.
+REQUIRED_TAGS = set(EventTag.ALL) - {EventTag.RETRAIN, EventTag.ALARM_RAISED, EventTag.E2_CONTROL}
+
+
+@PROPERTY
+@given(events=loop_logs(), data=st.data())
+def test_validator_accepts_loop_logs_and_rejects_their_mutations(events, data):
+    assert validate_events(events).ok
+
+    def pick(choices):
+        return data.draw(st.sampled_from(choices))
+
+    i = pick([i for i, e in enumerate(events) if e.tag in REQUIRED_TAGS])
+    assert not validate_events(renumbered(events[:i] + events[i + 1:])).ok, "drop"
+
+    # swapping an E2Control with the next cell's AlarmRaised keeps the log valid
+    valid_swap = (EventTag.E2_CONTROL, EventTag.ALARM_RAISED)
+    i = pick([i for i, (a, b) in enumerate(zip(events, events[1:]))
+              if a.tag != b.tag and (a.tag, b.tag) != valid_swap])
+    swapped = events[:i] + [events[i + 1], events[i]] + events[i + 2:]
+    assert not validate_events(renumbered(swapped)).ok, "swap"
+
+    # an E2Control retagged AlarmRaised is an alarm that no split followed: valid
+    i = pick(range(len(events)))
+    tags = [t for t in EventTag.ALL if t != events[i].tag and
+            (events[i].tag, t) != (EventTag.E2_CONTROL, EventTag.ALARM_RAISED)]
+    retagged = dataclasses.replace(events[i], tag=pick(tags))
+    assert not validate_events(events[:i] + [retagged] + events[i + 1:]).ok, "retag"
+
+    i = pick(range(len(events)))
+    shift = pick([-3, -2, -1, 1, 2, 3])
+    shifted = dataclasses.replace(events[i], hour=events[i].hour + shift)
+    assert not validate_events(events[:i] + [shifted] + events[i + 1:]).ok, "shifted hour"
+
+    e2 = [i for i, e in enumerate(events) if e.tag == EventTag.E2_CONTROL]
+    if e2:
+        i = pick(e2)
+        alarm = events[i - 1]
+        assert (alarm.tag, alarm.cells) == (EventTag.ALARM_RAISED, events[i].cells)
+        assert not validate_events(renumbered(events[: i - 1] + events[i:])).ok, "E2 alone"

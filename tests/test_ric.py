@@ -1,9 +1,23 @@
 """Tests for the simulated control plane: hosts, messages, and the loop."""
 
+import hashlib
+from collections import defaultdict
+from unittest import mock
+
+import numpy as np
 import pytest
 
-from oransim.forecast import LstmConfig, TrainingConfig, model_from_json, predict_from_window
-from oransim.kpi import CellId, CongestionRule, KpiSample, KpiSeries
+from oransim.forecast import (
+    ForecastModel,
+    LstmConfig,
+    NormStats,
+    TrainingConfig,
+    accuracy,
+    init_model,
+    model_to_json,
+    predict_from_window,
+)
+from oransim.kpi import CellId, CongestionRule, KpiSample, KpiSeries, evaluate_congestion
 from oransim.network import SimulatedNetwork
 from oransim.ric import (
     ControlLoopConfig,
@@ -109,11 +123,23 @@ class TestTrainingRound:
         assert failures == [(0, 9)]
         assert not non_rt.has_model((0, 9))
 
-    def test_deployment_requires_capability_negotiation(self):
-        log = EventLog()
-        non_rt = NonRtRic(log)
-        with pytest.raises(RuntimeError):
-            non_rt.build_deployment(CongestionRule(), {}, hour=0)
+    def test_models_are_held_and_deployed_by_reference(self):
+        net = flat_network(history=40)
+        non_rt = NonRtRic(EventLog())
+        histories = {k: net.series(k) for k in net.active_keys()}
+        non_rt.train_and_update(histories, LSTM_TINY, TRAIN_TINY, hour=40)
+        targets = {k: net.cells[k].cell_id for k in net.active_keys()}
+        deployment = non_rt.build_deployment(CongestionRule(), targets, hour=40)
+        held = [v for a in vars(non_rt).values() if isinstance(a, dict) for v in a.values()]
+        assert not any(isinstance(v, (bytes, str)) and len(v) > 16 for v in held)
+        for cell_id, model in deployment.models.items():
+            assert isinstance(model, ForecastModel)
+            blob = model_to_json(model).encode("utf-8")
+            assert deployment.digests[cell_id] == hashlib.sha256(blob).hexdigest()[:16]
+        xapp = CpmXapp(EventLog())
+        xapp.receive_deployment(deployment)
+        for key, cell_id in targets.items():
+            assert xapp._models[key] is deployment.models[cell_id]
 
 
 class TestXapp:
@@ -133,7 +159,6 @@ class TestXapp:
         xapp, _ = self.deployed_xapp(net)
         congested_pred = KpiSample(40, 90.0, 0.5)
         clear_pred = KpiSample(40, 20.0, 5.0)
-        from oransim.kpi import evaluate_congestion
         assert evaluate_congestion(congested_pred, xapp.deployment.policy)
         assert not evaluate_congestion(clear_pred, xapp.deployment.policy)
 
@@ -146,7 +171,20 @@ class TestXapp:
         }
         a = xapp.infer(windows, hour=net.hour, lookback=TRAIN_TINY.lookback)
         b = xapp.infer(windows, hour=net.hour, lookback=TRAIN_TINY.lookback)
-        assert a == b
+        assert list(a) == list(b) == net.active_keys()
+        assert all(a[k][0].tolist() == b[k][0].tolist() and a[k][1] == b[k][1] for k in a)
+
+    def test_non_finite_prediction_is_an_error(self):
+        net = flat_network(history=40)
+        xapp, _ = self.deployed_xapp(net)
+        _, fleet = xapp._fleets[0]
+        fleet.head.b[0, 0, 0] = np.nan  # the stack's array, viewed by the first model
+        windows = {
+            k: (net.cells[k].cell_id, net.trailing_window(k, TRAIN_TINY.lookback))
+            for k in net.active_keys()
+        }
+        with pytest.raises(ValueError, match="non-finite prediction"):
+            xapp.infer(windows, hour=net.hour, lookback=TRAIN_TINY.lookback)
 
     def test_fleet_cache_follows_redeployments(self):
         profile = SyntheticProfile(n_enb=1, cells_per_enb=3, n_days=4, seed=8)
@@ -174,20 +212,21 @@ class TestXapp:
         def check_infer(deployment, expected_keys):
             got = xapp.infer(windows(), hour=net.hour, lookback=lookback)
             assert sorted(got) == expected_keys
-            for key, (cell_id, pred, alarm) in got.items():
-                model = model_from_json(deployment.models[cell_id].decode("utf-8"))
+            for key, (pred, alarm) in got.items():
+                cell_id = net.cells[key].cell_id
                 window = net.trailing_window(key, lookback)
-                assert pred == predict_from_window(model, window, net.hour)
-                assert cell_id == net.cells[key].cell_id
+                expected = predict_from_window(deployment.models[cell_id], window, net.hour)
+                assert pred.tolist() == [expected.prb_util, expected.ip_throughput]
+                assert alarm == evaluate_congestion(expected, rule)
 
         histories = {k: net.series(k) for k in net.active_keys()}
         non_rt.train_and_update(histories, LSTM_TINY, TRAIN_TINY, hour=net.hour)
         check_infer(deploy(net.active_keys()), [(0, 0), (0, 1), (0, 2)])
         fleets = xapp._fleets
         deploy(net.active_keys())
-        assert xapp._fleets is fleets  # nothing parsed, no cell dropped: no rebuild
+        assert xapp._fleets is fleets  # no model changed, no cell dropped: no rebuild
 
-        # retrain one cell, split another; the child gets its parent's blob
+        # retrain one cell, split another; the child gets its parent's model
         retrain = TrainingConfig(epochs=2, lookback=lookback, seed=99)
         non_rt.train_and_update({(0, 1): net.series((0, 1))}, LSTM_TINY, retrain, hour=net.hour)
         policy = SplitPolicy(r_min=70.0, r_max=70.0)
@@ -365,6 +404,76 @@ class TestControlLoop:
         assert [e.hour for e in collects] == [40, 42, 44, 46, 48]
 
 
+def reference_evaluations(network, predictions, hour, feedback_window_hours):
+    """The loop's former feedback pairing, from per-cell lists of (hour, KpiSample)."""
+    evaluations = {}
+    window_lo = hour + 1 - feedback_window_hours
+    for key in network.active_keys():
+        cell = network.cells[key]
+        pairs = [
+            (ph - cell.created_at, pred)
+            for ph, pred in predictions[key]
+            if ph >= window_lo and 0 <= ph - cell.created_at < cell.n_samples
+        ]
+        if not pairs:
+            continue
+        rows, preds = zip(*pairs)
+        pred_arr = np.array([[p.prb_util, p.ip_throughput] for p in preds])
+        act_arr = network.realized(key)[list(rows)]
+        evaluations[key] = (cell.cell_id, accuracy(pred_arr, act_arr))
+    return evaluations
+
+
+class TestFeedbackPairing:
+    """Every cycle's feedback equals the list-based reference pairing, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make_network, kwargs",
+        [
+            (lambda: congested_network(n_hours=120, history=40), dict(horizon=60, factor=4)),
+            (lambda: congested_network(n_hours=120, history=40),
+             dict(horizon=60, collection_period=3, feedback_window_hours=10)),
+            (lambda: congested_network(n_hours=120, history=40),
+             dict(horizon=60, collection_period=5, feedback_window_hours=12,
+                  split_cooldown_hours=0)),
+            (lambda: congested_network(n_hours=120, history=40),
+             dict(horizon=60, collection_period=2, max_congested_hours=0,
+                  target_window_hours=12)),
+        ],
+        ids=["splits", "period-3", "period-5", "early-stop"],
+    )
+    def test_matches_list_reference(self, make_network, kwargs):
+        network = make_network()
+        window = kwargs.get("feedback_window_hours", 24)
+        predictions = defaultdict(list)
+        checked = []
+        infer, feedback = CpmXapp.infer, CpmXapp.feedback
+
+        def recording_infer(self, windows, hour, lookback):
+            results = infer(self, windows, hour, lookback)
+            for key, (pred, _) in results.items():
+                predictions[key].append((hour, KpiSample(hour, *pred.tolist())))
+            return results
+
+        def checking_feedback(self, evaluations, threshold, hour):
+            feedbacks = feedback(self, evaluations, threshold, hour)
+            expected = reference_evaluations(network, predictions, hour, window)
+            assert feedbacks == [
+                ModelPerformanceFeedback(cell_id, acc, acc < threshold)
+                for _, (cell_id, acc) in sorted(expected.items())
+            ]
+            checked.append(feedbacks)
+            return feedbacks
+
+        with mock.patch.object(CpmXapp, "infer", recording_infer), \
+                mock.patch.object(CpmXapp, "feedback", checking_feedback):
+            result = tiny_loop(network, **kwargs)
+        assert result.final_feedback == checked[-1]
+        assert len(checked) == sum(e.tag == EventTag.FEEDBACK for e in result.log) > 2
+        assert result.metrics["splits_issued"] >= 1
+        assert result.terminated_early == ("max_congested_hours" in kwargs)
+
+
 class TestEventLog:
     def test_jsonl_round_trip(self):
         result = tiny_loop(congested_network(), horizon=24)
@@ -383,9 +492,9 @@ class TestEventLog:
             EventLog().append("Bogus", hour=0)
 
     def test_deployment_schema_dump(self):
-        d = A1Deployment(
-            1, CongestionRule(), {CellId(0, 1): b"{}"}, {CellId(0, 1): "abcd"}
-        )
+        norm = NormStats(np.zeros(2), np.ones(2))
+        model = init_model(LSTM_TINY, norm, np.random.default_rng(0))
+        d = A1Deployment(1, CongestionRule(), {CellId(0, 1): model}, {CellId(0, 1): "abcd"})
         doc = d.to_json_dict()
         assert doc == {
             "version": 1,

@@ -244,6 +244,15 @@ class TestCsvRoundTrip:
         series = generate_synthetic(SMALL)
         assert ingest_csv(export_csv(series, schema), schema) == series
 
+    @pytest.mark.parametrize("timestamp_format", ["iso8601", "hours"])
+    def test_round_trip_epoch_before_year_1000(self, timestamp_format):
+        schema = DatasetSchema(timestamp_format=timestamp_format, epoch="0999-12-31T23:00")
+        series = generate_synthetic(SMALL)
+        payload = export_csv(series, schema)
+        assert ingest_csv(payload, schema) == series
+        if timestamp_format == "iso8601":
+            assert payload.splitlines()[1].split(b",")[2] == b"0999-12-31T23:00"
+
     def test_empty_set_exports_header_only(self):
         payload = export_csv([])
         assert payload.decode().strip() == "enb_id,cell_id,timestamp,prb_util,ip_throughput"
