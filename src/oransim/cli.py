@@ -16,7 +16,8 @@ from pathlib import Path
 from .config import ScenarioConfig, load_config
 from .forecast import evaluate_heldout, save_model
 from .network import SimulatedNetwork
-from .ric import run_control_loop, train_cells, validate_jsonl
+from .ric import run_control_loop, train_cells, validate_events, validate_jsonl
+from .ric.messages import canonical_json
 from .splitting import default_bin_edges, export_histogram_csv, histogram_hours
 from .traffic import IngestError, export_csv, generate_synthetic, ingest_csv
 
@@ -115,21 +116,17 @@ def cmd_run(cfg: ScenarioConfig, outdir: Path) -> int:
         split_policy=cfg.split,
         horizon_hours=cfg.horizon_hours,
     )
-    jsonl = result.log.to_jsonl()
-    check = validate_jsonl(jsonl)
+    check = validate_events(result.log)
     if not check.ok:
         raise RuntimeError(f"internal choreography violation: {check.violation}")
 
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "events.jsonl").write_text(jsonl, encoding="utf-8")
+    (outdir / "events.jsonl").write_text(result.log.to_jsonl(), encoding="utf-8")
     (outdir / "a1_deployments.jsonl").write_text(
-        "".join(json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n"
-                for d in result.deployments),
-        encoding="utf-8",
+        "".join(line + "\n" for line in result.deployments), encoding="utf-8"
     )
     (outdir / "e2_requests.jsonl").write_text(
-        "".join(json.dumps(r.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
-                for r in result.e2_requests),
+        "".join(canonical_json(r.to_json_dict()) + "\n" for r in result.e2_requests),
         encoding="utf-8",
     )
     window = result.end_hour - result.start_hour

@@ -455,19 +455,16 @@ def evaluate_heldout(
 ) -> tuple[float, int]:
     """Held-out accuracy on the chronological validation tail of a series.
 
-    Predictions go through the same clamping as live inference. Returns
-    (accuracy percent, number of validation points).
+    The tail is the hours after ``train_split``, which raises
+    ``InsufficientDataError`` for a series too short to split. Predictions
+    go through the same clamping as live inference. Returns (accuracy
+    percent, number of validation points).
     """
-    raw = series.to_array()
-    split = int(np.floor(cfg.train_fraction * len(series)))
-    windows = make_windows(series, cfg, model.norm)
-    target_idx = np.arange(len(windows)) + cfg.lookback
-    val_mask = target_idx >= split
-    if not np.any(val_mask):
-        raise InsufficientDataError("no validation windows beyond the training split")
-    preds = clamp_prediction(model.norm.denormalize(forward(model, windows.inputs[val_mask])))
-    actuals = raw[target_idx[val_mask]]
-    return accuracy(preds, actuals), int(val_mask.sum())
+    split = train_split(len(series), cfg)
+    # the window whose target is hour ``split`` starts ``lookback`` hours earlier
+    inputs = make_windows(series, cfg, model.norm).inputs[split - cfg.lookback :]
+    preds = clamp_prediction(model.norm.denormalize(forward(model, inputs)))
+    return accuracy(preds, series.to_array()[split:]), len(inputs)
 
 
 def accuracy(predictions, actuals) -> float:

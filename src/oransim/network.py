@@ -3,15 +3,23 @@
 Each generation-0 cell owns a base waveform (what its KPIs would be with no
 intervention). An active cell carries the fraction of its origin cell's
 load that it currently serves (1.0 until a split); its realized KPIs follow
-the split law ``splitting.share_kpis`` applied hour by hour:
+the split law ``splitting.share_kpis``, applied to the whole fleet hour by
+hour:
 
     prb_util(t)      = clamp(base_util(t) * fraction, 0, 100)
     ip_throughput(t) = min(cap, base_thr(t) * base_util(t) / prb_util(t))
-                       (= cap when the utilization is zero)
+                       (= min(cap, base_thr(t)) when base_util(t) is zero)
 
-With fraction 1 the realized series equals the base series exactly, which
-makes a no-action baseline trivially comparable. Splitting composes: after
-two rounds a cell's fraction is the product of its share draws.
+With fraction 1 a cell realizes its base series exactly wherever the base
+throughput is at most ``cap``, which makes a no-action baseline trivially
+comparable. Splitting composes: after two rounds a cell's fraction is the
+product of its share draws.
+
+The fleet's realized KPIs and forecasts are two ``(total_hours, n_columns,
+2)`` arrays, ``kpis`` and ``predictions``. The row is the absolute hour;
+every cell that ever existed owns one column, and a split appends one. A
+slot is NaN where the cell did not exist yet, the hour is not realized yet,
+or no forecast was made.
 
 Cell identities follow the split-round convention: both halves of a split
 advance one generation; the parent keeps its cell index, the child gets a
@@ -20,7 +28,7 @@ fresh index within the eNB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,13 +49,8 @@ class ActiveCell:
     origin: CellKey            # generation-0 ancestor owning the base waveform
     load_fraction: float       # share of the origin cell's load served here
     created_at: int            # first hour this cell exists
-    kpis: np.ndarray           # (util, thr) row per hour the cell can exist
-    n_samples: int = 0         # rows realized so far
+    column: int                # its column of the network's kpis and predictions
     last_split_hour: int | None = None
-    predictions: np.ndarray = field(init=False)  # forecast per ``kpis`` row, NaN if none
-
-    def __post_init__(self):
-        self.predictions = np.full_like(self.kpis, np.nan)
 
     @property
     def key(self) -> CellKey:
@@ -83,20 +86,23 @@ class SimulatedNetwork:
             raise ValueError("throughput_cap must be > 0")
         self.total_hours = lengths.pop()
         self.throughput_cap = throughput_cap
-        self._base: dict[CellKey, np.ndarray] = {}
+        ordered = sorted(base_series, key=lambda s: s.cell)
         self.cells: dict[CellKey, ActiveCell] = {}
         self._next_cell_index: dict[int, int] = {}
-        for series in sorted(base_series, key=lambda s: s.cell):
+        for column, series in enumerate(ordered):
             if series.cell.generation != 0:
                 raise ValueError("base series must be generation-0 cells")
             key = (series.cell.enb, series.cell.cell)
-            self._base[key] = series.to_array()
             self.cells[key] = ActiveCell(
-                cell_id=series.cell, origin=key, load_fraction=1.0,
-                created_at=0, kpis=np.empty((self.total_hours, 2)),
+                cell_id=series.cell, origin=key, load_fraction=1.0, created_at=0, column=column
             )
             nxt = self._next_cell_index.get(key[0], 0)
             self._next_cell_index[key[0]] = max(nxt, key[1] + 1)
+        # generation-0 cells own columns 0..n-1, so an origin's column is its base column
+        self._base = np.stack([series.to_array() for series in ordered], axis=1)
+        self.kpis = np.full(self._base.shape, np.nan)
+        self.predictions = np.full(self._base.shape, np.nan)
+        self._index_active()
         self.hour = 0  # next hour to realize
         self.split_events: list[SplitEvent] = []
         if history_hours > self.total_hours:
@@ -126,20 +132,24 @@ class SimulatedNetwork:
 
     # realization -------------------------------------------------------
 
-    def _kpis_at(self, cell: ActiveCell, hour: int) -> tuple[float, float]:
-        base_u, base_t = self._base[cell.origin][hour].tolist()
-        return share_kpis(base_u, base_t, cell.load_fraction, self.throughput_cap)
+    def _index_active(self) -> None:
+        """Cache the active cells' columns, base columns and load fractions in
+        ``active_keys`` order; the topology changes only at a split."""
+        cells = [self.cells[key] for key in self.active_keys()]
+        self._columns = np.array([cell.column for cell in cells])
+        self._base_columns = np.array([self.cells[cell.origin].column for cell in cells])
+        self._fractions = np.array([cell.load_fraction for cell in cells])
 
     def realize_hour(self) -> np.ndarray:
         """Realize and record the next hour; return its (util, thr) rows in
         ``active_keys`` order."""
         if self.hour >= self.total_hours:
             raise ValueError(f"base waveforms exhausted at hour {self.hour}")
-        rows = np.empty((len(self.cells), 2))
-        for i, key in enumerate(self.active_keys()):
-            cell = self.cells[key]
-            rows[i] = cell.kpis[cell.n_samples] = self._kpis_at(cell, self.hour)
-            cell.n_samples += 1
+        base = self._base[self.hour, self._base_columns]
+        rows = np.column_stack(
+            share_kpis(base[:, 0], base[:, 1], self._fractions, self.throughput_cap)
+        )
+        self.kpis[self.hour, self._columns] = rows
         self.hour += 1
         return rows
 
@@ -148,24 +158,22 @@ class SimulatedNetwork:
     def realized(self, key: CellKey) -> np.ndarray:
         """View of the cell's realized (util, thr) rows, first row at ``created_at``."""
         cell = self.cells[key]
-        return cell.kpis[: cell.n_samples]
+        return self.kpis[cell.created_at : self.hour, cell.column]
 
     def window_span(self, key: CellKey, start: int, length: int) -> tuple[int, int]:
         """(first hour, count) of the cell's realized hours in [start, start+length).
 
         Hours before the cell existed or not yet realized are excluded.
         """
-        cell = self.cells[key]
-        lo = max(start, cell.created_at)
-        hi = min(start + length, cell.created_at + cell.n_samples)
+        lo = max(start, self.cells[key].created_at)
+        hi = min(start + length, self.hour)
         return lo, max(0, hi - lo)
 
     def window(self, key: CellKey, start: int, length: int) -> KpiSeries:
         """Realized series of hours [start, start+length), clipped by ``window_span``."""
         cell = self.cells[key]
         lo, n = self.window_span(key, start, length)
-        row = lo - cell.created_at
-        return KpiSeries(cell.cell_id, lo, cell.kpis[row : row + n])
+        return KpiSeries(cell.cell_id, lo, self.kpis[lo : lo + n, cell.column])
 
     def series(self, key: CellKey) -> KpiSeries:
         """The cell's full realized series (id snapshot at current generation)."""
@@ -183,15 +191,17 @@ class SimulatedNetwork:
 
     def trailing_window(self, key: CellKey, lookback: int) -> np.ndarray | None:
         """Last ``lookback`` realized (util, thr) rows, or None if too short."""
-        if self.cells[key].n_samples < lookback:
+        cell = self.cells[key]
+        if self.hour - cell.created_at < lookback:
             return None
-        return self.realized(key)[-lookback:]
+        return self.kpis[self.hour - lookback : self.hour, cell.column]
 
     def baseline_series(self, start: int, length: int) -> list[KpiSeries]:
         """No-action series of the original cells over [start, start+length)."""
+        window = self._base[start : start + length]
         return [
-            KpiSeries(CellId(enb, cell, 0), start, base[start : start + length])
-            for (enb, cell), base in sorted(self._base.items())
+            KpiSeries(CellId(*key, 0), start, window[:, self.cells[key].column])
+            for key in sorted({cell.origin for cell in self.cells.values()})
         ]
 
     def realized_series(self, start: int, length: int) -> list[KpiSeries]:
@@ -204,8 +214,8 @@ class SimulatedNetwork:
     def load_state(self, key: CellKey) -> CellLoadState:
         """Current CellLoadState: load normalized to 100 units per origin cell."""
         cell = self.cells[key]
-        if cell.n_samples > 0:
-            util, thr = cell.kpis[cell.n_samples - 1].tolist()
+        if self.hour > cell.created_at:
+            util, thr = self.kpis[self.hour - 1, cell.column].tolist()
         else:
             util, thr = 0.0, self.throughput_cap
         return CellLoadState(
@@ -242,13 +252,17 @@ class SimulatedNetwork:
             origin=cell.origin,
             load_fraction=cell.load_fraction * share,
             created_at=hour,
-            kpis=np.empty((self.total_hours - self.hour, 2)),
+            column=self.kpis.shape[1],
             last_split_hour=hour,
         )
         cell.cell_id = after.cell
         cell.load_fraction *= 1.0 - share
         cell.last_split_hour = hour
         self.cells[child.key] = child
+        empty = np.full((self.total_hours, 1, 2), np.nan)
+        self.kpis = np.concatenate([self.kpis, empty], axis=1)
+        self.predictions = np.concatenate([self.predictions, empty], axis=1)
+        self._index_active()
         self.split_events.append(event)
         return event
 

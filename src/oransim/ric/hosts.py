@@ -34,6 +34,7 @@ from .messages import (
     EventTag,
     ModelPerformanceFeedback,
     O1Report,
+    canonical_json,
 )
 
 __all__ = ["DataCollector", "train_cells", "NonRtRic", "CpmXapp"]
@@ -181,20 +182,22 @@ class NonRtRic:
 
     def build_deployment(
         self, policy: CongestionRule, targets: dict[CellKey, CellId], hour: int
-    ) -> A1Deployment:
-        """Package the current model set for the target cells; bump version."""
+    ) -> tuple[A1Deployment, str]:
+        """Package the current model set for the target cells; bump version.
+
+        Returns the deployment and its record, the canonical JSON line that
+        ``a1_deployments.jsonl`` holds.
+        """
         self.version += 1
         deployed = [(k, cell_id) for k, cell_id in sorted(targets.items()) if k in self._models]
         models = {cell_id: self._models[key] for key, cell_id in deployed}
         digests = {cell_id: self._digests[key] for key, cell_id in deployed}
         deployment = A1Deployment(self.version, policy, models, digests)
+        payload = deployment.to_json_dict()
         self.log.append(
-            EventTag.A1_DEPLOY,
-            hour=hour,
-            cells=tuple(sorted(models)),
-            payload=deployment.to_json_dict(),
+            EventTag.A1_DEPLOY, hour=hour, cells=tuple(sorted(models)), payload=payload
         )
-        return deployment
+        return deployment, canonical_json(payload)
 
 
 class CpmXapp:

@@ -78,7 +78,7 @@ class LoopResult:
     start_hour: int
     end_hour: int
     terminated_early: bool
-    deployments: list[dict] = field(default_factory=list)
+    deployments: list[str] = field(default_factory=list)  # canonical JSON per A1 push
     e2_requests: list[E2ControlRequest] = field(default_factory=list)
     final_feedback: list[ModelPerformanceFeedback] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
@@ -213,9 +213,9 @@ def run_control_loop(
 
         # (5) A1 policy/model push (hourly re-affirmation, new version)
         targets = {k: network.cells[k].cell_id for k in network.active_keys()}
-        deployment = non_rt.build_deployment(rule, targets, hour)
+        deployment, record = non_rt.build_deployment(rule, targets, hour)
         xapp.receive_deployment(deployment)
-        result.deployments.append(deployment.to_json_dict())
+        result.deployments.append(record)
 
         # (6) inference for every cell with a model and enough history
         windows = {}
@@ -225,8 +225,7 @@ def run_control_loop(
                 windows[key] = (network.cells[key].cell_id, window)
         inferences = xapp.infer(windows, hour, train_cfg.lookback)
         for key, (pred, _) in inferences.items():
-            cell = network.cells[key]
-            cell.predictions[hour - cell.created_at] = pred
+            network.predictions[hour, network.cells[key].column] = pred
 
         # (7) alarms and the cell-split control action
         alarmed_ids = set()
@@ -261,16 +260,15 @@ def run_control_loop(
 
         # feedback on the freshly realized actuals: the predictions for the
         # feedback_window_hours hours that end at this cycle's hour
+        lo = max(0, hour + 1 - loop_cfg.feedback_window_hours)
+        preds, actuals = network.predictions[lo : hour + 1], network.kpis[lo : hour + 1]
         evaluations = {}
         for key in network.active_keys():
             cell = network.cells[key]
-            hi = hour + 1 - cell.created_at
-            lo = max(0, hi - loop_cfg.feedback_window_hours)
-            preds = cell.predictions[lo:hi]
-            made = ~np.isnan(preds[:, 0])
+            made = ~np.isnan(preds[:, cell.column, 0])
             if made.any():
-                act = cell.kpis[lo:hi][made]
-                evaluations[key] = (cell.cell_id, accuracy(preds[made], act))
+                acc = accuracy(preds[made, cell.column], actuals[made, cell.column])
+                evaluations[key] = (cell.cell_id, acc)
         feedbacks = xapp.feedback(evaluations, loop_cfg.retrain_accuracy_threshold, hour)
         result.final_feedback = feedbacks
 

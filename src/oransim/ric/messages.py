@@ -24,6 +24,7 @@ __all__ = [
     "A1Deployment",
     "E2ControlRequest",
     "ModelPerformanceFeedback",
+    "canonical_json",
     "payload_digest",
 ]
 
@@ -58,10 +59,14 @@ class EventTag:
     )
 
 
+def canonical_json(obj) -> str:
+    """One-line JSON with sorted keys and no spaces: the form of every JSON-lines output."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def payload_digest(payload) -> str:
     """Short stable digest of a JSON-able payload summary."""
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -129,10 +134,7 @@ class EventLog:
         return tuple(self._events)
 
     def to_jsonl(self) -> str:
-        return "".join(
-            json.dumps(e.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
-            for e in self._events
-        )
+        return "".join(canonical_json(e.to_json_dict()) + "\n" for e in self._events)
 
     @staticmethod
     def parse_jsonl(text: str) -> list[LoopEvent]:

@@ -9,8 +9,8 @@ The post-split KPI law is the simplest model consistent with the intent of
 the remedy: utilization scales with each cell's share of the pre-split
 load, and per-user throughput scales inversely with utilization, capped at
 the cell's zero-load throughput. It is isolated in ``share_kpis``, which
-both ``apply_split_effects`` and the network's hourly realization use, so
-alternative laws can be swapped in.
+the network applies to the whole fleet each hour, so alternative laws can
+be swapped in.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "draw_r",
     "split_cell",
     "share_kpis",
-    "apply_split_effects",
     "histogram_hours",
     "default_bin_edges",
     "export_histogram_csv",
@@ -121,7 +120,7 @@ def split_cell(
     The child takes ``child_cell_index`` (the caller allocates a fresh index
     within the eNB) and both resulting cells carry generation + 1. Load is
     conserved exactly. KPIs on the returned states are still the pre-split
-    values; ``apply_split_effects`` recomputes them.
+    values; ``share_kpis`` gives each half's KPIs from its share of the load.
     """
     if state.cell.split_factor >= policy.max_factor:
         raise SplitRefusedError(
@@ -141,41 +140,21 @@ def split_cell(
     return parent, child, event
 
 
-def share_kpis(util: float, thr: float, share: float, cap: float) -> tuple[float, float]:
+def share_kpis(util, thr, share, cap):
     """KPIs of a cell serving ``share`` of a load that shows (util, thr) unsplit.
 
-    Utilization scales with the share, clamped to [0, 100]; throughput
-    scales inversely with utilization, capped at ``cap`` (and equal to it at
-    zero utilization).
+    Works elementwise on scalars or arrays. Utilization scales with the
+    share, clamped to [0, 100]; throughput scales inversely with
+    utilization, capped at ``cap``. At zero base utilization the measured
+    throughput is kept (capped); a share that rounds a nonzero utilization
+    down to zero gives ``cap``.
     """
-    new_util = min(100.0, max(0.0, util * share))
-    if new_util > 0.0:
-        # ratio form so an unsplit cell (share 1) keeps thr bit-exactly
-        return new_util, min(cap, thr * (util / new_util))
-    return new_util, cap
-
-
-def apply_split_effects(
-    parent: CellLoadState, child: CellLoadState
-) -> tuple[CellLoadState, CellLoadState]:
-    """Recompute both cells' KPIs from their shares of the pre-split load.
-
-    The law is ``share_kpis``. The inputs are expected to still carry the
-    shared pre-split KPIs.
-    """
-    total = parent.load + child.load
-
-    def updated(state: CellLoadState, share: float) -> CellLoadState:
-        util, thr = share_kpis(state.prb_util, state.ip_throughput, share, state.throughput_cap)
-        return replace(state, prb_util=util, ip_throughput=thr)
-
-    if total > 0:
-        parent_share = parent.load / total
-        child_share = child.load / total
-    else:
-        # degenerate zero-load split: fall back to equal shares
-        parent_share = child_share = 0.5
-    return updated(parent, parent_share), updated(child, child_share)
+    new_util = np.minimum(100.0, np.maximum(util * share, 0.0))
+    with np.errstate(all="ignore"):
+        # ratio form so an unsplit cell (share 1) keeps thr bit-exactly;
+        # fmin takes cap over the inf or nan of a utilization rounded to zero
+        ratio = np.where(util == 0.0, 1.0, util / new_util)
+        return new_util, np.fmin(cap, thr * ratio)
 
 
 def default_bin_edges() -> list[float]:

@@ -33,10 +33,19 @@ class TestRealization:
         assert all(net.realized(k)[-1].tolist() == [80.0, 2.0] for k in net.active_keys())
         assert net.hour == 3
 
+    def test_zero_utilization_hours_realize_as_measured(self):
+        # an unsplit cell at 0% PRB keeps its measured throughput, not the cap
+        base = [KpiSeries(CellId(0, 0), 0, [[0.0, 0.0], [50.0, 4.0], [0.0, 2.5]])]
+        net = SimulatedNetwork(base, throughput_cap=9.0, history_hours=3)
+        assert net.realized((0, 0)).tolist() == [[0.0, 0.0], [50.0, 4.0], [0.0, 2.5]]
+
     def test_history_prerealized(self):
         net = flat_network(history=10)
         assert net.hour == 10
-        assert all(net.cells[k].n_samples == 10 for k in net.active_keys())
+        assert all(
+            len(net.realized(k)) == net.hour - net.cells[k].created_at == 10
+            for k in net.active_keys()
+        )
 
     def test_exhausting_base_traffic_raises(self):
         net = flat_network(n_hours=5, history=5)
@@ -108,7 +117,7 @@ class TestSplitEffects:
         net.realize_hour()
         child = net.cells[(0, 2)]
         assert child.created_at == 6
-        assert child.n_samples == 1
+        assert len(net.realized((0, 2))) == net.hour - child.created_at == 1
         assert net.trailing_window((0, 2), 2) is None
         assert net.trailing_window((0, 0), 2).shape == (2, 2)
 

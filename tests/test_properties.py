@@ -36,7 +36,13 @@ from oransim.kpi import (
 )
 from oransim.network import SimulatedNetwork
 from oransim.ric import ControlLoopConfig, EventTag, hosts, run_control_loop, validate_events
-from oransim.splitting import SplitPolicy, default_bin_edges, histogram_hours
+from oransim.splitting import (
+    CellLoadState,
+    SplitPolicy,
+    default_bin_edges,
+    histogram_hours,
+    split_cell,
+)
 from oransim import traffic
 from oransim.traffic import DatasetSchema, export_csv, ingest_csv
 from test_traffic import ingest_outcome, seed_export_csv, seed_ingest_csv
@@ -193,6 +199,87 @@ def test_histogram_matches_per_sample_searchsorted(data):
     counts = histogram_hours([series], edges)[series.cell]
     assert counts.dtype == np.int64
     assert counts.tolist() == reference.tolist()
+
+
+def scalar_share_kpis(util, thr, share, cap):
+    """The per-cell split law the network realized with before it realized the
+    fleet in one array expression, with zero base utilization keeping the
+    measured throughput."""
+    new_util = min(100.0, max(0.0, util * share))
+    if new_util > 0.0:
+        return new_util, min(cap, thr * (util / new_util))
+    if util == 0.0:
+        return new_util, min(cap, thr)
+    return new_util, cap
+
+
+@st.composite
+def split_runs(draw):
+    """A network with pre-realized history, its base rows by cell, and the
+    cells split before each later hour.
+
+    A split names an active cell by its position in key order, modulo the
+    number of active cells; a cell at the factor cap is not split.
+    """
+    n_hours = draw(st.integers(2, 16))
+    rows = st.lists(st.tuples(ANY_PRB, st.floats(0.0, 20.0)), min_size=n_hours, max_size=n_hours)
+    base = {(0, c): np.array(draw(rows)) for c in range(draw(st.integers(1, 3)))}
+    cap = draw(st.floats(0.5, 20.0))
+    history = draw(st.integers(0, n_hours - 1))
+    picks = draw(st.lists(st.lists(st.integers(0, 15), max_size=2),
+                          min_size=n_hours - history, max_size=n_hours - history))
+    r_min, r_max = sorted(draw(st.lists(st.floats(0.5, 99.5), min_size=2, max_size=2)))
+    policy = SplitPolicy(r_min=r_min, r_max=r_max, max_factor=8,
+                         seed=draw(st.integers(0, 2**32)))
+    fleet = [KpiSeries(CellId(*key), 0, values) for key, values in base.items()]
+    return SimulatedNetwork(fleet, throughput_cap=cap, history_hours=history), base, picks, policy
+
+
+def split_and_realize(net, picks, policy):
+    """Apply each hour's splits, then realize it; yield (hour, rows) per hour."""
+    rng = policy.rng()
+    for picked in picks:
+        for i in picked:
+            keys = net.active_keys()
+            key = keys[i % len(keys)]
+            if net.cells[key].cell_id.split_factor < policy.max_factor:
+                net.split(key, policy, rng, net.hour)
+        hour = net.hour
+        yield hour, net.realize_hour()
+
+
+@PROPERTY
+@given(run=split_runs())
+def test_realize_hour_matches_scalar_law(run):
+    net, base, picks, policy = run
+    cap = net.throughput_cap
+    for key in net.active_keys():
+        expected = [scalar_share_kpis(u, t, 1.0, cap) for u, t in base[key][: net.hour].tolist()]
+        assert net.realized(key).tobytes() == np.array(expected).reshape(-1, 2).tobytes()
+    for hour, rows in split_and_realize(net, picks, policy):
+        cells = [net.cells[key] for key in net.active_keys()]
+        expected = [scalar_share_kpis(*base[c.origin][hour].tolist(), c.load_fraction, cap)
+                    for c in cells]
+        assert rows.tobytes() == np.array(expected).tobytes()
+        assert all(net.realized(c.key)[-1].tobytes() == row.tobytes()
+                   for c, row in zip(cells, rows))
+
+
+@PROPERTY
+@given(load=st.floats(0.0, 1e6), run=split_runs())
+def test_splits_conserve_load(load, run):
+    net, base, picks, policy = run
+    state = CellLoadState(CellId(0, 0), load, 50.0, 1.0, 10.0)
+    parent, child, _ = split_cell(state, policy, 0, policy.rng(), child_cell_index=1)
+    assert parent.load + child.load == load  # bit-exact
+    for hour, rows in split_and_realize(net, picks, policy):
+        by_origin = {}
+        for cell, row in zip((net.cells[key] for key in net.active_keys()), rows):
+            by_origin.setdefault(cell.origin, []).append((cell.load_fraction, row[0]))
+        for origin, shares in by_origin.items():
+            fractions, utils = zip(*shares)
+            assert sum(fractions) == pytest.approx(1.0, rel=0, abs=1e-12)
+            assert sum(utils) == pytest.approx(base[origin][hour, 0], rel=1e-12, abs=1e-12)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Tests for the simulated control plane: hosts, messages, and the loop."""
 
 import hashlib
+import json
 from collections import defaultdict
 from unittest import mock
 
@@ -107,8 +108,8 @@ class TestTrainingRound:
         failures = non_rt.train_and_update(histories, LSTM_TINY, TRAIN_TINY, hour=40)
         assert failures == []
         targets = {k: net.cells[k].cell_id for k in net.active_keys()}
-        d1 = non_rt.build_deployment(CongestionRule(), targets, hour=40)
-        d2 = non_rt.build_deployment(CongestionRule(), targets, hour=41)
+        d1, _ = non_rt.build_deployment(CongestionRule(), targets, hour=40)
+        d2, _ = non_rt.build_deployment(CongestionRule(), targets, hour=41)
         assert d1.version == 1 and d2.version == 2
         assert set(d1.models) == set(targets.values())
 
@@ -129,7 +130,7 @@ class TestTrainingRound:
         histories = {k: net.series(k) for k in net.active_keys()}
         non_rt.train_and_update(histories, LSTM_TINY, TRAIN_TINY, hour=40)
         targets = {k: net.cells[k].cell_id for k in net.active_keys()}
-        deployment = non_rt.build_deployment(CongestionRule(), targets, hour=40)
+        deployment, _ = non_rt.build_deployment(CongestionRule(), targets, hour=40)
         held = [v for a in vars(non_rt).values() if isinstance(a, dict) for v in a.values()]
         assert not any(isinstance(v, (bytes, str)) and len(v) > 16 for v in held)
         for cell_id, model in deployment.models.items():
@@ -149,7 +150,7 @@ class TestXapp:
         histories = {k: net.series(k) for k in net.active_keys()}
         non_rt.train_and_update(histories, LSTM_TINY, TRAIN_TINY, hour=net.hour)
         targets = {k: net.cells[k].cell_id for k in net.active_keys()}
-        deployment = non_rt.build_deployment(CongestionRule(), targets, hour=net.hour)
+        deployment, _ = non_rt.build_deployment(CongestionRule(), targets, hour=net.hour)
         xapp = CpmXapp(log)
         xapp.receive_deployment(deployment)
         return xapp, log
@@ -197,7 +198,7 @@ class TestXapp:
 
         def deploy(keys):
             targets = {k: net.cells[k].cell_id for k in keys}
-            deployment = non_rt.build_deployment(rule, targets, hour=net.hour)
+            deployment, _ = non_rt.build_deployment(rule, targets, hour=net.hour)
             xapp.receive_deployment(deployment)
             return deployment
 
@@ -341,7 +342,7 @@ class TestControlLoop:
 
     def test_deployment_versions_strictly_increase(self):
         result = tiny_loop(congested_network(), horizon=24)
-        versions = [d["version"] for d in result.deployments]
+        versions = [json.loads(line)["version"] for line in result.deployments]
         assert versions == sorted(versions)
         assert len(set(versions)) == len(versions)
         assert versions[0] == 1
@@ -413,7 +414,7 @@ def reference_evaluations(network, predictions, hour, feedback_window_hours):
         pairs = [
             (ph - cell.created_at, pred)
             for ph, pred in predictions[key]
-            if ph >= window_lo and 0 <= ph - cell.created_at < cell.n_samples
+            if ph >= window_lo and 0 <= ph - cell.created_at < network.hour - cell.created_at
         ]
         if not pairs:
             continue

@@ -8,11 +8,11 @@ from oransim.splitting import (
     CellLoadState,
     SplitPolicy,
     SplitRefusedError,
-    apply_split_effects,
     default_bin_edges,
     draw_r,
     export_histogram_csv,
     histogram_hours,
+    share_kpis,
     split_cell,
 )
 
@@ -110,55 +110,45 @@ class TestSplitCell:
 
 
 class TestApplySplitEffects:
+    """The split law ``share_kpis`` applied to both halves of a ``split_cell``."""
+
     def split_with_r(self, r, util=90.0, thr=0.9, load=100.0):
         policy = SplitPolicy(r_min=r, r_max=r)
-        parent, child, _ = split_cell(state(load=load, util=util, thr=thr), policy,
-                                      hour=0, rng=policy.rng(), child_cell_index=1)
-        return apply_split_effects(parent, child)
+        pre = state(load=load, util=util, thr=thr)
+        parent, child, _ = split_cell(pre, policy, hour=0, rng=policy.rng(), child_cell_index=1)
+        return [share_kpis(util, thr, s.load / load, pre.throughput_cap) for s in (parent, child)]
 
     def test_utilization_shares(self):
-        parent, child = self.split_with_r(60.0, util=90.0)
-        assert parent.prb_util == pytest.approx(36.0)
-        assert child.prb_util == pytest.approx(54.0)
+        (parent_util, _), (child_util, _) = self.split_with_r(60.0, util=90.0)
+        assert parent_util == pytest.approx(36.0)
+        assert child_util == pytest.approx(54.0)
 
     def test_throughput_inverse_scaling(self):
-        parent, child = self.split_with_r(60.0, util=90.0, thr=0.9)
-        assert parent.ip_throughput == pytest.approx(2.25)  # 0.9 * 90 / 36
-        assert child.ip_throughput == pytest.approx(1.5)    # 0.9 * 90 / 54
+        (_, parent_thr), (_, child_thr) = self.split_with_r(60.0, util=90.0, thr=0.9)
+        assert parent_thr == pytest.approx(2.25)  # 0.9 * 90 / 36
+        assert child_thr == pytest.approx(1.5)    # 0.9 * 90 / 54
 
     def test_relieved_cells_clear_default_rule(self):
-        parent, child = self.split_with_r(65.0, util=95.0, thr=0.9)
         rule = CongestionRule()
-        for s in (parent, child):
-            sample = KpiSample(0, s.prb_util, s.ip_throughput)
-            assert not evaluate_congestion(sample, rule)
+        for util, thr in self.split_with_r(65.0, util=95.0, thr=0.9):
+            assert not evaluate_congestion(KpiSample(0, util, thr), rule)
 
     def test_throughput_capped_at_zero_load_value(self):
-        parent, child = self.split_with_r(75.0, util=10.0, thr=9.0)
-        assert parent.ip_throughput == 10.0  # 9 * 10 / 2.5 = 36, capped
-        assert child.ip_throughput == pytest.approx(10.0)
-
-    def test_zero_load_split_uses_equal_shares(self):
-        policy = SplitPolicy(r_min=70.0, r_max=70.0)
-        parent, child, _ = split_cell(state(load=0.0, util=80.0), policy, hour=0,
-                                      rng=policy.rng(), child_cell_index=1)
-        parent, child = apply_split_effects(parent, child)
-        assert parent.prb_util == pytest.approx(40.0)
-        assert child.prb_util == pytest.approx(40.0)
+        (_, parent_thr), (_, child_thr) = self.split_with_r(75.0, util=10.0, thr=9.0)
+        assert parent_thr == 10.0  # 9 * 10 / 2.5 = 36, capped
+        assert child_thr == pytest.approx(10.0)
 
     def test_post_split_utilization_never_exceeds_pre_split(self):
         rng = np.random.Generator(np.random.PCG64(77))
         policy = SplitPolicy(seed=3)
         policy_rng = policy.rng()
-        for i in range(100):
+        for _ in range(100):
             util = float(rng.uniform(0, 100))
             thr = float(rng.uniform(0, 10))
             load = float(rng.uniform(1, 300))
-            parent, child, _ = split_cell(state(load=load, util=util, thr=thr), policy,
-                                          hour=0, rng=policy_rng, child_cell_index=i + 1)
-            parent, child = apply_split_effects(parent, child)
-            assert parent.prb_util <= util + 1e-12
-            assert child.prb_util <= util + 1e-12
+            r = draw_r(policy, policy_rng)
+            for new_util, _ in self.split_with_r(r, util, thr, load):
+                assert new_util <= util + 1e-12
 
 
 class TestHistogram:
