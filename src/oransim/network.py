@@ -93,6 +93,8 @@ class SimulatedNetwork:
             if series.cell.generation != 0:
                 raise ValueError("base series must be generation-0 cells")
             key = (series.cell.enb, series.cell.cell)
+            if key in self.cells:
+                raise ValueError(f"two base series for cell {series.cell.label()}")
             self.cells[key] = ActiveCell(
                 cell_id=series.cell, origin=key, load_fraction=1.0, created_at=0, column=column
             )

@@ -206,40 +206,26 @@ class CpmXapp:
     def __init__(self, log: EventLog):
         self.log = log
         self.deployment: A1Deployment | None = None
-        self._models: dict[CellKey, ForecastModel] = {}
-        self._digests: dict[CellKey, str] = {}
-        # the deployed models stacked per LstmConfig: (sorted keys, stack)
-        self._fleets: list[tuple[list[CellKey], ForecastModel]] = []
+        # the stack serving the deployment: (the digests by cell key it was
+        # built from, their sorted keys, the stacked models or None if empty)
+        self._fleet: tuple[dict[CellKey, str], list[CellKey], ForecastModel | None] = (
+            {}, [], None
+        )
 
     def receive_deployment(self, deployment: A1Deployment) -> None:
-        """Activate a deployment; take in only new or changed models.
-
-        The stacked fleets are rebuilt only when a model changed or a cell
-        left the deployment.
-        """
+        """Activate a deployment; restack only when its digests differ from
+        the stack's, that is when a model is new or changed or a cell left."""
         if self.deployment is not None and deployment.version <= self.deployment.version:
             raise ValueError(
                 f"deployment version must increase: {deployment.version} after "
                 f"{self.deployment.version}"
             )
-        changed = False
-        for cell_id, model in deployment.models.items():
-            key = (cell_id.enb, cell_id.cell)
-            digest = deployment.digests[cell_id]
-            if self._digests.get(key) != digest:
-                self._models[key] = model
-                self._digests[key] = digest
-                changed = True
-        dropped = self._models.keys() - {(c.enb, c.cell) for c in deployment.models}
-        for key in dropped:
-            del self._models[key], self._digests[key]
-        if changed or dropped:
-            groups: dict[LstmConfig, list[CellKey]] = {}
-            for key in sorted(self._models):
-                groups.setdefault(self._models[key].config, []).append(key)
-            self._fleets = [
-                (keys, stack_models([self._models[k] for k in keys])) for keys in groups.values()
-            ]
+        digests = {(c.enb, c.cell): digest for c, digest in deployment.digests.items()}
+        if digests != self._fleet[0]:
+            models = {(c.enb, c.cell): model for c, model in deployment.models.items()}
+            keys = sorted(models)
+            stack = stack_models([models[k] for k in keys]) if keys else None
+            self._fleet = (digests, keys, stack)
         self.deployment = deployment
 
     def infer(
@@ -253,37 +239,32 @@ class CpmXapp:
         ``windows`` maps each inferable cell to (current id, trailing raw
         window). Cells without a deployed model are skipped; every other
         cell maps to its (prb_util, ip_throughput) prediction and alarm.
-        Each fleet of stacked models runs one forward; a model whose cell
-        has no window rides along on a zero window, so the stack needs no
-        per-hour copy.
+        The stacked models run one forward; a model whose cell has no
+        window rides along on a zero window, so the stack needs no per-hour
+        copy.
         """
         if self.deployment is None:
             raise RuntimeError("no active A1 deployment")
+        digests, keys, fleet = self._fleet
         for key in sorted(windows):
             cell_id, window = windows[key]
-            if key in self._models and window.shape[0] != lookback:
+            if key in digests and window.shape[0] != lookback:
                 raise ValueError(
                     f"window for {cell_id.label()} has {window.shape[0]} hours, "
                     f"expected {lookback}"
                 )
-        preds: dict[CellKey, np.ndarray] = {}
-        for keys, fleet in self._fleets:
-            covered = [m for m, key in enumerate(keys) if key in windows]
-            if not covered:
-                continue
+        covered = [m for m, key in enumerate(keys) if key in windows]
+        results: dict[CellKey, tuple[np.ndarray, bool]] = {}
+        if covered:
             raw = np.zeros((len(keys), lookback, fleet.config.input_dim))
             for m in covered:
                 raw[m] = windows[keys[m]][1]
             out = predict_fleet(fleet, raw)
             if not np.isfinite(out).all():
                 raise ValueError(f"non-finite prediction for hour {hour}")
+            policy = self.deployment.policy
             for m in covered:
-                preds[keys[m]] = out[m]
-        policy = self.deployment.policy
-        results = {
-            key: (pred, bool(policy.congested(pred[0], pred[1])))
-            for key, pred in sorted(preds.items())
-        }
+                results[keys[m]] = (out[m], bool(policy.congested(out[m, 0], out[m, 1])))
         ids = [windows[key][0] for key in results]
         self.log.append(
             EventTag.INFERENCE,

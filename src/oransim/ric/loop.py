@@ -9,9 +9,11 @@ what the offline validator checks:
     Feedback -> Retrain*
 
 Training runs in the first cycle and again whenever feedback flags cells
-below the accuracy threshold (subject to a per-cell retrain cooldown). The
-A1 policy/model push is re-issued every cycle with a monotonically
-increasing version; unchanged models are recognized by digest at the xApp.
+below the accuracy threshold (subject to a per-cell retrain cooldown). Cells
+without a model (their history could not train yet) retry on the same
+cooldown, and every training round retries all of them. The A1 policy/model
+push is re-issued every cycle with a monotonically increasing version;
+unchanged models are recognized by digest at the xApp.
 Splits actuate immediately, so the hour being predicted is already served
 by the post-split cells (the preemptive remedy).
 """
@@ -178,9 +180,8 @@ def run_control_loop(
         end_hour=network.hour,
         terminated_early=False,
     )
-    pending_retrain: set[CellKey] = set()
+    due: set[CellKey] = set(network.active_keys())  # cells the next training round trains
     last_train_attempt: dict[CellKey, int] = {}
-    training_due = True
 
     start = network.hour
     end = start + horizon_hours
@@ -196,20 +197,16 @@ def run_control_loop(
             payload={"window_start": report.window_start, "n_samples": report.n_samples},
         )
 
-        # (3)(4) capability query + training when due
-        if training_due:
-            train_keys = set(pending_retrain)
-            train_keys.update(
-                k for k in network.active_keys() if not non_rt.has_model(k)
-            )
-            histories = {k: network.training_history(k) for k in sorted(train_keys)}
+        # (3)(4) capability query + training when due; a round also retries
+        # every cell that has no model yet
+        if due:
+            due.update(k for k in network.active_keys() if not non_rt.has_model(k))
+            histories = {k: network.training_history(k) for k in sorted(due)}
             failures = non_rt.train_and_update(histories, lstm_cfg, train_cfg, hour)
-            for k in train_keys:
-                last_train_attempt[k] = hour
+            last_train_attempt.update(dict.fromkeys(due, hour))
             if failures:
                 logger.info("cells excluded from deployment this round: %s", failures)
-            pending_retrain.clear()
-            training_due = False
+            due.clear()
 
         # (5) A1 policy/model push (hourly re-affirmation, new version)
         targets = {k: network.cells[k].cell_id for k in network.active_keys()}
@@ -272,34 +269,22 @@ def run_control_loop(
         feedbacks = xapp.feedback(evaluations, loop_cfg.retrain_accuracy_threshold, hour)
         result.final_feedback = feedbacks
 
-        flagged: list[CellKey] = []
-        for key in sorted(evaluations):
-            cell_id, acc = evaluations[key]
-            cooled = (
-                key not in last_train_attempt
-                or hour - last_train_attempt[key] >= loop_cfg.retrain_cooldown_hours
-            )
-            if acc < loop_cfg.retrain_accuracy_threshold and cooled:
-                flagged.append(key)
-        # cells with no model yet (e.g. failed earlier) retry on the same cadence
+        # mispredicted cells, and cells with no model yet, retrain once cooled
+        mispredicted = {(f.cell.enb, f.cell.cell) for f in feedbacks if f.misprediction}
         for key in network.active_keys():
-            if non_rt.has_model(key) or key in flagged:
-                continue
-            if (
+            if (key in mispredicted or not non_rt.has_model(key)) and (
                 key not in last_train_attempt
                 or hour - last_train_attempt[key] >= loop_cfg.retrain_cooldown_hours
             ):
-                flagged.append(key)
-        if flagged:
-            flagged.sort()
+                due.add(key)
+        if due:
+            flagged = [network.cells[k].cell_id for k in sorted(due)]
             log.append(
                 EventTag.RETRAIN,
                 hour=hour,
-                cells=[network.cells[k].cell_id for k in flagged],
-                payload={"cells": [network.cells[k].cell_id.label() for k in flagged]},
+                cells=flagged,
+                payload={"cells": [cell_id.label() for cell_id in flagged]},
             )
-            pending_retrain.update(flagged)
-            training_due = True
 
         hour += realize_n
         if loop_cfg.max_congested_hours is not None and _target_met(network, rule, loop_cfg):

@@ -58,6 +58,12 @@ class TestRealization:
         with pytest.raises(ValueError):
             SimulatedNetwork([a, b], throughput_cap=10.0)
 
+    def test_rejects_two_series_for_one_cell(self):
+        a = KpiSeries.from_arrays(CellId(0, 0), 0, [10.0, 10.0], [1.0, 1.0])
+        b = KpiSeries.from_arrays(CellId(0, 0), 0, [90.0, 90.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="two base series for cell e0c0g0"):
+            SimulatedNetwork([a, b], throughput_cap=10.0)
+
 
 class TestSplitEffects:
     def test_split_scales_util_and_throughput(self):

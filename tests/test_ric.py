@@ -16,6 +16,7 @@ from oransim.forecast import (
     accuracy,
     init_model,
     model_to_json,
+    param_arrays,
     predict_from_window,
 )
 from oransim.kpi import CellId, CongestionRule, KpiSample, KpiSeries, evaluate_congestion
@@ -139,8 +140,12 @@ class TestTrainingRound:
             assert deployment.digests[cell_id] == hashlib.sha256(blob).hexdigest()[:16]
         xapp = CpmXapp(EventLog())
         xapp.receive_deployment(deployment)
-        for key, cell_id in targets.items():
-            assert xapp._models[key] is deployment.models[cell_id]
+        _, keys, stack = xapp._fleet
+        assert keys == sorted(targets)
+        for m, key in enumerate(keys):
+            model = deployment.models[targets[key]]
+            for stacked, own in zip(param_arrays(stack), param_arrays(model)):
+                assert np.shares_memory(stacked[m], own)
 
 
 class TestXapp:
@@ -178,7 +183,7 @@ class TestXapp:
     def test_non_finite_prediction_is_an_error(self):
         net = flat_network(history=40)
         xapp, _ = self.deployed_xapp(net)
-        _, fleet = xapp._fleets[0]
+        _, _, fleet = xapp._fleet
         fleet.head.b[0, 0, 0] = np.nan  # the stack's array, viewed by the first model
         windows = {
             k: (net.cells[k].cell_id, net.trailing_window(k, TRAIN_TINY.lookback))
@@ -223,9 +228,9 @@ class TestXapp:
         histories = {k: net.series(k) for k in net.active_keys()}
         non_rt.train_and_update(histories, LSTM_TINY, TRAIN_TINY, hour=net.hour)
         check_infer(deploy(net.active_keys()), [(0, 0), (0, 1), (0, 2)])
-        fleets = xapp._fleets
+        fleet = xapp._fleet
         deploy(net.active_keys())
-        assert xapp._fleets is fleets  # no model changed, no cell dropped: no rebuild
+        assert xapp._fleet is fleet  # no model changed, no cell dropped: no rebuild
 
         # retrain one cell, split another; the child gets its parent's model
         retrain = TrainingConfig(epochs=2, lookback=lookback, seed=99)
@@ -425,24 +430,47 @@ def reference_evaluations(network, predictions, hour, feedback_window_hours):
     return evaluations
 
 
-class TestFeedbackPairing:
-    """Every cycle's feedback equals the list-based reference pairing, bit for bit."""
+def reference_retrain(evaluations, active_keys, has_model, last_train_attempt, hour,
+                      threshold, cooldown):
+    """The loop's former two-pass retrain flagging: cooled cells below the
+    threshold, then cooled cells with no model yet."""
+    flagged = []
+    for key in sorted(evaluations):
+        cell_id, acc = evaluations[key]
+        cooled = key not in last_train_attempt or hour - last_train_attempt[key] >= cooldown
+        if acc < threshold and cooled:
+            flagged.append(key)
+    for key in active_keys:
+        if has_model(key) or key in flagged:
+            continue
+        if key not in last_train_attempt or hour - last_train_attempt[key] >= cooldown:
+            flagged.append(key)
+    flagged.sort()
+    return flagged
 
-    @pytest.mark.parametrize(
-        "make_network, kwargs",
-        [
-            (lambda: congested_network(n_hours=120, history=40), dict(horizon=60, factor=4)),
-            (lambda: congested_network(n_hours=120, history=40),
-             dict(horizon=60, collection_period=3, feedback_window_hours=10)),
-            (lambda: congested_network(n_hours=120, history=40),
-             dict(horizon=60, collection_period=5, feedback_window_hours=12,
-                  split_cooldown_hours=0)),
-            (lambda: congested_network(n_hours=120, history=40),
-             dict(horizon=60, collection_period=2, max_congested_hours=0,
-                  target_window_hours=12)),
-        ],
-        ids=["splits", "period-3", "period-5", "early-stop"],
-    )
+
+FEEDBACK_LOOPS = pytest.mark.parametrize(
+    "make_network, kwargs",
+    [
+        (lambda: congested_network(n_hours=120, history=40), dict(horizon=60, factor=4)),
+        (lambda: congested_network(n_hours=120, history=40),
+         dict(horizon=60, collection_period=3, feedback_window_hours=10)),
+        (lambda: congested_network(n_hours=120, history=40),
+         dict(horizon=60, collection_period=5, feedback_window_hours=12,
+              split_cooldown_hours=0)),
+        (lambda: congested_network(n_hours=120, history=40),
+         dict(horizon=60, collection_period=2, max_congested_hours=0,
+              target_window_hours=12)),
+    ],
+    ids=["splits", "period-3", "period-5", "early-stop"],
+)
+
+
+class TestFeedbackPairing:
+    """Every cycle's feedback equals the list-based reference pairing, bit for
+    bit, and every cycle's retrain flags equal the two-pass reference rule."""
+
+    @FEEDBACK_LOOPS
     def test_matches_list_reference(self, make_network, kwargs):
         network = make_network()
         window = kwargs.get("feedback_window_hours", 24)
@@ -474,6 +502,94 @@ class TestFeedbackPairing:
         assert result.metrics["splits_issued"] >= 1
         assert result.terminated_early == ("max_congested_hours" in kwargs)
 
+    @FEEDBACK_LOOPS
+    def test_retrain_matches_two_pass_reference(self, make_network, kwargs):
+        network = make_network()
+        cooldown = 6  # tiny_loop's retrain_cooldown_hours
+        hosts, last_train_attempt, expected = {}, {}, {}
+        train, feedback = NonRtRic.train_and_update, CpmXapp.feedback
+
+        def recording_train(self, histories, lstm_cfg, train_cfg, hour):
+            hosts["non_rt"] = self
+            last_train_attempt.update(dict.fromkeys(histories, hour))
+            return train(self, histories, lstm_cfg, train_cfg, hour)
+
+        def recording_feedback(self, evaluations, threshold, hour):
+            flagged = reference_retrain(
+                evaluations, network.active_keys(), hosts["non_rt"].has_model,
+                last_train_attempt, hour, threshold, cooldown,
+            )
+            if flagged:
+                expected[hour] = [network.cells[k].cell_id for k in flagged]
+            return feedback(self, evaluations, threshold, hour)
+
+        with mock.patch.object(NonRtRic, "train_and_update", recording_train), \
+                mock.patch.object(CpmXapp, "feedback", recording_feedback):
+            result = tiny_loop(network, **kwargs)
+        got = {e.hour: list(e.cells) for e in result.log if e.tag == EventTag.RETRAIN}
+        assert got == expected
+        assert expected
+
+
+def keys_by_hour(result, tag):
+    """The cell keys each ``tag`` event names, by hour."""
+    return {e.hour: {(c.enb, c.cell) for c in e.cells} for e in result.log if e.tag == tag}
+
+
+class TestModelLessRetry:
+    """Cells split before the loop have no history to train on at first: they
+    retry on the retrain cooldown, and every training round retries them,
+    until they train and serve."""
+
+    @pytest.mark.parametrize("cooldown", [0, 3, 6])
+    def test_split_halves_retry_until_they_train(self, cooldown):
+        profile = SyntheticProfile(n_enb=1, cells_per_enb=3, n_days=6, seed=8)
+        network = SimulatedNetwork.from_profile(profile, history_hours=60)
+        policy = SplitPolicy(max_factor=4, seed=11)
+        event = network.split((0, 0), policy, policy.rng(), network.hour)
+        halves = [(0, 0), (event.child.enb, event.child.cell)]
+        result = run_control_loop(
+            network,
+            rule=CongestionRule(),
+            lstm_cfg=LSTM_TINY,
+            train_cfg=TrainingConfig(batch_size=8, epochs=2, lookback=6, seed=3),
+            loop_cfg=ControlLoopConfig(retrain_accuracy_threshold=95.0, max_split_factor=4,
+                                       retrain_cooldown_hours=cooldown),
+            split_policy=policy,
+            horizon_hours=24,
+        )
+        requests = keys_by_hour(result, EventTag.TRAIN_REQUEST)
+        trained = keys_by_hour(result, EventTag.TRAINED_MODEL)
+        inferred = keys_by_hour(result, EventTag.INFERENCE)
+        assert set(halves) <= requests[min(requests)] and min(requests) == 60
+        for key in halves:
+            tried = sorted(h for h, keys in requests.items() if key in keys)
+            first_trained = min(h for h, keys in trained.items() if key in keys)
+            assert tried[0] < first_trained
+            assert all(b - a >= cooldown for a, b in zip(tried, tried[1:]))
+            assert min(h for h, keys in inferred.items() if key in keys) == first_trained
+
+    def test_every_round_retries_model_less_cells(self):
+        # constant KPIs: cell 1 congests, is split at hour 40, and its child is
+        # split again at 46, where it mispredicts and triggers a round while
+        # the halves of cell 0, last tried at 40, are still cooling
+        n_hours = 96
+        base = [
+            KpiSeries.from_arrays(CellId(0, c), 0, [util] * n_hours, [thr] * n_hours)
+            for c, (util, thr) in enumerate([(96.0, 0.4), (96.0, 0.4), (31.0, 6.0)])
+        ]
+        network = SimulatedNetwork(base, throughput_cap=10.0, history_hours=40)
+        policy = SplitPolicy(max_factor=4, seed=11)
+        event = network.split((0, 0), policy, policy.rng(), network.hour)
+        halves = {(0, 0), (event.child.enb, event.child.cell)}
+        result = tiny_loop(network, horizon=12, factor=4, retrain_cooldown_hours=8)
+        requests = keys_by_hour(result, EventTag.TRAIN_REQUEST)
+        flagged = keys_by_hour(result, EventTag.RETRAIN)
+        trained = keys_by_hour(result, EventTag.TRAINED_MODEL)
+        first_trained = min(h for h, keys in trained.items() if halves <= keys)
+        rounds = sorted(h for h in requests if h <= first_trained)
+        assert all(halves <= requests[h] for h in rounds)
+        assert any(not halves & flagged[h - 1] for h in rounds[1:])
 
 class TestEventLog:
     def test_jsonl_round_trip(self):
