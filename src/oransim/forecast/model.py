@@ -18,6 +18,7 @@ for one step is
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +35,7 @@ __all__ = [
     "stack_models",
     "forward",
     "sigmoid",
+    "model_digest",
     "model_to_json",
     "model_from_json",
     "save_model",
@@ -97,6 +99,8 @@ class NormStats:
         object.__setattr__(self, "feature_max", hi)
         if lo.shape != hi.shape:
             raise ValueError("feature_min and feature_max must have the same shape")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError("feature_min and feature_max must be finite")
         if np.any(hi < lo):
             raise ValueError("feature_max must be >= feature_min per feature")
 
@@ -124,7 +128,12 @@ class ForecastModel:
     trained_epochs: int = 0
 
     def validate_shapes(self):
+        """Check every array's shape against the config, and that all are finite."""
         cfg = self.config
+        for name in ("feature_min", "feature_max"):
+            shape = getattr(self.norm, name).shape
+            if shape != (cfg.input_dim,):
+                raise ValueError(f"norm {name} shape {shape} != {(cfg.input_dim,)}")
         if len(self.layers) != cfg.n_layers:
             raise ValueError(f"expected {cfg.n_layers} layers, got {len(self.layers)}")
         h = cfg.units_per_layer
@@ -140,9 +149,9 @@ class ForecastModel:
             raise ValueError(f"head w shape {self.head.w.shape} != {(cfg.output_dim, h)}")
         if self.head.b.shape != (cfg.output_dim,):
             raise ValueError(f"head b shape {self.head.b.shape} != {(cfg.output_dim,)}")
-        for arr in param_arrays(self):
+        for arr in [self.norm.feature_min, self.norm.feature_max, *param_arrays(self)]:
             if not np.all(np.isfinite(arr)):
-                raise ValueError("model parameters must all be finite")
+                raise ValueError("model parameters and norm stats must all be finite")
 
 
 def param_arrays(model: ForecastModel) -> list[np.ndarray]:
@@ -315,6 +324,29 @@ def model_to_json(model: ForecastModel) -> str:
         "head": {"w": model.head.w.tolist(), "b": model.head.b.tolist()},
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def model_digest(model: ForecastModel) -> str:
+    """Content digest of a model: 16 hex digits of the sha256 of its canonical bytes.
+
+    The bytes are a JSON header (file format and version, the config fields
+    and ``trained_epochs``) followed by the little-endian float64 bytes of
+    the norm stats (min, then max) and of ``param_arrays``, in that order.
+    The header fixes every array's shape, so for valid models two digests
+    are equal exactly when the two ``model_to_json`` texts are, the sign of
+    a zero included, without formatting a float.
+    """
+    model.validate_shapes()
+    cfg = model.config
+    header = [
+        MODEL_FORMAT, MODEL_FORMAT_VERSION,
+        cfg.n_layers, cfg.units_per_layer, cfg.input_dim, cfg.output_dim,
+        model.trained_epochs,
+    ]
+    h = hashlib.sha256(json.dumps(header, separators=(",", ":")).encode("utf-8"))
+    for arr in [model.norm.feature_min, model.norm.feature_max, *param_arrays(model)]:
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return h.hexdigest()[:16]
 
 
 def model_from_json(text: str) -> ForecastModel:

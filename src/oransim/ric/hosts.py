@@ -7,7 +7,6 @@ when they act, which is what gives the log its per-cycle choreography.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 
 import numpy as np
@@ -17,7 +16,7 @@ from ..forecast import (
     InsufficientDataError,
     LstmConfig,
     TrainingConfig,
-    model_to_json,
+    model_digest,
     predict_fleet,
     stack_models,
     stack_width,
@@ -160,8 +159,7 @@ class NonRtRic:
         models, failures = train_cells(histories, lstm_cfg, train_cfg)
         for key, model in models.items():
             self._models[key] = model
-            blob = model_to_json(model).encode("utf-8")
-            self._digests[key] = hashlib.sha256(blob).hexdigest()[:16]
+            self._digests[key] = model_digest(model)
         trained_ids = [histories[k].cell for k in sorted(models)]
         self.log.append(
             EventTag.TRAINED_MODEL,

@@ -179,8 +179,9 @@ class A1Deployment:
     """Policy plus per-cell trained forecast models pushed over A1.
 
     Both RICs run in one process, so ``models`` maps the target cell to its
-    trained model itself; ``digests`` carries each model file's content
-    digest so the receiving xApp can skip restacking unchanged models.
+    trained model itself; ``digests`` carries each model's ``model_digest``,
+    equal exactly when the model files are, so the receiving xApp can skip
+    restacking unchanged models.
     """
 
     version: int

@@ -5,6 +5,8 @@ LSTM equations evaluated with scalar loops, independent of the vectorized
 implementation. Gradients are checked against central finite differences.
 """
 
+import copy
+import json
 import math
 
 import numpy as np
@@ -31,12 +33,14 @@ from oransim.forecast import (
     init_model,
     load_model,
     make_windows,
+    model_digest,
     model_from_json,
     model_to_json,
     mse_loss,
     param_arrays,
     predict_from_window,
     save_model,
+    stack_models,
     train,
 )
 from oransim.forecast.model import _lstm_stack, _write_params, sigmoid
@@ -636,12 +640,44 @@ class TestSerialization:
         with pytest.raises(ValueError):
             model_from_json('{"format": "something-else"}')
 
+    @pytest.mark.parametrize("field, value", [
+        ("feature_min", [0.0, float("nan")]),
+        ("feature_max", [1.0, float("inf")]),
+    ])
+    def test_rejects_non_finite_norm_stats(self, field, value):
+        doc = json.loads(model_to_json(small_model(seed=21)))
+        doc["norm"][field] = value
+        with pytest.raises(ValueError, match="finite"):
+            model_from_json(json.dumps(doc))
+
+    def test_rejects_norm_stats_of_the_wrong_width(self):
+        doc = json.loads(model_to_json(small_model(seed=22)))
+        doc["norm"] = {"feature_min": [0.0, 0.0, 0.0], "feature_max": [1.0, 1.0, 1.0]}
+        with pytest.raises(ValueError, match="norm feature_min shape"):
+            model_from_json(json.dumps(doc))
+
     def test_save_load_preserves_predictions(self, tmp_path):
         model = small_model(seed=19)
         window = rng_for(20).uniform(0, 1, size=(6, 2))
         path = tmp_path / "m.json"
         save_model(model, path)
         assert np.array_equal(forward(model, window), forward(load_model(path), window))
+
+
+class TestModelDigest:
+    def test_views_into_a_stack_digest_as_copies(self):
+        models = [small_model(seed=s) for s in (25, 26, 27)]
+        copies = copy.deepcopy(models)
+        stack = stack_models(models)
+        assert np.shares_memory(stack.layers[1].w_x, models[1].layers[1].w_x)
+        assert [model_digest(m) for m in models] == [model_digest(c) for c in copies]
+
+    def test_validates_first(self):
+        model = small_model(seed=28)
+        model.layers[0].w_h = model.layers[0].w_h.copy()
+        model.layers[0].w_h[0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            model_digest(model)
 
 
 class TestShapeInvariance:

@@ -20,12 +20,16 @@ from oransim.forecast import (
     clamp_prediction,
     forward,
     init_model,
+    model_digest,
+    model_from_json,
     model_to_json,
+    param_arrays,
     predict_fleet,
     stack_models,
     train,
 )
 from oransim.forecast import training
+from oransim.forecast.model import _write_params
 from oransim.kpi import (
     CellId,
     CongestionRule,
@@ -315,6 +319,79 @@ def test_fleet_forward_matches_each_model_alone(fleet):
     assert got.shape == (len(models), 2)
     for row, ref in zip(got, reference):
         assert np.array_equal(row, ref)
+
+
+def rebuilt(model, arrays=None, epochs=None):
+    """A copy of ``model`` with the given arrays (norm min, norm max, then
+    ``param_arrays`` order) or trained epochs in place of its own."""
+    arrays = arrays or [a.copy() for a in model_arrays(model)]
+    fresh = init_model(model.config, NormStats(arrays[0], arrays[1]), np.random.default_rng(0))
+    _write_params(fresh, arrays[2:])
+    fresh.trained_epochs = model.trained_epochs if epochs is None else epochs
+    return fresh
+
+
+def model_arrays(model):
+    return [model.norm.feature_min, model.norm.feature_max, *param_arrays(model)]
+
+
+@st.composite
+def perturbed_models(draw):
+    """A model and a copy of it with at most one change: one ulp of one float,
+    the sign of one zero, the trained epochs or one config field."""
+    config = LstmConfig(
+        n_layers=draw(st.integers(1, 2)), units_per_layer=draw(st.integers(1, 4)),
+        input_dim=draw(st.integers(1, 3)), output_dim=draw(st.integers(1, 3)),
+    )
+    lo = np.array([draw(st.floats(-1e3, 1e3)) for _ in range(config.input_dim)])
+    hi = lo + [draw(st.sampled_from([0.0]) | st.floats(1e-3, 1e3)) for _ in lo]
+    model = init_model(config, NormStats(lo, hi), np.random.default_rng(draw(st.integers(0, 999))))
+    model.trained_epochs = draw(st.integers(0, 50))
+    arrays = [a.copy() for a in model_arrays(model)]
+    kind = draw(st.sampled_from(["none", "ulp", "zero-sign", "epochs", "config"]))
+    if kind in ("ulp", "zero-sign"):
+        which = draw(st.integers(0, len(arrays) - 1))
+        at = draw(st.integers(0, arrays[which].size - 1))
+        if kind == "ulp":
+            # the norm min only falls and the max only rises, so min <= max holds
+            up = which == 1 or (which > 1 and draw(st.booleans()))
+            flat = arrays[which].reshape(-1)
+            flat[at] = np.nextafter(flat[at], np.inf if up else -np.inf)
+        else:
+            # both models get a zero there, of opposite signs; the other norm
+            # stat of that feature makes room for it
+            zero = draw(st.sampled_from([0.0, -0.0]))
+            arrays[which].reshape(-1)[at] = zero
+            if which == 0:
+                arrays[1][at] = max(arrays[1][at], 0.0)
+            elif which == 1:
+                arrays[0][at] = min(arrays[0][at], 0.0)
+            model = rebuilt(model, arrays=arrays)
+            arrays = [a.copy() for a in arrays]
+            arrays[which].reshape(-1)[at] = -zero
+    changed = rebuilt(model, arrays=arrays)
+    if kind == "epochs":
+        changed = rebuilt(model, epochs=model.trained_epochs + 1)
+    elif kind == "config":
+        field = draw(st.sampled_from([f.name for f in dataclasses.fields(LstmConfig)]))
+        other = dataclasses.replace(config, **{field: getattr(config, field) + 1})
+        width = other.input_dim
+        changed = init_model(
+            other, NormStats(np.resize(lo, width), np.resize(hi, width)),
+            np.random.default_rng(draw(st.integers(0, 999))),
+        )
+        changed.trained_epochs = model.trained_epochs
+    return model, changed, kind
+
+
+@PROPERTY
+@given(pair=perturbed_models())
+def test_model_digest_changes_exactly_when_the_model_file_does(pair):
+    model, changed, kind = pair
+    same_json = model_to_json(model) == model_to_json(changed)
+    assert same_json == (kind == "none")
+    assert (model_digest(model) == model_digest(changed)) == same_json
+    assert model_digest(model_from_json(model_to_json(changed))) == model_digest(changed)
 
 
 @st.composite

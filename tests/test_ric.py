@@ -1,6 +1,5 @@
 """Tests for the simulated control plane: hosts, messages, and the loop."""
 
-import hashlib
 import json
 from collections import defaultdict
 from unittest import mock
@@ -15,7 +14,7 @@ from oransim.forecast import (
     TrainingConfig,
     accuracy,
     init_model,
-    model_to_json,
+    model_digest,
     param_arrays,
     predict_from_window,
 )
@@ -136,8 +135,7 @@ class TestTrainingRound:
         assert not any(isinstance(v, (bytes, str)) and len(v) > 16 for v in held)
         for cell_id, model in deployment.models.items():
             assert isinstance(model, ForecastModel)
-            blob = model_to_json(model).encode("utf-8")
-            assert deployment.digests[cell_id] == hashlib.sha256(blob).hexdigest()[:16]
+            assert deployment.digests[cell_id] == model_digest(model)
         xapp = CpmXapp(EventLog())
         xapp.receive_deployment(deployment)
         _, keys, stack = xapp._fleet
