@@ -13,8 +13,7 @@ explicitly, so one integer pins the entire pipeline.
 from __future__ import annotations
 
 import json
-import typing
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .forecast import LstmConfig, TrainingConfig, derive_seed
@@ -22,6 +21,7 @@ from .kpi import CongestionRule
 from .ric import ControlLoopConfig
 from .splitting import SplitPolicy
 from .traffic import DatasetSchema, SyntheticProfile
+from .typedjson import build, check_keys, check_type, check_unsigned, read_fields
 
 __all__ = ["ScenarioConfig", "derive_seed", "load_config", "config_from_dict"]
 
@@ -33,51 +33,12 @@ _SEED_DOMAIN_SPLIT = 2
 DEFAULT_HORIZON_HOURS = 168
 
 
-def _check_keys(section: str, obj: dict, allowed: set[str]) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValueError(f"unknown keys in {section}: {sorted(unknown)}")
-
-
-def _check_type(path: str, value, hint) -> None:
-    """Reject a JSON value whose type is not the annotation ``hint``.
-
-    ``int`` takes no bool or float, ``float`` takes an int but no bool, and
-    ``X | None`` also takes null.
-    """
-    allowed = typing.get_args(hint) or (hint,)
-    if not any(type(value) in ((int, float) if t is float else (t,)) for t in allowed):
-        names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
-        raise ValueError(f"{path} must be {names}, got {value!r}")
-
-
-def _check_seed(path: str, value: int) -> None:
-    """Reject a negative seed here, where the key path is known.
-
-    numpy's ``SeedSequence`` would otherwise fail later, naming no key.
-    """
-    if value < 0:
-        raise ValueError(f"{path} must be a non-negative integer, got {value}")
-
-
-def _kwargs(cls, path: str, section) -> dict:
-    """Keyword arguments of dataclass ``cls`` from a config section.
-
-    Keys must be fields of ``cls``; each value must have the type of the
-    field's annotation, and a dataclass-typed field is built recursively.
-    """
-    _check_type(path, section, dict)
-    _check_keys(path, section, {f.name for f in fields(cls)})
-    hints = typing.get_type_hints(cls)
-    out = {}
-    for key, value in section.items():
-        hint = hints[key]
-        if is_dataclass(hint):
-            out[key] = hint(**_kwargs(hint, f"{path}.{key}", value))
-        else:
-            _check_type(f"{path}.{key}", value, hint)
-            out[key] = value
-    return out
+def _section(cls, path: str, section, **defaults):
+    """Dataclass ``cls`` from a config section; ``defaults`` fill the keys it leaves out."""
+    kwargs = {**defaults, **read_fields(cls, path, section)}
+    if "seed" in kwargs:  # the dataclass's own check would not name the key path
+        check_unsigned(f"{path}.seed", kwargs["seed"])
+    return build(cls, path, kwargs)
 
 
 @dataclass(frozen=True)
@@ -119,59 +80,38 @@ class ScenarioConfig:
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
     """Build a resolved config from a (possibly sparse) JSON document."""
-    _check_keys(
+    check_keys(
         "config",
         doc,
         {"master_seed", "horizon_hours", "traffic", "schema", "rule", "lstm",
          "training", "loop", "split"},
     )
     master_seed = doc.get("master_seed", 0)
-    _check_type("master_seed", master_seed, int)
-    _check_seed("master_seed", master_seed)
+    check_unsigned("master_seed", master_seed)  # else SeedSequence fails later, naming no key
     horizon_hours = doc.get("horizon_hours", DEFAULT_HORIZON_HOURS)
-    _check_type("horizon_hours", horizon_hours, int)
+    check_type("horizon_hours", horizon_hours, int)
 
     traffic = doc.get("traffic", {"synthetic": {}})
-    _check_type("traffic", traffic, dict)
-    _check_keys("traffic", traffic, {"synthetic", "csv"})
+    check_keys("traffic", traffic, {"synthetic", "csv"})
     if "synthetic" in traffic and "csv" in traffic:
         raise ValueError("traffic must be either synthetic or csv, not both")
-    profile = None
-    csv_path = None
+    profile = csv_path = None
     if "csv" in traffic:
-        csv_section = traffic["csv"]
-        _check_type("traffic.csv", csv_section, dict)
-        _check_keys("traffic.csv", csv_section, {"path"})
-        csv_path = csv_section.get("path")
-        _check_type("traffic.csv.path", csv_path, str)
+        check_keys("traffic.csv", traffic["csv"], {"path"})
+        csv_path = traffic["csv"].get("path")
+        check_type("traffic.csv.path", csv_path, str)
     else:
-        synth = _kwargs(SyntheticProfile, "traffic.synthetic", traffic.get("synthetic", {}))
-        _check_seed(
-            "traffic.synthetic.seed",
-            synth.setdefault("seed", derive_seed(master_seed, _SEED_DOMAIN_TRAFFIC)),
-        )
-        profile = SyntheticProfile(**synth)
-
-    schema = DatasetSchema(**_kwargs(DatasetSchema, "schema", doc.get("schema", {})))
-    rule = CongestionRule(**_kwargs(CongestionRule, "rule", doc.get("rule", {})))
-    lstm = LstmConfig(**_kwargs(LstmConfig, "lstm", doc.get("lstm", {})))
-
-    training_section = _kwargs(TrainingConfig, "training", doc.get("training", {}))
-    _check_seed(
-        "training.seed",
-        training_section.setdefault("seed", derive_seed(master_seed, _SEED_DOMAIN_TRAINING)),
-    )
-    training = TrainingConfig(**training_section)
-
-    split_section = _kwargs(SplitPolicy, "split", doc.get("split", {}))
-    _check_seed(
-        "split.seed", split_section.setdefault("seed", derive_seed(master_seed, _SEED_DOMAIN_SPLIT))
-    )
-    split = SplitPolicy(**split_section)
-
-    loop_section = _kwargs(ControlLoopConfig, "loop", doc.get("loop", {}))
-    loop_section.setdefault("max_split_factor", split.max_factor)
-    loop = ControlLoopConfig(**loop_section)
+        profile = _section(SyntheticProfile, "traffic.synthetic", traffic.get("synthetic", {}),
+                           seed=derive_seed(master_seed, _SEED_DOMAIN_TRAFFIC))
+    schema = _section(DatasetSchema, "schema", doc.get("schema", {}))
+    rule = _section(CongestionRule, "rule", doc.get("rule", {}))
+    lstm = _section(LstmConfig, "lstm", doc.get("lstm", {}))
+    training = _section(TrainingConfig, "training", doc.get("training", {}),
+                        seed=derive_seed(master_seed, _SEED_DOMAIN_TRAINING))
+    split = _section(SplitPolicy, "split", doc.get("split", {}),
+                     seed=derive_seed(master_seed, _SEED_DOMAIN_SPLIT))
+    loop = _section(ControlLoopConfig, "loop", doc.get("loop", {}),
+                    max_split_factor=split.max_factor)
 
     return ScenarioConfig(
         master_seed=master_seed,

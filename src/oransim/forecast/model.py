@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
+
+from ..typedjson import build, check_keys, check_type, check_unsigned, read_fields
 
 __all__ = [
     "LstmConfig",
@@ -44,6 +46,7 @@ __all__ = [
 
 MODEL_FORMAT = "oransim-forecast-model"
 MODEL_FORMAT_VERSION = 1
+_MODEL_KEYS = {"format", "format_version", "config", "norm", "trained_epochs", "layers", "head"}
 
 
 def sigmoid(x):
@@ -306,22 +309,11 @@ def model_to_json(model: ForecastModel) -> str:
     doc = {
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
-        "config": {
-            "n_layers": model.config.n_layers,
-            "units_per_layer": model.config.units_per_layer,
-            "input_dim": model.config.input_dim,
-            "output_dim": model.config.output_dim,
-        },
-        "norm": {
-            "feature_min": model.norm.feature_min.tolist(),
-            "feature_max": model.norm.feature_max.tolist(),
-        },
+        "config": asdict(model.config),
+        "norm": _lists(model.norm),
         "trained_epochs": model.trained_epochs,
-        "layers": [
-            {"w_x": layer.w_x.tolist(), "w_h": layer.w_h.tolist(), "b": layer.b.tolist()}
-            for layer in model.layers
-        ],
-        "head": {"w": model.head.w.tolist(), "b": model.head.b.tolist()},
+        "layers": [_lists(layer) for layer in model.layers],
+        "head": _lists(model.head),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -337,41 +329,42 @@ def model_digest(model: ForecastModel) -> str:
     a zero included, without formatting a float.
     """
     model.validate_shapes()
-    cfg = model.config
-    header = [
-        MODEL_FORMAT, MODEL_FORMAT_VERSION,
-        cfg.n_layers, cfg.units_per_layer, cfg.input_dim, cfg.output_dim,
-        model.trained_epochs,
-    ]
+    header = [MODEL_FORMAT, MODEL_FORMAT_VERSION, *astuple(model.config), model.trained_epochs]
     h = hashlib.sha256(json.dumps(header, separators=(",", ":")).encode("utf-8"))
     for arr in [model.norm.feature_min, model.norm.feature_max, *param_arrays(model)]:
         h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return h.hexdigest()[:16]
 
 
+def _lists(params) -> dict:
+    """A ``LayerParams``, ``HeadParams`` or ``NormStats`` as nested lists, keyed by field."""
+    return {f.name: getattr(params, f.name).tolist() for f in fields(params)}
+
+
+def _params(cls, path: str, section):
+    """The ``_lists`` form read back: each field a float64 array."""
+    names = {f.name for f in fields(cls)}
+    check_keys(path, section, names, required=True)
+    return build(cls, path, {name: np.array(section[name], dtype=np.float64) for name in names})
+
+
 def model_from_json(text: str) -> ForecastModel:
+    """Parse a ``model_to_json`` text; a mistyped, missing or unknown key raises ValueError."""
     doc = json.loads(text)
+    check_type("model", doc, dict)
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a forecast model file (format={doc.get('format')!r})")
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {doc.get('format_version')!r}")
-    config = LstmConfig(**doc["config"])
-    layers = [
-        LayerParams(
-            np.array(layer["w_x"], dtype=np.float64),
-            np.array(layer["w_h"], dtype=np.float64),
-            np.array(layer["b"], dtype=np.float64),
-        )
-        for layer in doc["layers"]
-    ]
-    head = HeadParams(
-        np.array(doc["head"]["w"], dtype=np.float64),
-        np.array(doc["head"]["b"], dtype=np.float64),
-    )
-    norm = NormStats(
-        np.array(doc["norm"]["feature_min"], dtype=np.float64),
-        np.array(doc["norm"]["feature_max"], dtype=np.float64),
-    )
+    check_keys("model", doc, _MODEL_KEYS, required=True)
+    check_type("format_version", doc["format_version"], int)
+    if doc["format_version"] != MODEL_FORMAT_VERSION:
+        raise ValueError(f"unsupported model format version {doc['format_version']!r}")
+    config_fields = read_fields(LstmConfig, "config", doc["config"], required=True)
+    config = build(LstmConfig, "config", config_fields)
+    check_unsigned("trained_epochs", doc["trained_epochs"])
+    check_type("layers", doc["layers"], list)
+    layers = [_params(LayerParams, f"layers[{l}]", layer) for l, layer in enumerate(doc["layers"])]
+    head = _params(HeadParams, "head", doc["head"])
+    norm = _params(NormStats, "norm", doc["norm"])
     model = ForecastModel(config, layers, head, norm, trained_epochs=doc["trained_epochs"])
     model.validate_shapes()
     return model

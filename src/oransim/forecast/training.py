@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..kpi import CellId, KpiSample, KpiSeries
+from ..kpi import KpiSample, KpiSeries
 from .model import (
     ForecastModel,
     LstmConfig,
@@ -126,7 +126,6 @@ class WindowedDataset:
 
     inputs: np.ndarray
     targets: np.ndarray
-    provenance: tuple[tuple[CellId, int], ...]  # (cell, window start hour)
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -161,8 +160,7 @@ def make_windows(series: KpiSeries, cfg: TrainingConfig, norm: NormStats) -> Win
     values = norm.normalize(raw)
     inputs = np.stack([values[i : i + cfg.lookback] for i in range(n)])
     targets = values[cfg.lookback :].copy()
-    provenance = tuple((series.cell, series.start + i) for i in range(n))
-    return WindowedDataset(inputs, targets, provenance)
+    return WindowedDataset(inputs, targets)
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import compress, islice
@@ -47,6 +46,8 @@ _WEEKLY_AMPLITUDE = 0.05
 # Dataset CSV rows parsed per column-wise batch on ingest: bounds the rows held as
 # Python strings at once, whatever the file size.
 _INGEST_CHUNK_ROWS = 2048
+# ASCII characters that ``float`` skips around or between digits; KPI fields may hold none.
+_FLOAT_SKIPS = "_ \t\n\r\v\f"
 
 
 @dataclass(frozen=True)
@@ -133,8 +134,12 @@ class DatasetSchema:
                 f"timestamp_format must be 'iso8601' or 'hours', got "
                 f"{self.timestamp_format!r}"
             )
-        if datetime.fromisoformat(self.epoch).tzinfo is not None:
-            raise ValueError(f"epoch must carry no timezone, got {self.epoch!r}")
+        try:
+            naive = datetime.fromisoformat(self.epoch).tzinfo is None
+        except ValueError:
+            naive = False
+        if not naive:
+            raise ValueError(f"epoch must be ISO-8601 with no timezone, got {self.epoch!r}")
 
     @property
     def columns(self) -> list[str]:
@@ -191,21 +196,26 @@ def _format_timestamp(hour: int, schema: DatasetSchema) -> str:
     return stamp.isoformat(timespec="minutes")
 
 
-def _parse_timestamp(text: str, schema: DatasetSchema, row: int) -> float:
-    """Timestamp cell -> hours since schema epoch (possibly fractional)."""
+def _parse_timestamp(text: str, schema: DatasetSchema) -> float:
+    """Timestamp text -> hours since schema epoch (possibly fractional).
+
+    An hour offset must match ``-?[0-9]+``; ``fromisoformat`` already rejects
+    padding and non-ASCII digits. A ValueError's message is the reason.
+    """
     if schema.timestamp_format == "hours":
+        digits = text[1:] if text[:1] == "-" else text
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"unparsable hour offset {text!r}")
         try:
             return float(int(text))
-        except ValueError:
-            raise IngestError(row, f"unparsable hour offset {text!r}") from None
-        except OverflowError:
-            raise IngestError(row, f"hour offset out of range {text!r}") from None
+        except (OverflowError, ValueError):  # past the float range, or int()'s digit limit
+            raise ValueError(f"hour offset out of range {text!r}") from None
     try:
         stamp = datetime.fromisoformat(text)
     except ValueError:
-        raise IngestError(row, f"unparsable ISO-8601 timestamp {text!r}") from None
+        raise ValueError(f"unparsable ISO-8601 timestamp {text!r}") from None
     if stamp.tzinfo is not None:
-        raise IngestError(row, f"timezone-qualified timestamp {text!r}")
+        raise ValueError(f"timezone-qualified timestamp {text!r}")
     delta = stamp - datetime.fromisoformat(schema.epoch)
     return delta.total_seconds() / 3600.0
 
@@ -239,38 +249,13 @@ def _decode(source) -> str:
     try:
         return bytes(raw).decode("utf-8")
     except UnicodeDecodeError as exc:
-        reason = f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}"
-        escaped = bytes(raw).decode("utf-8", "surrogateescape")
+        # the byte's record is the last one of the text before it plus one character
+        head = io.StringIO(exc.object[: exc.start].decode("utf-8") + "x")
         try:
-            for row_no, row in enumerate(csv.reader(io.StringIO(escaped)), start=1):
-                # surrogateescape leaves each undecodable byte as U+DC80..U+DCFF
-                if re.search("[\udc80-\udcff]", "".join(row)):
-                    raise IngestError(row_no, reason) from None
+            row = sum(1 for _ in csv.reader(head))
         except csv.Error:
-            pass
-        raise IngestError(raw.count(b"\n", 0, exc.start) + 1, reason) from None
-
-
-def _check_rows(chunk: list[list[str]], first_row: int, width: int, cols: list[int],
-                schema: DatasetSchema) -> None:
-    """Raise the IngestError of the first malformed row of ``chunk``, in file order."""
-    enb_i, cell_i, time_i, prb_i, thr_i = cols
-    for row_no, row in enumerate(chunk, start=first_row):
-        if not row:
-            continue
-        if len(row) < width:
-            raise IngestError(row_no, f"expected {width} fields, got {len(row)}")
-        try:
-            int(row[enb_i])
-            int(row[cell_i])
-        except ValueError:
-            raise IngestError(row_no, "unparsable eNB/cell index") from None
-        _parse_timestamp(row[time_i], schema, row_no)
-        try:
-            float(row[prb_i])
-            float(row[thr_i])
-        except ValueError:
-            raise IngestError(row_no, "unparsable KPI value") from None
+            row = raw.count(b"\n", 0, exc.start) + 1
+        raise IngestError(row, f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}") from None
 
 
 def _parse_chunk(chunk, first_row, width, cols, schema, cell_codes, stamp_hours):
@@ -278,7 +263,11 @@ def _parse_chunk(chunk, first_row, width, cols, schema, cell_codes, stamp_hours)
 
     ``cell_codes`` and ``stamp_hours`` map each distinct (enb, cell) and
     timestamp text seen so far to its code and its hours, so each distinct
-    timestamp is parsed once per file. Returns None if any row is malformed.
+    timestamp is parsed once per file. Fields must match one ASCII grammar:
+    indices ``[0-9]+``, KPIs Python's float literal without padding or ``_``,
+    stamps as ``_parse_timestamp`` reads them. A malformed chunk returns the
+    reason of its first failing check; checks run in the order of a row's
+    fields, so for a one-row chunk that is the row's own first fault.
     """
     lengths = np.fromiter(map(len, chunk), np.int64, len(chunk))
     filled = lengths > 0
@@ -287,19 +276,31 @@ def _parse_chunk(chunk, first_row, width, cols, schema, cell_codes, stamp_hours)
         chunk = list(compress(chunk, filled))
     n = len(chunk)
     if n and lengths[filled].min() < width:
-        return None
+        return f"expected {width} fields, got {lengths[filled].min()}"
     enbs, cells, stamps, prbs, thrs = (list(map(itemgetter(i), chunk)) for i in cols)
+    indices = "".join(enbs + cells)
+    if indices and not (indices.isascii() and indices.isdigit()):
+        return "unparsable eNB/cell index"
     try:
         keys = list(zip(map(int, enbs), map(int, cells)))
-        for key in set(keys).difference(cell_codes):
-            cell_codes[key] = len(cell_codes)
+    except ValueError:  # an empty index, or more digits than int() converts
+        return "unparsable eNB/cell index"
+    for key in set(keys).difference(cell_codes):
+        cell_codes[key] = len(cell_codes)
+    try:
         for text in set(stamps).difference(stamp_hours):
-            stamp_hours[text] = _parse_timestamp(text, schema, 0)
-        values = np.empty((n, 2))
+            stamp_hours[text] = _parse_timestamp(text, schema)
+    except ValueError as exc:
+        return str(exc)
+    kpis = "".join(prbs + thrs)
+    if not kpis.isascii() or any(c in kpis for c in _FLOAT_SKIPS):
+        return "unparsable KPI value"
+    values = np.empty((n, 2))
+    try:
         values[:, 0] = np.fromiter(map(float, prbs), np.float64, n)
         values[:, 1] = np.fromiter(map(float, thrs), np.float64, n)
     except ValueError:
-        return None
+        return "unparsable KPI value"
     codes = np.fromiter(map(cell_codes.__getitem__, keys), np.int64, n)
     hours = np.fromiter(map(stamp_hours.__getitem__, stamps), np.float64, n)
     return codes, hours, values, row_nos
@@ -310,12 +311,13 @@ def ingest_csv(source, schema: DatasetSchema = DatasetSchema()) -> list[KpiSerie
 
     ``source`` is bytes or a binary/text file object. Rows are grouped by
     (enb, cell), sorted by time, and converted to integer hour offsets from
-    the earliest timestamp in the file. Any malformed row, undecodable byte,
-    out-of-range value, duplicate hour, or gap in a cell's hourly grid raises
-    IngestError naming the row.
+    the earliest timestamp in the file. Any malformed row or CSV record,
+    undecodable byte, out-of-range value, duplicate hour, or gap in a cell's
+    hourly grid raises IngestError naming the row.
 
     Rows are parsed column-wise in chunks of ``_INGEST_CHUNK_ROWS``; a chunk
-    holding a malformed row is rescanned row by row to name the first one.
+    holding a malformed row is parsed again one row at a time to name the
+    first one.
     """
     reader = csv.reader(io.StringIO(_decode(source)))
     try:
@@ -329,27 +331,33 @@ def ingest_csv(source, schema: DatasetSchema = DatasetSchema()) -> list[KpiSerie
 
     cell_codes: dict[tuple[int, int], int] = {}
     stamp_hours: dict[str, float] = {}
+    args = (width, cols, schema, cell_codes, stamp_hours)
     parts = []
     next_row = 2
     while True:
         chunk: list[list[str]] = []
+        unread = None
         try:
             chunk.extend(islice(reader, _INGEST_CHUNK_ROWS))
-        except csv.Error:
-            # rows before the one csv cannot read keep their own errors
-            _check_rows(chunk, next_row, width, cols, schema)
-            raise
-        if not chunk:
+        except csv.Error as exc:
+            unread = IngestError(next_row + len(chunk), str(exc))
+        if not chunk and unread is None:
             break
-        part = _parse_chunk(chunk, next_row, width, cols, schema, cell_codes, stamp_hours)
-        if part is None:
-            _check_rows(chunk, next_row, width, cols, schema)
-            raise AssertionError("chunk failed to parse but every row is well-formed")
+        part = _parse_chunk(chunk, next_row, *args)
+        if isinstance(part, str) or unread is not None:
+            # a chunk fails exactly when one of its rows does; rows before a
+            # record csv cannot read keep their own errors
+            for row_no, row in enumerate(chunk, start=next_row):
+                if isinstance(reason := _parse_chunk([row], row_no, *args), str):
+                    raise IngestError(row_no, reason)
+            raise unread
         parts.append(part)
         next_row += len(chunk)
     if not cell_codes:
         return []
-    return _series_from_columns(*(np.concatenate(c) for c in zip(*parts)), cell_codes)
+    columns = [np.concatenate(c) for c in zip(*parts)]
+    del parts  # free the chunks' arrays before the grid check allocates its own
+    return _series_from_columns(*columns, cell_codes)
 
 
 def _series_from_columns(codes, hours, values, row_nos, cell_codes) -> list[KpiSeries]:
@@ -372,38 +380,25 @@ def _series_from_columns(codes, hours, values, row_nos, cell_codes) -> list[KpiS
         offset = np.rint(rel)
         step = np.diff(offset, prepend=np.nan)
         step[bounds[:-1]] = 1.0  # a cell's first row has no predecessor
-        bad = (
-            ~np.isfinite(rel)
-            | (np.abs(rel - offset) > 1e-9)
-            | (step != 1.0)
-            | ~((prb >= 0.0) & (prb <= 100.0))
-            | ~(np.isfinite(thr) & (thr >= 0.0))
-        )
-    first_bad = int(np.argmax(bad)) if bad.any() else len(rel)
-
-    out = []
-    for (enb, cell), lo, hi in zip(keys, bounds[:-1], bounds[1:]):
-        if first_bad < hi:
-            i = first_bad
-            prev = None if i == lo else int(offset[i - 1])
-            reason = _violation(enb, cell, float(rel[i]), prev, float(prb[i]), float(thr[i]))
-            raise IngestError(int(row_nos[i]), reason)
-        out.append(KpiSeries(CellId(enb, cell), int(offset[lo]), values[lo:hi]))
-    return out
-
-
-def _violation(enb, cell, rel, prev, prb, thr) -> str:
-    """Reason for the first failing check of one row; ``prev`` is the cell's previous offset."""
-    if not np.isfinite(rel):
-        return f"hour offset out of range ({rel}h)"
-    offset = round(rel)
-    if abs(rel - offset) > 1e-9:
-        return f"timestamp not on the hourly grid ({rel}h)"
-    if prev is not None:
-        if offset == prev:
-            return f"duplicate sample for cell ({enb},{cell}) at hour {offset}"
-        if offset != prev + 1:
-            return f"gap in hourly grid for cell ({enb},{cell}): hour {prev} followed by {offset}"
-    if not (0.0 <= prb <= 100.0):
-        return f"prb_util out of range [0, 100]: {prb}"
-    return f"ip_throughput must be finite and >= 0: {thr}"
+        checks = [  # (rows failing it, reason), in the order a row-by-row scan checks a row
+            (~np.isfinite(rel), "hour offset out of range ({rel}h)"),
+            (np.abs(rel - offset) > 1e-9, "timestamp not on the hourly grid ({rel}h)"),
+            (step == 0.0, "duplicate sample for cell ({enb},{cell}) at hour {offset:.0f}"),
+            (step != 1.0, "gap in hourly grid for cell ({enb},{cell}): "
+                          "hour {prev:.0f} followed by {offset:.0f}"),
+            (~((prb >= 0.0) & (prb <= 100.0)), "prb_util out of range [0, 100]: {prb}"),
+            (~(np.isfinite(thr) & (thr >= 0.0)), "ip_throughput must be finite and >= 0: {thr}"),
+        ]
+    bad = np.logical_or.reduce([failed for failed, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        reason = next(reason for failed, reason in checks if failed[i])
+        enb, cell = keys[cell_rank[i]]
+        raise IngestError(int(row_nos[i]), reason.format(
+            enb=enb, cell=cell, rel=float(rel[i]), offset=offset[i], prev=offset[i - 1],
+            prb=float(prb[i]), thr=float(thr[i]),
+        ))
+    return [
+        KpiSeries(CellId(*key), int(offset[lo]), values[lo:hi])
+        for key, lo, hi in zip(keys, bounds[:-1], bounds[1:])
+    ]

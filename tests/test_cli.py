@@ -125,6 +125,16 @@ class TestGenerate:
         assert main(["generate", "-c", str(cfg), "-o", str(tmp_path / "x")]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, message", [
+        ({"lstm": {"n_layers": 0}}, "lstm: n_layers must be >= 1, got 0"),
+        ({"schema": {"epoch": "noon"}},
+         "schema: epoch must be ISO-8601 with no timezone, got 'noon'"),
+    ])
+    def test_invalid_section_exits_one_naming_it(self, tmp_path, capsys, section, message):
+        cfg = write_config(tmp_path, {**TINY, **section})
+        assert main(["generate", "-c", str(cfg), "-o", str(tmp_path / "x")]) == 1
+        assert f"error: {message}\n" == capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "path, value",
         [
@@ -198,6 +208,8 @@ class TestTrain:
         ("hours", ["0", "1", "9" * 400], b"50.0", "row 4: hour offset out of range"),
         ("iso8601", ["2000-01-01T00:00", "2000-01-01T01:00", "2000-01-01T02:00"], b"5\xff.0",
          "row 4: invalid UTF-8 byte 0xff"),
+        ("iso8601", ["2000-01-01T00:00", "2000-01-01T01:00", "2000-01-01T02:00"],
+         b'"' + b"5" * 200_000 + b'"', "row 4: field larger than field limit (131072)"),
     ])
     def test_bad_dataset_row_exits_one_naming_row(self, tmp_path, capsys, timestamp_format,
                                                   stamps, kpi, message):

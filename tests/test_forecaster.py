@@ -471,7 +471,6 @@ class TestWindows:
         for i in range(len(windows)):
             assert np.array_equal(windows.inputs[i], values[i : i + 4])
             assert np.array_equal(windows.targets[i], values[i + 4])
-            assert windows.provenance[i] == (series.cell, i)
 
     def test_constant_series_normalizes_to_equal_inputs(self):
         series = series_from_arrays([50.0] * 30, [2.0] * 30)

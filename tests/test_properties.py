@@ -5,6 +5,8 @@ suite draws the same examples.
 """
 
 import dataclasses
+import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -100,11 +102,12 @@ def test_export_matches_seed_bytes(timestamp_format, fleet, data):
 
 # Field texts that break a row, a cell's grid or a KPI bound, or that parse despite looking odd.
 ODD_TEXT = {
-    "index": ["x", "", "-1", " 2", "1.5", "+1", "7" * 25],
+    "index": ["x", "", "-1", " 2", "1.5", "+1", "7" * 25, "\u0663", "1_0", " 5 "],
     "iso8601": ["noon", "", "2000-01-01T00:00+01:00", "2000-01-01T00:30", "2000-01-01T01:00:00.5",
                 "1999-12-31T23:00", "2000-01-01 03:00", "2000-01-01", "2000-01-01T02"],
     "hours": ["x", "", "1.5", "-3", " 7", "+2", "100000"],
-    "kpi": ["nan", "inf", "-inf", "-1", "100.5", "abc", "1e400", "", "-0.0", " 5 ", "1_0"],
+    "kpi": ["nan", "inf", "-inf", "-1", "100.5", "abc", "1e400", "", "-0.0", " 5 ", "1_0",
+            "\u0663", "+1"],
 }
 MUTATIONS = ["shuffle", "blank", "blank", "quote", "extra_column", "extra_field", "reorder",
              "short", "field", "field", "field", "duplicate", "drop"]
@@ -392,6 +395,39 @@ def test_model_digest_changes_exactly_when_the_model_file_does(pair):
     assert same_json == (kind == "none")
     assert (model_digest(model) == model_digest(changed)) == same_json
     assert model_digest(model_from_json(model_to_json(changed))) == model_digest(changed)
+
+
+CONFIG_FIELDS = [f.name for f in dataclasses.fields(LstmConfig)]
+# (key path of one model-file field, its edited value or DELETE, the key the error names)
+DELETE = object()
+MODEL_FILE_EDITS = (
+    [(("trained_epochs",), v, "trained_epochs") for v in ["abc", -3, 2.5, True, None]]
+    + [(("format_version",), True, "format_version")]
+    + [(("config", f), v, f"config.{f}") for f in CONFIG_FIELDS for v in [1.0, "2"]]
+    + [(("config", f), DELETE, f) for f in CONFIG_FIELDS]
+    + [((k,), DELETE, k) for k in ["config", "norm", "trained_epochs", "layers", "head"]]
+    + [((*parents, "extra"), 1, "extra") for parents in [(), ("config",), ("head",)]]
+)
+
+
+@pytest.mark.parametrize("edit", MODEL_FILE_EDITS,
+                         ids=[".".join(path) + ("-deleted" if v is DELETE else f"={v!r}")
+                              for path, v, _ in MODEL_FILE_EDITS])
+@settings(derandomize=True, deadline=None, max_examples=5)
+@given(pair=perturbed_models())
+def test_model_file_with_a_mistyped_or_misnamed_key_is_rejected(pair, edit):
+    # an integer field spelled 1.0 would load and give the same weights a second digest
+    (*parents, key), value, named = edit
+    doc = json.loads(model_to_json(pair[0]))
+    node = doc
+    for name in parents:
+        node = node[name]
+    if value is DELETE:
+        del node[key]
+    else:
+        node[key] = value
+    with pytest.raises(ValueError, match=re.escape(named)):
+        model_from_json(json.dumps(doc))
 
 
 @st.composite
