@@ -47,6 +47,8 @@ __all__ = [
 MODEL_FORMAT = "oransim-forecast-model"
 MODEL_FORMAT_VERSION = 1
 _MODEL_KEYS = {"format", "format_version", "config", "norm", "trained_epochs", "layers", "head"}
+# how deep each parameter field's nested lists go in a model file
+_ARRAY_DEPTH = {"w_x": 2, "w_h": 2, "w": 2, "b": 1, "feature_min": 1, "feature_max": 1}
 
 
 def sigmoid(x):
@@ -233,14 +235,19 @@ def _lstm_stack(
     last hidden state. Parameter arrays may carry a leading model axis that
     broadcasts against the input's ``...`` (see ``stack_models``), so one
     call runs M independent models, each with the arithmetic it has alone.
-    Arrays are model-major with time second, so each model's (T, B, .)
-    block is contiguous and BPTT reshapes it to (T*B, .) without a copy.
     The input is projected step by step: that keeps no (..., T, B, 4H)
     array alive and is no slower at training batch sizes than one hoisted
-    matmul. When ``cache`` is a list, one dict per layer is appended holding
-    the layer input ``x`` and the activations BPTT reads: ``i``, ``f``,
-    ``g``, ``o`` and ``tanh_c``, each (..., T, B, H), and ``c`` and ``h``,
-    each (..., T + 1, B, H) with slot 0 the zero state at t = -1.
+    matmul.
+
+    When ``cache`` is a list, one dict per layer is appended holding what
+    BPTT reads. The layer input ``x``, (..., T, B, D), and ``h``,
+    (..., T + 1, B, H), are model-major: each model's (T, B, .) block is
+    contiguous, so the weight-gradient gemms reshape it to (T*B, .) without
+    a copy. The gates ``i``, ``f``, ``g`` and ``o`` and ``tanh_c``, each
+    (T, ..., B, H), and ``c``, (T + 1, ..., B, H), are time-major: the
+    step's write here and each of BPTT's per-step reads is one contiguous
+    (..., B, H) block, where a model-major slice would be strided across
+    models. Slot 0 of ``c`` and ``h`` is the zero state at t = -1.
     """
     steps = layer_in.shape[-3]
     n = model.config.units_per_layer
@@ -252,9 +259,9 @@ def _lstm_stack(
         hs[..., 0, :, :] = 0.0
         c = hs[..., 0, :, :]
         if cache is not None:
-            cs = np.empty_like(hs)
-            cs[..., 0, :, :] = 0.0
-            gi, gf, gg, go, tc = (np.empty_like(hs[..., 1:, :, :]) for _ in range(5))
+            cs = np.empty((steps + 1,) + c.shape)
+            cs[0] = 0.0
+            gi, gf, gg, go, tc = (np.empty((steps,) + c.shape) for _ in range(5))
         for t in range(steps):
             at, nxt = np.s_[..., t, :, :], np.s_[..., t + 1, :, :]
             z = layer_in[at] @ w_x_t
@@ -266,13 +273,13 @@ def _lstm_stack(
             if cache is not None:
                 # at batch > 1 the gate slices are strided; the contiguous
                 # copies BPTT keeps are also faster to compute with
-                gi[at], gf[at], go[at], gg[at] = i, f, o, g
-                i, f, o = gi[at], gf[at], go[at]
+                gi[t], gf[t], go[t], gg[t] = i, f, o, g
+                i, f, o = gi[t], gf[t], go[t]
             c = f * c + i * g
             tanh_c = np.tanh(c)
             np.multiply(o, tanh_c, out=hs[nxt])
             if cache is not None:
-                cs[nxt], tc[at] = c, tanh_c
+                cs[t + 1], tc[t] = c, tanh_c
         if cache is not None:
             cache.append(
                 {"x": layer_in, "i": gi, "f": gf, "g": gg, "o": go, "c": cs, "tanh_c": tc, "h": hs}
@@ -345,7 +352,23 @@ def _params(cls, path: str, section):
     """The ``_lists`` form read back: each field a float64 array."""
     names = {f.name for f in fields(cls)}
     check_keys(path, section, names, required=True)
-    return build(cls, path, {name: np.array(section[name], dtype=np.float64) for name in names})
+    return build(cls, path, {name: _float_array(f"{path}.{name}", section[name], _ARRAY_DEPTH[name])
+                             for name in names})
+
+
+def _float_array(path: str, value, depth: int) -> np.ndarray:
+    """JSON lists nested ``depth`` deep around ints and floats (no bool or string), as float64."""
+    items = [(path, value)]
+    for _ in range(depth):
+        for at, item in items:
+            check_type(at, item, list)
+        items = [(f"{at}[{k}]", x) for at, item in items for k, x in enumerate(item)]
+    for at, item in items:
+        check_type(at, item, float)
+    try:
+        return np.array(value, dtype=np.float64)
+    except ValueError:
+        raise ValueError(f"{path} rows must all have one length") from None
 
 
 def model_from_json(text: str) -> ForecastModel:

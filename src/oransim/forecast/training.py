@@ -133,9 +133,14 @@ class WindowedDataset:
 
 @dataclass(frozen=True)
 class EpochStats:
+    """One epoch's log entry: the mean of its batch losses, each weighted by batch size.
+
+    No held-out loss is logged: ``evaluate_heldout`` scores the hours that
+    ``train_split`` reserves, once, after training.
+    """
+
     epoch: int
     train_loss: float
-    val_loss: float
 
 
 def compute_norm_stats(values: np.ndarray) -> NormStats:
@@ -176,25 +181,29 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
 def _bptt_layer(layer, lc, dh_seq, dh_carry, dz) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fill ``dz`` with one layer's gate gradients; return its (w_x, w_h, b) gradients.
 
-    ``dh_seq`` is dL/dh from the layer above, (..., T, B, H), or None for
-    the top layer, whose only such gradient is ``dh_carry`` at the last step.
+    ``dz`` is model-major, (..., T, B, 4H), as the weight-gradient gemms
+    read it. ``dh_seq`` is dL/dh from the layer above, time-major
+    (T, ..., B, H) like the gate caches it is combined with, or None for
+    the top layer, whose only such gradient is ``dh_carry`` at the last
+    step. Each step builds its gate gradients in one contiguous (..., B, 4H)
+    buffer, which feeds the carry's gemm and is copied into ``dz``.
     """
     n = dz.shape[-1] // 4
     gi, gf, gg, go, tc, cs = lc["i"], lc["f"], lc["g"], lc["o"], lc["tanh_c"], lc["c"]
     dc_carry = np.zeros_like(dh_carry)
+    dz_t = np.empty(dh_carry.shape[:-1] + (4 * n,))
     for t in reversed(range(dz.shape[-3])):
-        at = np.s_[..., t, :, :]
-        dh = dh_carry + (0.0 if dh_seq is None else dh_seq[at])
-        do = dh * tc[at]
-        dc = dc_carry + dh * go[at] * (1.0 - tc[at] * tc[at])
-        dz_t = dz[at]
-        dz_t[..., 0 * n : 1 * n] = dc * gg[at] * gi[at] * (1.0 - gi[at])
-        # cs[at] is c at t - 1: slot 0 holds the zero initial state
-        dz_t[..., 1 * n : 2 * n] = dc * cs[at] * gf[at] * (1.0 - gf[at])
-        dz_t[..., 2 * n : 3 * n] = do * go[at] * (1.0 - go[at])
-        dz_t[..., 3 * n : 4 * n] = dc * gi[at] * (1.0 - gg[at] * gg[at])
+        dh = dh_carry + (0.0 if dh_seq is None else dh_seq[t])
+        do = dh * tc[t]
+        dc = dc_carry + dh * go[t] * (1.0 - tc[t] * tc[t])
+        dz_t[..., 0 * n : 1 * n] = dc * gg[t] * gi[t] * (1.0 - gi[t])
+        # cs[t] is c at t - 1: slot 0 holds the zero initial state
+        dz_t[..., 1 * n : 2 * n] = dc * cs[t] * gf[t] * (1.0 - gf[t])
+        dz_t[..., 2 * n : 3 * n] = do * go[t] * (1.0 - go[t])
+        dz_t[..., 3 * n : 4 * n] = dc * gi[t] * (1.0 - gg[t] * gg[t])
+        dz[..., t, :, :] = dz_t
         dh_carry = dz_t @ layer.w_h
-        dc_carry = dc * gf[at]
+        dc_carry = dc * gf[t]
     lead, rows = dz.shape[:-3], dz.shape[-3] * dz.shape[-2]
     dz_rows = dz.reshape(lead + (rows, 4 * n))
     dz_rows_t = np.swapaxes(dz_rows, -1, -2)
@@ -204,23 +213,26 @@ def _bptt_layer(layer, lc, dh_seq, dh_carry, dz) -> tuple[np.ndarray, np.ndarray
 
 
 def _backward_from_cache(model, cache, dpred) -> list[np.ndarray]:
-    """BPTT through a cache of ``_lstm_stack``, which it empties.
+    """BPTT through a cache of ``_lstm_stack`` (see its layouts), which it empties.
 
     ``dpred`` is (..., B, output_dim) with the cache's leading model axes.
     Each layer's cache is dropped as soon as its gradients are taken and one
-    ``dz`` buffer serves every layer, so the working set peaks at the top
-    layer. Returns the gradients in ``param_arrays`` order and shapes.
+    model-major ``dz`` buffer, (..., T, B, 4H), serves every layer, so the
+    working set peaks at the top layer. The gradient a layer passes down,
+    dL/dh of the layer below, is time-major like the gate caches: one
+    (B, 4H) @ (4H, D) gemm per model and step, as in the model-major
+    layout. Returns the gradients in ``param_arrays`` order and shapes.
     """
-    g_head_w = np.swapaxes(dpred, -1, -2) @ cache[-1]["h"][..., -1, :, :]
+    hs = cache[-1]["h"]  # (..., T + 1, B, H)
+    g_head_w = np.swapaxes(dpred, -1, -2) @ hs[..., -1, :, :]
     g_head_b = dpred.sum(axis=-2).reshape(model.head.b.shape)
-    gates_shape = cache[-1]["i"].shape  # (..., T, B, H)
-    dz = np.empty(gates_shape[:-1] + (4 * gates_shape[-1],))
+    dz = np.empty(hs[..., 1:, :, :].shape[:-1] + (4 * hs.shape[-1],))
     grads: list[np.ndarray] = []
     dh_seq, dh_carry = None, dpred @ model.head.w
     for l in reversed(range(len(model.layers))):
         grads[:0] = _bptt_layer(model.layers[l], cache.pop(), dh_seq, dh_carry, dz)
         if l > 0:
-            dh_seq = dz @ np.expand_dims(model.layers[l].w_x, -3)  # feeds the layer below
+            dh_seq = np.moveaxis(dz, -3, 0) @ model.layers[l].w_x  # feeds the layer below
             dh_carry = np.zeros_like(dh_carry)
     return grads + [g_head_w, g_head_b]
 
@@ -314,10 +326,11 @@ def train_split(length: int, cfg: TrainingConfig) -> int:
 
 # Bound on one stack's BPTT working set, in bytes (see ``stack_width``).
 # Width probe, one stacked step (forward, BPTT, Adam) of 2 x 12-unit
-# models at lookback 24, best of 3 on a 2-vCPU VM with one OpenBLAS
-# thread, per-model time at stack widths M = 1 / 2 / 4 / 8 / 16 / 32:
-#   batch 16: 4.70 / 3.27 / 2.57 / 2.08 / 1.75 / 1.62 ms, 0.66 MiB traced per model;
-#   batch 9:  3.05 / 3.02 / 1.74 / 1.01 / 0.89 / 0.91 ms, 0.38 MiB traced per model.
+# models at lookback 24, on a 2-vCPU VM with one OpenBLAS thread, the
+# least of three probes that each take the best of 3, per-model time at
+# stack widths M = 1 / 2 / 4 / 8 / 16 / 32:
+#   batch 16: 3.32 / 2.40 / 1.83 / 1.57 / 1.37 / 1.28 ms, 0.66 MiB traced per model;
+#   batch 9:  2.47 / 2.04 / 1.31 / 0.93 / 0.70 / 0.80 ms, 0.38 MiB traced per model.
 # Three MiB admits 4 models at batch 16 and 8 at batch 9: most of the gain,
 # while a wide round (hundreds of cells) adds at most ~3 MiB to the peak.
 STACK_BYTES = 3 << 20
@@ -347,14 +360,15 @@ def train_stack(
     The series must share one length and the configs may differ only in
     their seed: length alone sets the split, the window count and the batch
     schedule, so every model takes the same steps. Each step is one stacked
-    forward, one BPTT and one Adam update; each epoch ends with one stacked
-    validation forward. Model m draws its initialization and its per-epoch
-    batch order from its own generator, so its parameters and log equal,
-    bit for bit, those of training series m alone.
+    forward with cache, one BPTT and one Adam update, and nothing else runs
+    the network. Model m draws its initialization and its per-epoch batch
+    order from its own generator, so its parameters and log equal, bit for
+    bit, those of training series m alone.
 
     The split is chronological: the first ``train_fraction`` of hours feed
-    training windows (and the normalization statistics), the remainder is
-    validation (``train_split``).
+    training windows (and the normalization statistics). The remainder is
+    held out (``train_split``) and never read here; ``evaluate_heldout``
+    scores it.
     """
     cfg = train_cfgs[0]
     length = len(series_list[0])
@@ -375,8 +389,6 @@ def train_stack(
         targets.append(windows.targets)
     inputs, targets = np.stack(inputs), np.stack(targets)  # (M, N, T, D), (M, N, D)
     train_inputs, train_targets = inputs[:, :n_train], targets[:, :n_train]
-    val_inputs = np.ascontiguousarray(inputs[:, n_train:].transpose(0, 2, 1, 3))
-    val_targets = targets[:, n_train:]
 
     stack = stack_models(models)
     params = param_arrays(stack)
@@ -393,9 +405,8 @@ def train_stack(
             sq_sum += losses * batch.shape[1]
             params, state = adam_step(params, grads, state, cfg.adam)
             _write_params(stack, params)
-        val_loss = _mse(_lstm_stack(stack, val_inputs), val_targets)
         for m, log in enumerate(logs):
-            log.append(EpochStats(epoch, float(sq_sum[m] / n_train), float(val_loss[m])))
+            log.append(EpochStats(epoch, float(sq_sum[m] / n_train)))
     for m, model in enumerate(models):
         _write_params(model, [a[m].reshape(p.shape) for a, p in zip(params, param_arrays(model))])
         model.trained_epochs = cfg.epochs

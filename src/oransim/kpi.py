@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .typedjson import check_type, check_unsigned
+
 __all__ = [
     "CellId",
     "KpiSample",
@@ -50,9 +52,14 @@ class CellId:
         return [self.enb, self.cell, self.generation]
 
     @staticmethod
-    def from_json(obj) -> "CellId":
-        enb, cell, generation = (int(v) for v in obj)
-        return CellId(enb, cell, generation)
+    def from_json(obj, path: str = "cell") -> "CellId":
+        """Read ``to_json`` back: a list of exactly three unsigned JSON ints."""
+        check_type(path, obj, list)
+        if len(obj) != 3:
+            raise ValueError(f"{path} must be [enb, cell, generation], got {obj!r}")
+        for k, value in enumerate(obj):
+            check_unsigned(f"{path}[{k}]", value)
+        return CellId(*obj)
 
 
 @dataclass(frozen=True)

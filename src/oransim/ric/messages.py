@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from ..forecast import ForecastModel
 from ..kpi import CellId, CongestionRule
 from ..splitting import SplitPolicy
+from ..typedjson import check_keys, check_type, check_unsigned
 
 __all__ = [
     "EventTag",
@@ -87,13 +88,20 @@ class LoopEvent:
         }
 
     @staticmethod
-    def from_json_dict(obj: dict) -> "LoopEvent":
+    def from_json_dict(obj) -> "LoopEvent":
+        """Read ``to_json_dict`` back; a missing, unknown or mistyped key raises ValueError naming it."""
+        check_keys("event", obj, {"seq", "hour", "tag", "cells", "digest"}, required=True)
+        check_unsigned("seq", obj["seq"])
+        check_unsigned("hour", obj["hour"])
+        check_type("tag", obj["tag"], str)
+        check_type("digest", obj["digest"], str)
+        check_type("cells", obj["cells"], list)
         return LoopEvent(
-            tag=str(obj["tag"]),
-            hour=int(obj["hour"]),
-            seq=int(obj["seq"]),
-            cells=tuple(CellId.from_json(c) for c in obj["cells"]),
-            digest=str(obj["digest"]),
+            tag=obj["tag"],
+            hour=obj["hour"],
+            seq=obj["seq"],
+            cells=tuple(CellId.from_json(c, f"cells[{k}]") for k, c in enumerate(obj["cells"])),
+            digest=obj["digest"],
         )
 
 
@@ -144,7 +152,7 @@ class EventLog:
                 continue
             try:
                 events.append(LoopEvent.from_json_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"line {line_no}: malformed event record ({exc})") from None
         return events
 

@@ -281,6 +281,15 @@ class TestRun:
         assert main(["validate", str(out / "corrupt.jsonl")]) == 1
         assert "FAIL" in capsys.readouterr().err
 
+    def test_coerced_event_line_fails_validation_naming_line_and_field(self, tmp_path, capsys):
+        # every value is one that int() or str() would coerce into a valid event
+        log = tmp_path / "coerced.jsonl"
+        log.write_text('{"seq": "0", "hour": 5.7, "tag": "O1Collect", '
+                       '"cells": [["1", 2.9, true]], "digest": 12}\n')
+        assert main(["validate", str(log)]) == 1
+        err = capsys.readouterr().err
+        assert "FAIL: line 1:" in err and "seq must be int" in err
+
     def test_empty_log_passes_validation(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")

@@ -8,6 +8,7 @@ implementation. Gradients are checked against central finite differences.
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -41,8 +42,11 @@ from oransim.forecast import (
     predict_from_window,
     save_model,
     stack_models,
+    stack_width,
     train,
+    train_stack,
 )
+from oransim.forecast import training
 from oransim.forecast.model import _lstm_stack, _write_params, sigmoid
 
 
@@ -220,7 +224,8 @@ def seed_backward(model, inputs, targets):
 
 
 def seed_train(series, lstm_cfg, cfg):
-    """The per-cell training loop of ``train`` as it was before stacking."""
+    """The per-cell training loop of ``train`` as it was before stacking,
+    without its per-epoch validation forward, whose loss nothing read."""
     split = int(np.floor(cfg.train_fraction * len(series)))
     norm = compute_norm_stats(series.to_array()[:split])
     windows = make_windows(series, cfg, norm)
@@ -240,9 +245,7 @@ def seed_train(series, lstm_cfg, cfg):
             sq_sum += loss * len(batch)
             params, state = adam_step(params, grads, state, cfg.adam)
             _write_params(model, params)
-        val_pred = seed_forward(model, windows.inputs[n_train:])
-        val_loss = mse_loss(val_pred, windows.targets[n_train:])
-        log.append((epoch, sq_sum / n_train, val_loss))
+        log.append((epoch, sq_sum / n_train))
     model.trained_epochs = cfg.epochs
     return model, log
 
@@ -331,7 +334,7 @@ class TestSeedReference:
         model, log = train(series, lstm, cfg)
         ref_model, ref_log = seed_train(series, lstm, cfg)
         assert model_to_json(model) == model_to_json(ref_model)
-        assert [(e.epoch, e.train_loss, e.val_loss) for e in log] == ref_log
+        assert [(e.epoch, e.train_loss) for e in log] == ref_log
 
 
 class TestMseLoss:
@@ -543,7 +546,31 @@ class TestTraining:
         cfg = TrainingConfig(epochs=5, lookback=6, seed=2)
         _, log = train(series, LstmConfig(1, 3, 2, 2), cfg)
         assert [e.epoch for e in log] == [1, 2, 3, 4, 5]
-        assert all(np.isfinite(e.val_loss) for e in log)
+        assert all(np.isfinite(e.train_loss) and e.train_loss >= 0.0 for e in log)
+
+
+class TestStackedTraining:
+    def test_each_step_runs_one_cached_forward_and_nothing_else(self, monkeypatch):
+        calls = []
+
+        def recording_lstm_stack(model, layer_in, cache=None):
+            calls.append(cache is not None)
+            return _lstm_stack(model, layer_in, cache)
+
+        monkeypatch.setattr(training, "_lstm_stack", recording_lstm_stack)
+        # 64 hours at lookback 10 leave 41 training windows: 3 batches of 16
+        series = [sine_series(64, seed=s, noise=0.2) for s in (1, 2)]
+        cfg = TrainingConfig(batch_size=16, epochs=2, lookback=10)
+        trained = train_stack(series, LstmConfig(2, 5, 2, 2), [cfg, cfg.for_cell(0, 1)])
+        assert [len(log) for _, log in trained] == [2, 2]
+        assert calls == [True] * (2 * 3)
+
+    @pytest.mark.parametrize("batch_size, length, width", [
+        (16, 138, 4), (16, 153, 4), (9, 42, 8),
+    ])
+    def test_stack_width_at_the_bench_shapes(self, batch_size, length, width):
+        cfg = TrainingConfig(batch_size=batch_size, lookback=24)
+        assert stack_width(LstmConfig(), cfg, length) == width
 
 
 class TestPrediction:
@@ -653,6 +680,31 @@ class TestSerialization:
         doc = json.loads(model_to_json(small_model(seed=22)))
         doc["norm"] = {"feature_min": [0.0, 0.0, 0.0], "feature_max": [1.0, 1.0, 1.0]}
         with pytest.raises(ValueError, match="norm feature_min shape"):
+            model_from_json(json.dumps(doc))
+
+    def test_rejects_string_and_bool_array_elements(self):
+        # np.array(..., float64) would read this as [0.0, 0.0], under the same digest
+        doc = json.loads(model_to_json(small_model(seed=23)))
+        doc["head"]["b"] = ["0.0", False]
+        with pytest.raises(ValueError, match=re.escape("head.b[0] must be float, got '0.0'")):
+            model_from_json(json.dumps(doc))
+        doc["head"]["b"] = [0.0, False]
+        with pytest.raises(ValueError, match=re.escape("head.b[1] must be float, got False")):
+            model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [True, "1", None, [0.5]])
+    def test_layer_array_elements_must_be_json_numbers(self, value):
+        doc = json.loads(model_to_json(small_model(seed=24)))
+        doc["layers"][1]["w_h"][2][0] = value
+        with pytest.raises(ValueError, match=re.escape("layers[1].w_h[2][0] must be float")):
+            model_from_json(json.dumps(doc))
+        doc["layers"][1]["w_h"][2][0] = 7  # an int is a JSON number
+        assert model_from_json(json.dumps(doc)).layers[1].w_h[2, 0] == 7.0
+
+    def test_rejects_ragged_arrays(self):
+        doc = json.loads(model_to_json(small_model(seed=25)))
+        doc["layers"][0]["w_x"][1] = doc["layers"][0]["w_x"][1][:1]
+        with pytest.raises(ValueError, match=re.escape("layers[0].w_x rows")):
             model_from_json(json.dumps(doc))
 
     def test_save_load_preserves_predictions(self, tmp_path):

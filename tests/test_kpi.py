@@ -109,6 +109,9 @@ class TestInvariants:
         assert a < b < CellId(1, 0, 0)
         assert a.label() == "e0c1g0"
         assert CellId.from_json(b.to_json()) == b
+        for bad in (["0", 1, 1], [0, 1.0, 1], [0, 1, True], [0, 1], [0, 1, 1, 1], [0, -1, 0], "e0c1g1"):
+            with pytest.raises(ValueError, match=r"^cell"):
+                CellId.from_json(bad)
         assert CellId(0, 0, 3).split_factor == 8
         with pytest.raises(ValueError):
             CellId(-1, 0)

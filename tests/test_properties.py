@@ -31,7 +31,7 @@ from oransim.forecast import (
     train,
 )
 from oransim.forecast import training
-from oransim.forecast.model import _write_params
+from oransim.forecast.model import _lstm_stack, _write_params
 from oransim.kpi import (
     CellId,
     CongestionRule,
@@ -324,6 +324,42 @@ def test_fleet_forward_matches_each_model_alone(fleet):
         assert np.array_equal(row, ref)
 
 
+# the cache entries of ``_lstm_stack`` that lead with time; the others lead with the model
+TIME_MAJOR_CACHE = {"i", "f", "g", "o", "tanh_c", "c"}
+
+
+@st.composite
+def cached_stacks(draw):
+    """2-5 models of one config, each with its own (T, B, D) input at batch B >= 2."""
+    config = LstmConfig(n_layers=draw(st.integers(1, 3)), units_per_layer=draw(st.integers(1, 6)),
+                        input_dim=draw(st.integers(1, 3)))
+    norm = NormStats(np.zeros(config.input_dim), np.ones(config.input_dim))
+    models = [init_model(config, norm, np.random.default_rng(draw(st.integers(0, 999))))
+              for _ in range(draw(st.integers(2, 5)))]
+    shape = (len(models), draw(st.integers(1, 8)), draw(st.integers(2, 17)), config.input_dim)
+    return models, np.random.default_rng(draw(st.integers(0, 999))).uniform(0.0, 1.0, shape)
+
+
+@PROPERTY
+@given(stack=cached_stacks())
+def test_stacked_cache_matches_each_model_alone(stack):
+    models, inputs = stack
+    solo = []
+    for model, layer_in in zip(models, inputs):
+        cache = []
+        solo.append((_lstm_stack(model, layer_in, cache), cache))
+    cache = []
+    pred = _lstm_stack(stack_models(models), inputs, cache)
+    for m, (ref_pred, ref_cache) in enumerate(solo):
+        assert np.array_equal(pred[m], ref_pred)
+        assert len(cache) == len(ref_cache)
+        for layer, ref_layer in zip(cache, ref_cache):
+            assert layer.keys() == ref_layer.keys()
+            for name, arr in layer.items():
+                got = arr[:, m] if name in TIME_MAJOR_CACHE else arr[m]
+                assert np.array_equal(got, ref_layer[name]), name
+
+
 def rebuilt(model, arrays=None, epochs=None):
     """A copy of ``model`` with the given arrays (norm min, norm max, then
     ``param_arrays`` order) or trained epochs in place of its own."""
@@ -407,6 +443,8 @@ MODEL_FILE_EDITS = (
     + [(("config", f), DELETE, f) for f in CONFIG_FIELDS]
     + [((k,), DELETE, k) for k in ["config", "norm", "trained_epochs", "layers", "head"]]
     + [((*parents, "extra"), 1, "extra") for parents in [(), ("config",), ("head",)]]
+    + [(("head", "b"), v, "head.b") for v in [["0.0", False], 0.5, [[0.5]]]]
+    + [(("norm", "feature_max"), v, "norm.feature_max") for v in [[True], ["1"], None]]
 )
 
 

@@ -1,5 +1,9 @@
 """Tests for the offline event-log choreography checker."""
 
+import json
+
+import pytest
+
 from oransim.kpi import CellId
 from oransim.ric import EventLog, EventTag, LoopEvent, validate_events, validate_jsonl
 
@@ -143,3 +147,29 @@ class TestJsonl:
 
     def test_garbage_rejected(self):
         assert not validate_jsonl("not json\n").ok
+
+    # (field, a value the loop cannot write there, the key path the error names)
+    MISTYPED = [
+        ("seq", "0", "seq"), ("seq", -1, "seq"), ("seq", True, "seq"),
+        ("hour", 5.7, "hour"), ("hour", 5.0, "hour"), ("hour", None, "hour"),
+        ("tag", 1, "tag"), ("digest", 12, "digest"),
+        ("cells", "e0c1g0", "cells"), ("cells", [["1", 2, 0]], "cells[0][0]"),
+        ("cells", [[0, 1, 0], [1, 2.9, 0]], "cells[1][1]"), ("cells", [[1, 2, True]], "cells[0][2]"),
+        ("cells", [[1, 2]], "cells[0]"), ("cells", [[1, 2, 0, 0]], "cells[0]"),
+        ("cells", [[0, -1, 0]], "cells[0][1]"), ("cells", [{"enb": 0}], "cells[0]"),
+    ]
+
+    @pytest.mark.parametrize("field, value, named", MISTYPED)
+    def test_mistyped_field_names_line_and_field(self, field, value, named):
+        record = {"seq": 1, "hour": 0, "tag": EventTag.BUS_PUBLISH, "cells": [], "digest": "0"}
+        good = json.dumps({**record, "seq": 0, "tag": EventTag.O1_COLLECT})
+        result = validate_jsonl(good + "\n" + json.dumps({**record, field: value}) + "\n")
+        assert not result.ok
+        assert result.violation.startswith(f"line 2: malformed event record ({named} must be ")
+
+    def test_unknown_or_missing_key_rejected(self):
+        record = {"seq": 0, "hour": 0, "tag": EventTag.O1_COLLECT, "cells": [], "digest": "0"}
+        extra = validate_jsonl(json.dumps({**record, "extra": 1}) + "\n")
+        assert "unknown keys in event: ['extra']" in extra.violation
+        missing = validate_jsonl(json.dumps({k: v for k, v in record.items() if k != "digest"}) + "\n")
+        assert "missing keys in event: ['digest']" in missing.violation
