@@ -12,7 +12,6 @@ explicitly, so one integer pins the entire pipeline.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from .kpi import CongestionRule
 from .ric import ControlLoopConfig
 from .splitting import SplitPolicy
 from .traffic import DatasetSchema, SyntheticProfile
-from .typedjson import build, check_keys, check_type, check_unsigned, read_fields
+from .typedjson import build, check_keys, check_type, check_unsigned, loads, read_fields
 
 __all__ = ["ScenarioConfig", "derive_seed", "load_config", "config_from_dict"]
 
@@ -129,7 +128,7 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
 
 def load_config(path, master_seed_override: int | None = None) -> ScenarioConfig:
     """Load a config JSON file; None loads pure defaults."""
-    doc = {} if path is None else json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = {} if path is None else loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ValueError("config file must contain a JSON object")
     if master_seed_override is not None:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..typedjson import build, check_keys, check_type, check_unsigned, read_fields
+from ..typedjson import build, check_keys, check_type, check_unsigned, loads, read_fields
 
 __all__ = [
     "LstmConfig",
@@ -373,7 +373,7 @@ def _float_array(path: str, value, depth: int) -> np.ndarray:
 
 def model_from_json(text: str) -> ForecastModel:
     """Parse a ``model_to_json`` text; a mistyped, missing or unknown key raises ValueError."""
-    doc = json.loads(text)
+    doc = loads(text)
     check_type("model", doc, dict)
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a forecast model file (format={doc.get('format')!r})")

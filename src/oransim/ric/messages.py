@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 
 from ..forecast import ForecastModel
 from ..kpi import CellId, CongestionRule
 from ..splitting import SplitPolicy
-from ..typedjson import check_keys, check_type, check_unsigned
+from ..typedjson import check_keys, check_type, check_unsigned, loads
 
 __all__ = [
     "EventTag",
@@ -65,6 +66,10 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+# What ``payload_digest`` writes: the first 16 hex digits of a sha256, lower case.
+_DIGEST = re.compile(r"[0-9a-f]{16}")
+
+
 def payload_digest(payload) -> str:
     """Short stable digest of a JSON-able payload summary."""
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()[:16]
@@ -95,6 +100,8 @@ class LoopEvent:
         check_unsigned("hour", obj["hour"])
         check_type("tag", obj["tag"], str)
         check_type("digest", obj["digest"], str)
+        if not _DIGEST.fullmatch(obj["digest"]):
+            raise ValueError(f"digest must be 16 lowercase hex digits, got {obj['digest']!r}")
         check_type("cells", obj["cells"], list)
         return LoopEvent(
             tag=obj["tag"],
@@ -151,7 +158,7 @@ class EventLog:
             if not line.strip():
                 continue
             try:
-                events.append(LoopEvent.from_json_dict(json.loads(line)))
+                events.append(LoopEvent.from_json_dict(loads(line)))
             except ValueError as exc:
                 raise ValueError(f"line {line_no}: malformed event record ({exc})") from None
         return events

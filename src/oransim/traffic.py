@@ -14,8 +14,10 @@ perturb existing cells' waveforms.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import compress, islice
@@ -46,6 +48,8 @@ _WEEKLY_AMPLITUDE = 0.05
 # Dataset CSV rows parsed per column-wise batch on ingest: bounds the rows held as
 # Python strings at once, whatever the file size.
 _INGEST_CHUNK_ROWS = 2048
+# Input bytes the UTF-8 check decodes at a time: bounds the text it holds at once.
+_UTF8_PIECE_BYTES = 1 << 18
 # ASCII characters that ``float`` skips around or between digits; KPI fields may hold none.
 _FLOAT_SKIPS = "_ \t\n\r\v\f"
 
@@ -225,10 +229,14 @@ def export_csv(series_list: list[KpiSeries], schema: DatasetSchema = DatasetSche
 
     Float cells use Python's shortest round-trip repr. Each distinct hour's
     timestamp is formatted once. Data fields (ints, float reprs and stamps)
-    never need quoting, so only the header goes through ``csv.writer``.
+    never need quoting, so only the header goes through ``csv.writer``. Each
+    series' rows are joined and encoded in one pass into a single byte
+    buffer, whose bytes are returned: the whole file never exists as text.
     """
-    buf = io.StringIO(newline="")
-    csv.writer(buf, lineterminator="\n").writerow(schema.columns)
+    header = io.StringIO(newline="")
+    csv.writer(header, lineterminator="\n").writerow(schema.columns)
+    out = io.BytesIO()
+    out.write(header.getvalue().encode("utf-8"))
     stamps: dict[int, str] = {}
     for series in sorted(series_list, key=lambda s: s.cell):
         hours = range(series.start, series.start + len(series))
@@ -237,42 +245,68 @@ def export_csv(series_list: list[KpiSeries], schema: DatasetSchema = DatasetSche
         prb, thr = series.values.T.tolist()
         line = f"{series.cell.enb},{series.cell.cell},{{}},{{}},{{}}\n".format
         rows = map(line, map(stamps.__getitem__, hours), map(repr, prb), map(repr, thr))
-        buf.write("".join(rows))
-    return buf.getvalue().encode("utf-8")
+        out.write("".join(rows).encode("utf-8"))
+    return out.getvalue()
 
 
-def _decode(source) -> str:
-    """CSV text of ``source``; undecodable bytes raise IngestError naming their row."""
+def _lines(raw) -> io.TextIOWrapper:
+    """Lazy line source over UTF-8 bytes: only ``\\n`` ends a line, as in ``io.StringIO``."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="\n")
+
+
+def _check_utf8(raw) -> None:
+    """Raise IngestError naming the CSV record that holds the first byte of ``raw`` not in UTF-8.
+
+    The bytes are decoded ``_UTF8_PIECE_BYTES`` at a time and the text is
+    dropped, so the check never holds a decoded copy of the file. Only on
+    failure is the text before the bad byte decoded again, to count its records.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    with memoryview(raw) as view:
+        for at in range(0, len(view), _UTF8_PIECE_BYTES):
+            held = len(decoder.getstate()[0])  # leading bytes of a character the last piece cut
+            try:
+                decoder.decode(view[at:at + _UTF8_PIECE_BYTES],
+                               final=at + _UTF8_PIECE_BYTES >= len(view))
+            except UnicodeDecodeError as exc:
+                bad = at - held + exc.start
+                break
+        else:
+            return
+    # the byte's record is the last one of the text before it plus one character
+    try:
+        row = sum(1 for _ in csv.reader(_lines(raw[:bad] + b"x")))
+    except csv.Error:
+        row = raw.count(b"\n", 0, bad) + 1
+    raise IngestError(row, f"invalid UTF-8 byte 0x{raw[bad]:02x}")
+
+
+def _line_source(source):
+    """The lines of ``source`` for ``csv.reader``; bytes are checked to be UTF-8 first."""
     raw = source if isinstance(source, (bytes, bytearray)) else source.read()
     if not isinstance(raw, (bytes, bytearray)):
-        return raw
-    try:
-        return bytes(raw).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the byte's record is the last one of the text before it plus one character
-        head = io.StringIO(exc.object[: exc.start].decode("utf-8") + "x")
-        try:
-            row = sum(1 for _ in csv.reader(head))
-        except csv.Error:
-            row = raw.count(b"\n", 0, exc.start) + 1
-        raise IngestError(row, f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}") from None
+        return io.StringIO(raw)  # a text-mode source
+    _check_utf8(raw)
+    return _lines(raw)
 
 
-def _parse_chunk(chunk, first_row, width, cols, schema, cell_codes, stamp_hours):
-    """Columns of one chunk of CSV rows: (cell codes, hours, (n, 2) KPIs, row numbers).
+def _parse_chunk(chunk, width, cols, schema, cell_codes, stamp_hours):
+    """Columns of one chunk of CSV rows: (cell codes, hours, (n, 2) KPIs, blank records).
 
-    ``cell_codes`` and ``stamp_hours`` map each distinct (enb, cell) and
-    timestamp text seen so far to its code and its hours, so each distinct
-    timestamp is parsed once per file. Fields must match one ASCII grammar:
-    indices ``[0-9]+``, KPIs Python's float literal without padding or ``_``,
-    stamps as ``_parse_timestamp`` reads them. A malformed chunk returns the
-    reason of its first failing check; checks run in the order of a row's
-    fields, so for a one-row chunk that is the row's own first fault.
+    Blank records are skipped; for each, the last array holds how many of the
+    chunk's other rows precede it. ``cell_codes`` and ``stamp_hours`` map each
+    distinct (enb, cell) and timestamp text seen so far to its code and its
+    hours, so each distinct timestamp is parsed once per file. Fields must
+    match one ASCII grammar: indices ``[0-9]+``, KPIs Python's float literal
+    without padding or ``_``, stamps as ``_parse_timestamp`` reads them. A
+    malformed chunk returns the reason of its first failing check; checks run
+    in the order of a row's fields, so for a one-row chunk that is the row's
+    own first fault.
     """
     lengths = np.fromiter(map(len, chunk), np.int64, len(chunk))
     filled = lengths > 0
-    row_nos = first_row + np.flatnonzero(filled)
-    if not filled.all():
+    blanks = np.cumsum(filled)[~filled]
+    if len(blanks):
         chunk = list(compress(chunk, filled))
     n = len(chunk)
     if n and lengths[filled].min() < width:
@@ -303,7 +337,7 @@ def _parse_chunk(chunk, first_row, width, cols, schema, cell_codes, stamp_hours)
         return "unparsable KPI value"
     codes = np.fromiter(map(cell_codes.__getitem__, keys), np.int64, n)
     hours = np.fromiter(map(stamp_hours.__getitem__, stamps), np.float64, n)
-    return codes, hours, values, row_nos
+    return codes, hours, values, blanks
 
 
 def ingest_csv(source, schema: DatasetSchema = DatasetSchema()) -> list[KpiSeries]:
@@ -315,15 +349,19 @@ def ingest_csv(source, schema: DatasetSchema = DatasetSchema()) -> list[KpiSerie
     undecodable byte, out-of-range value, duplicate hour, or gap in a cell's
     hourly grid raises IngestError naming the row.
 
-    Rows are parsed column-wise in chunks of ``_INGEST_CHUNK_ROWS``; a chunk
-    holding a malformed row is parsed again one row at a time to name the
-    first one.
+    Bytes are checked to be UTF-8 before any row is parsed, so a bad byte is
+    the error even after a malformed row. ``csv.reader`` then reads lines
+    lazily from the bytes, and no decoded copy of the file is held. Rows are
+    parsed column-wise in chunks of ``_INGEST_CHUNK_ROWS``; a chunk holding a
+    malformed row is parsed again one row at a time to name the first one.
     """
-    reader = csv.reader(io.StringIO(_decode(source)))
+    reader = csv.reader(_line_source(source))
     try:
         header = next(reader)
     except StopIteration:
         raise IngestError(1, "empty file (missing header)") from None
+    except csv.Error as exc:
+        raise IngestError(1, str(exc)) from None
     for name in schema.columns:
         if name not in header:
             raise IngestError(1, f"missing column {name!r} in header {header}")
@@ -332,7 +370,9 @@ def ingest_csv(source, schema: DatasetSchema = DatasetSchema()) -> list[KpiSerie
     cell_codes: dict[tuple[int, int], int] = {}
     stamp_hours: dict[str, float] = {}
     args = (width, cols, schema, cell_codes, stamp_hours)
-    parts = []
+    columns: tuple[list, list, list] = ([], [], [])  # chunk arrays: codes, hours, KPIs
+    blanks: list[int] = []  # for each blank record, the rows before it in `columns`
+    n_rows = 0
     next_row = 2
     while True:
         chunk: list[list[str]] = []
@@ -343,61 +383,85 @@ def ingest_csv(source, schema: DatasetSchema = DatasetSchema()) -> list[KpiSerie
             unread = IngestError(next_row + len(chunk), str(exc))
         if not chunk and unread is None:
             break
-        part = _parse_chunk(chunk, next_row, *args)
+        part = _parse_chunk(chunk, *args)
         if isinstance(part, str) or unread is not None:
             # a chunk fails exactly when one of its rows does; rows before a
             # record csv cannot read keep their own errors
             for row_no, row in enumerate(chunk, start=next_row):
-                if isinstance(reason := _parse_chunk([row], row_no, *args), str):
+                if isinstance(reason := _parse_chunk([row], *args), str):
                     raise IngestError(row_no, reason)
             raise unread
-        parts.append(part)
+        for column, array in zip(columns, part):
+            column.append(array)
+        blanks.extend((n_rows + part[3]).tolist())
+        n_rows += len(part[0])
         next_row += len(chunk)
     if not cell_codes:
         return []
-    columns = [np.concatenate(c) for c in zip(*parts)]
-    del parts  # free the chunks' arrays before the grid check allocates its own
-    return _series_from_columns(*columns, cell_codes)
+    return _series_from_columns(columns, blanks, cell_codes)
 
 
-def _series_from_columns(codes, hours, values, row_nos, cell_codes) -> list[KpiSeries]:
+def _drain(parts: list) -> np.ndarray:
+    """The arrays of ``parts`` joined into one; the list is emptied, freeing them."""
+    joined = np.concatenate(parts)
+    parts.clear()
+    return joined
+
+
+def _series_from_columns(columns, blanks, cell_codes) -> list[KpiSeries]:
     """Validate the hourly grid and KPI bounds of every row, then cut per-cell series.
 
-    One stable sort orders rows by (enb, cell) and then hours, with ties in
-    file order, so the first violation found is the first one a row-by-row
-    scan in that order would meet.
+    ``columns`` holds the lists of chunk arrays that ``ingest_csv`` gathered:
+    cell codes, hours and KPIs, in file order. Each list is emptied as its
+    column is joined, and each joined column is dropped once its sorted copy
+    exists, so no more than one column is held twice at a time. One stable
+    sort orders rows by (enb, cell) and then hours, with ties in file order,
+    so the first violation found is the first one a row-by-row scan in that
+    order would meet. Rows keep no numbers: the failing row's number comes
+    from its place among the file's rows and the ``blanks`` before it.
     """
+    codes, hours, values = columns
     keys = sorted(cell_codes)
     rank = np.empty(len(keys), np.int64)
     rank[[cell_codes[key] for key in keys]] = np.arange(len(keys))
-    cell_rank = rank[codes]
+    cell_rank = rank[_drain(codes)]
+    bounds = np.append(0, np.cumsum(np.bincount(cell_rank, minlength=len(keys))))
+    hours = _drain(hours)
     order = np.lexsort((hours, cell_rank))
-    cell_rank, values, row_nos = cell_rank[order], values[order], row_nos[order]
-    bounds = np.append(np.flatnonzero(np.diff(cell_rank, prepend=-1)), len(order))
+    del cell_rank
+    earliest, rel = hours.min(), hours[order]
+    del hours
+    values = _drain(values)[order]
     prb, thr = values.T
     with np.errstate(over="ignore", invalid="ignore"):  # spans past the float range
-        rel = hours[order] - hours.min()
+        rel -= earliest
         offset = np.rint(rel)
-        step = np.diff(offset, prepend=np.nan)
+        step = rel - offset  # one buffer: each row's distance from the grid, then its step
+        off_grid = np.abs(step, out=step) > 1e-9
+        np.subtract(offset[1:], offset[:-1], out=step[1:])
         step[bounds[:-1]] = 1.0  # a cell's first row has no predecessor
         checks = [  # (rows failing it, reason), in the order a row-by-row scan checks a row
             (~np.isfinite(rel), "hour offset out of range ({rel}h)"),
-            (np.abs(rel - offset) > 1e-9, "timestamp not on the hourly grid ({rel}h)"),
+            (off_grid, "timestamp not on the hourly grid ({rel}h)"),
             (step == 0.0, "duplicate sample for cell ({enb},{cell}) at hour {offset:.0f}"),
             (step != 1.0, "gap in hourly grid for cell ({enb},{cell}): "
                           "hour {prev:.0f} followed by {offset:.0f}"),
             (~((prb >= 0.0) & (prb <= 100.0)), "prb_util out of range [0, 100]: {prb}"),
             (~(np.isfinite(thr) & (thr >= 0.0)), "ip_throughput must be finite and >= 0: {thr}"),
         ]
-    bad = np.logical_or.reduce([failed for failed, _ in checks])
+    bad = np.zeros(len(order), bool)
+    for failed, _ in checks:
+        bad |= failed
     if bad.any():
         i = int(np.argmax(bad))
         reason = next(reason for failed, reason in checks if failed[i])
-        enb, cell = keys[cell_rank[i]]
-        raise IngestError(int(row_nos[i]), reason.format(
+        enb, cell = keys[int(np.searchsorted(bounds, i, "right")) - 1]
+        at = int(order[i])  # the row's place among the file's non-blank rows
+        raise IngestError(at + 2 + bisect_right(blanks, at), reason.format(
             enb=enb, cell=cell, rel=float(rel[i]), offset=offset[i], prev=offset[i - 1],
             prb=float(prb[i]), thr=float(thr[i]),
         ))
+    del checks, off_grid, step, bad, rel, order  # free them before the series copy their rows
     return [
         KpiSeries(CellId(*key), int(offset[lo]), values[lo:hi])
         for key, lo, hi in zip(keys, bounds[:-1], bounds[1:])

@@ -1,16 +1,35 @@
 """Typed reading of JSON objects into dataclasses: the field grammar of config and model files.
 
-A value fills a field only when its JSON type is the field's annotation:
-``int`` takes no bool or float, ``float`` takes an int but no bool, and
-``X | None`` also takes null. Every error is a ValueError naming its key path.
+``loads`` parses a JSON text whose objects hold each key once. A value fills a
+field only when its JSON type is the field's annotation: ``int`` takes no
+bool or float, ``float`` takes an int but no bool, and ``X | None`` also
+takes null. Every error is a ValueError naming its key path.
 """
 
 from __future__ import annotations
 
+import json
 import typing
 from dataclasses import fields, is_dataclass
 
-__all__ = ["check_type", "check_unsigned", "check_keys", "read_fields", "build"]
+__all__ = ["loads", "check_type", "check_unsigned", "check_keys", "read_fields", "build"]
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The dict of one JSON object's (key, value) pairs; a repeated key raises ValueError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r} in a JSON object")
+            seen.add(key)
+    return obj
+
+
+def loads(text: str):
+    """``json.loads`` that rejects an object holding one key twice; the ValueError names the key."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
 
 
 def check_type(path: str, value, hint) -> None:

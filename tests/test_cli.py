@@ -161,6 +161,12 @@ class TestGenerate:
         assert main(["generate", "-c", str(cfg), "-o", str(tmp_path / "x")]) == 1
         assert path in capsys.readouterr().err
 
+    def test_repeated_key_exits_one_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"master_seed": 1, "traffic": {"synthetic": {"n_days": 3, "n_days": 4}}}')
+        assert main(["generate", "-c", str(cfg), "-o", str(tmp_path / "x")]) == 1
+        assert "duplicate key 'n_days'" in capsys.readouterr().err
+
     def test_csv_traffic_cannot_generate(self, tmp_path):
         cfg = write_config(tmp_path, dict(TINY, traffic={"csv": {"path": "x.csv"}}))
         assert main(["generate", "-c", str(cfg), "-o", str(tmp_path / "x")]) == 1
@@ -289,6 +295,20 @@ class TestRun:
         assert main(["validate", str(log)]) == 1
         err = capsys.readouterr().err
         assert "FAIL: line 1:" in err and "seq must be int" in err
+
+    @pytest.mark.parametrize("line, reason", [
+        ('{"seq":0,"seq":1,"hour":0,"tag":"O1Collect","cells":[],"digest":""}',
+         "duplicate key 'seq'"),
+        ('{"seq":0,"hour":0,"tag":"O1Collect","cells":[],"digest":""}',
+         "digest must be 16 lowercase hex digits"),
+    ])
+    def test_repeated_key_or_malformed_digest_fails_validation_naming_line(
+            self, tmp_path, capsys, line, reason):
+        log = tmp_path / "events.jsonl"
+        log.write_text(line + "\n")
+        assert main(["validate", str(log)]) == 1
+        err = capsys.readouterr().err
+        assert "FAIL: line 1: malformed event record" in err and reason in err
 
     def test_empty_log_passes_validation(self, tmp_path):
         empty = tmp_path / "empty.jsonl"

@@ -707,6 +707,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape("layers[0].w_x rows")):
             model_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("before, after, key", [
+        ('"trained_epochs":', '"trained_epochs":0,"trained_epochs":', "trained_epochs"),
+        ('"config":{', '"config":{"n_layers":1,', "n_layers"),
+    ])
+    def test_rejects_a_repeated_key(self, before, after, key):
+        # json.loads alone keeps the last value of a repeated key
+        text = model_to_json(small_model(seed=26))
+        assert before in text
+        with pytest.raises(ValueError, match=re.escape(f"duplicate key '{key}'")):
+            model_from_json(text.replace(before, after, 1))
+
     def test_save_load_preserves_predictions(self, tmp_path):
         model = small_model(seed=19)
         window = rng_for(20).uniform(0, 1, size=(6, 2))

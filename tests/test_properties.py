@@ -5,6 +5,7 @@ suite draws the same examples.
 """
 
 import dataclasses
+import io
 import json
 import re
 from unittest import mock
@@ -110,7 +111,10 @@ ODD_TEXT = {
             "\u0663", "+1"],
 }
 MUTATIONS = ["shuffle", "blank", "blank", "quote", "extra_column", "extra_field", "reorder",
-             "short", "field", "field", "field", "duplicate", "drop"]
+             "short", "field", "field", "field", "duplicate", "drop",
+             "line_end", "quoted_char", "bare_char", "bare_char", "bom"]
+# "\r" and "\n" end a line for csv; the others but NUL end one only for str.splitlines.
+LINE_CHARS = ["\r", "\n", "\u2028", "\x85", "\x0b", "\x0c", "\x1c", "\x00"]
 
 
 @st.composite
@@ -119,6 +123,7 @@ def mutated_csvs(draw):
     schema = DatasetSchema(timestamp_format=draw(st.sampled_from(["iso8601", "hours"])))
     text = seed_export_csv(draw(fleets()), schema).decode()
     header, *body = [line.split(",") for line in text.splitlines()]
+    bom = ""
     for kind in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=5)):
         if not body:
             break
@@ -159,8 +164,21 @@ def mutated_csvs(draw):
             body.insert(draw(st.integers(0, len(body))), list(row))
         elif kind == "drop":
             del body[i]
+        elif kind == "line_end" and row:
+            # the row ends in "\r\n", or in a lone "\r" that the next row follows
+            row[-1] += "\r"
+            if i + 1 < len(body) and draw(st.booleans()):
+                body[i:i + 2] = [row[:-1] + [row[-1] + ",".join(body[i + 1])]]
+        elif kind in ("quoted_char", "bare_char") and row:
+            j = draw(st.integers(0, len(row) - 1))
+            at = draw(st.integers(0, len(row[j])))
+            row[j] = row[j][:at] + draw(st.sampled_from(LINE_CHARS)) + row[j][at:]
+            if kind == "quoted_char":
+                row[j] = f'"{row[j]}"'
+        elif kind == "bom":
+            bom = "\ufeff"
     lines = [",".join(r) for r in [header] + body]
-    return schema, ("\n".join(lines) + "\n").encode()
+    return schema, (bom + "\n".join(lines) + "\n").encode()
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
@@ -168,8 +186,12 @@ def mutated_csvs(draw):
 def test_ingest_matches_seed_on_mutated_csvs(case, chunk_rows):
     schema, payload = case
     expected = ingest_outcome(seed_ingest_csv, payload, schema)
+    # the same outcome from bytes, a binary file and a text file that translates no newline
+    sources = [payload, io.BytesIO(payload),
+               io.TextIOWrapper(io.BytesIO(payload), encoding="utf-8", newline="")]
     with mock.patch.object(traffic, "_INGEST_CHUNK_ROWS", chunk_rows):
-        assert ingest_outcome(ingest_csv, payload, schema) == expected
+        for source in sources:
+            assert ingest_outcome(ingest_csv, source, schema) == expected
 
 
 @PROPERTY

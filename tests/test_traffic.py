@@ -3,6 +3,7 @@
 import csv
 import io
 import re
+import tracemalloc
 from datetime import datetime, timedelta
 from unittest import mock
 
@@ -164,12 +165,31 @@ def set_field(text, row, col, value):
     return "\n".join(lines)
 
 
+def unreadable_record(payload):
+    """The number (1-based, header included) of the first record csv cannot read in ``payload``."""
+    records = csv.reader(io.StringIO(payload.decode("utf-8")))
+    count = 0
+    try:
+        for _ in records:
+            count += 1
+    except csv.Error:
+        return count + 1
+    raise AssertionError("every record is readable")
+
+
 def ingest_outcome(ingest, payload, schema):
-    """What an ingest function makes of ``payload``: its series, or its error's row and text."""
+    """What an ingest function makes of ``payload``: its series, or its error's row and text.
+
+    The seed lets a record that csv cannot read escape as csv.Error, with no row;
+    the outcome gives it the row of that record.
+    """
     try:
         return ("ok", ingest(payload, schema))
     except IngestError as exc:
         return ("IngestError", exc.row, str(exc))
+    except csv.Error as exc:
+        row = unreadable_record(payload)
+        return ("IngestError", row, f"row {row}: {exc}")
 
 
 class TestGenerator:
@@ -401,6 +421,12 @@ class TestIngestErrors:
                     ingest_csv((self.HEADER + bad_first + "\n").encode())
                 assert exc.value.row == 2
 
+    def test_unreadable_header_names_row_one(self):
+        with pytest.raises(IngestError) as exc:
+            ingest_csv(b"enb_id,cell\rx,timestamp\n")
+        assert exc.value.row == 1
+        assert exc.value.reason.startswith("new-line character seen in unquoted field")
+
     def test_huge_hour_offset_names_row(self):
         schema = DatasetSchema(timestamp_format="hours")
         payload = (self.HEADER + "0,0,0,50.0,1.0\n" + "0,0," + "9" * 400 + ",50.0,1.0\n").encode()
@@ -441,6 +467,30 @@ class TestIngestErrors:
         with pytest.raises(IngestError, match="0xff") as exc:
             ingest_csv(payload)
         assert exc.value.row == 3
+
+    # (bytes that break UTF-8, the byte the error names); the last one also ends the file
+    BAD_UTF8 = [(b"\xff", 0xFF), (b"\xe2\x82A", 0xE2), (b"\xed\xa0\x80", 0xED),
+                (b"\xc3", 0xC3), (b"\xe2\x82", 0xE2)]
+
+    @pytest.mark.parametrize("bad, byte", BAD_UTF8)
+    @pytest.mark.parametrize("piece", [1, 2, 3, 5, 64, traffic._UTF8_PIECE_BYTES])
+    def test_non_utf8_byte_wins_over_an_earlier_malformed_row(self, piece, bad, byte):
+        # the check runs before any row is parsed, a piece at a time; characters of
+        # two to four bytes before the bad one straddle small pieces
+        payload = (
+            b"enb_id,cell_id,timestamp,prb_util,ip_throughput,note\n"
+            + "0,0,2000-01-01T00:00,x,1.0,\u00e9\u20ac\U0001f600\n".encode()
+            + '0,0,2000-01-01T01:00,50.0,1.0,"two\nlines \u20ac"\n'.encode()
+            + b"0,0,2000-01-01T02:00,50.0,1.0," + bad
+        )
+        with mock.patch.object(traffic, "_UTF8_PIECE_BYTES", piece):
+            with pytest.raises(IngestError) as exc:
+                ingest_csv(payload)
+            assert (exc.value.row, exc.value.reason) == (4, f"invalid UTF-8 byte 0x{byte:02x}")
+            # mended, the malformed row is the error again
+            with pytest.raises(IngestError, match="unparsable KPI") as exc:
+                ingest_csv(payload[: -len(bad)] + b"\xc3\xa9\n")
+            assert exc.value.row == 2
 
     def test_first_of_two_errors_in_different_chunks(self):
         payload = (
@@ -528,6 +578,40 @@ class TestSeedReference:
             with mock.patch.object(traffic, "_INGEST_CHUNK_ROWS", rows):
                 got = ingest_outcome(ingest_csv, payload, DatasetSchema())
             assert got == ingest_outcome(seed_ingest_csv, payload, DatasetSchema())
+
+
+class TestMemory:
+    """Ingest and export hold about one copy of the CSV, measured by tracemalloc.
+
+    numpy registers its buffers with tracemalloc, so arrays count. The bounds
+    are multiples of the CSV's size; the caller's own bytes are not counted.
+    """
+
+    PROFILE = SyntheticProfile(n_enb=5, cells_per_enb=12, n_days=25, seed=3)  # 36,000 rows
+
+    @staticmethod
+    def traced_peak(fn, *args) -> int:
+        """Bytes that ``fn(*args)`` allocates at its peak, beyond what was live before."""
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    def test_ingest_peaks_at_three_times_the_csv(self):
+        payload = export_csv(generate_synthetic(self.PROFILE))
+        assert len(payload) > 2_000_000
+        assert self.traced_peak(ingest_csv, payload) <= 3 * len(payload)
+
+    def test_export_peaks_at_one_and_a_half_times_the_csv(self):
+        series = generate_synthetic(self.PROFILE)
+        size = len(export_csv(series))
+        assert self.traced_peak(export_csv, series) <= 1.5 * size
 
 
 class TestSchema:

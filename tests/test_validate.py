@@ -8,8 +8,11 @@ from oransim.kpi import CellId
 from oransim.ric import EventLog, EventTag, LoopEvent, validate_events, validate_jsonl
 
 
+DIGEST = "0123456789abcdef"  # the form payload_digest writes
+
+
 def ev(seq, hour, tag, cells=()):
-    return LoopEvent(tag=tag, hour=hour, seq=seq, cells=tuple(cells), digest="0" * 16)
+    return LoopEvent(tag=tag, hour=hour, seq=seq, cells=tuple(cells), digest=DIGEST)
 
 
 def cycle(hour, seq0=0, train=False, alarms=(), e2=(), retrain=False):
@@ -157,18 +160,28 @@ class TestJsonl:
         ("cells", [[0, 1, 0], [1, 2.9, 0]], "cells[1][1]"), ("cells", [[1, 2, True]], "cells[0][2]"),
         ("cells", [[1, 2]], "cells[0]"), ("cells", [[1, 2, 0, 0]], "cells[0]"),
         ("cells", [[0, -1, 0]], "cells[0][1]"), ("cells", [{"enb": 0}], "cells[0]"),
+        ("digest", "", "digest"), ("digest", "0", "digest"), ("digest", "0" * 17, "digest"),
+        ("digest", "0123456789ABCDEF", "digest"), ("digest", "0123456789abcdeg", "digest"),
+        ("digest", "0123456789abcde\n", "digest"), ("digest", "\u0660" * 16, "digest"),
     ]
 
     @pytest.mark.parametrize("field, value, named", MISTYPED)
     def test_mistyped_field_names_line_and_field(self, field, value, named):
-        record = {"seq": 1, "hour": 0, "tag": EventTag.BUS_PUBLISH, "cells": [], "digest": "0"}
+        record = {"seq": 1, "hour": 0, "tag": EventTag.BUS_PUBLISH, "cells": [], "digest": DIGEST}
         good = json.dumps({**record, "seq": 0, "tag": EventTag.O1_COLLECT})
         result = validate_jsonl(good + "\n" + json.dumps({**record, field: value}) + "\n")
         assert not result.ok
         assert result.violation.startswith(f"line 2: malformed event record ({named} must be ")
 
+    def test_repeated_key_rejected_naming_it(self):
+        # json.loads alone keeps the last value: this line would read as seq 1
+        line = '{"seq": 0, "seq": 1, "hour": 0, "tag": "O1Collect", "cells": [], "digest": "%s"}'
+        result = validate_jsonl(line % DIGEST + "\n")
+        assert result.violation == (
+            "line 1: malformed event record (duplicate key 'seq' in a JSON object)")
+
     def test_unknown_or_missing_key_rejected(self):
-        record = {"seq": 0, "hour": 0, "tag": EventTag.O1_COLLECT, "cells": [], "digest": "0"}
+        record = {"seq": 0, "hour": 0, "tag": EventTag.O1_COLLECT, "cells": [], "digest": DIGEST}
         extra = validate_jsonl(json.dumps({**record, "extra": 1}) + "\n")
         assert "unknown keys in event: ['extra']" in extra.violation
         missing = validate_jsonl(json.dumps({k: v for k, v in record.items() if k != "digest"}) + "\n")
