@@ -105,6 +105,10 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     schema = _section(DatasetSchema, "schema", doc.get("schema", {}))
     rule = _section(CongestionRule, "rule", doc.get("rule", {}))
     lstm = _section(LstmConfig, "lstm", doc.get("lstm", {}))
+    for key in ("input_dim", "output_dim"):  # the loop feeds and forecasts KPI pairs
+        if getattr(lstm, key) != 2:
+            raise ValueError(f"lstm.{key} must be 2, the (prb_util, ip_throughput) pair, "
+                             f"got {getattr(lstm, key)}")
     training = _section(TrainingConfig, "training", doc.get("training", {}),
                         seed=derive_seed(master_seed, _SEED_DOMAIN_TRAINING))
     split = _section(SplitPolicy, "split", doc.get("split", {}),

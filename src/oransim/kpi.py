@@ -83,12 +83,22 @@ class KpiSample:
             )
 
 
+def _read_only(array) -> bool:
+    """True if ``array`` is an ndarray and neither it nor any array it views is writable."""
+    viewed = array
+    while isinstance(viewed, np.ndarray) and not viewed.flags.writeable:
+        viewed = viewed.base
+    return viewed is None and type(array) is np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class KpiSeries:
     """Hourly KPIs of one cell: row ``i`` of ``values`` is hour ``start + i``.
 
     ``values`` is a read-only (N, 2) float64 array with columns
-    (prb_util, ip_throughput); every row obeys ``KpiSample``'s bounds.
+    (prb_util, ip_throughput); every row obeys ``KpiSample``'s bounds. A
+    float64 array is kept as given when nothing can write to it: neither it
+    nor any array it views is writable. Any other input is copied.
     """
 
     cell: CellId
@@ -96,7 +106,9 @@ class KpiSeries:
     values: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)
+        values = self.values
+        if not (_read_only(values) and values.dtype == np.float64):
+            values = np.array(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[1] != 2:
             raise ValueError(f"values must have shape (N, 2), got {values.shape}")
         prb, thr = values[:, 0], values[:, 1]

@@ -138,11 +138,12 @@ def run_control_loop(
     event log and final state.
     """
     if horizon_hours < loop_cfg.collection_period:
-        raise ValueError("horizon must cover at least one collection period")
+        raise ValueError(f"horizon_hours {horizon_hours} must cover at least one "
+                         f"loop.collection_period ({loop_cfg.collection_period} hours)")
     if network.hour < loop_cfg.collection_period:
         raise ValueError(
-            f"need at least {loop_cfg.collection_period} hours of history, "
-            f"network is at hour {network.hour}"
+            f"horizon_hours {horizon_hours} leaves {network.hour} hours of history, fewer "
+            f"than one loop.collection_period ({loop_cfg.collection_period} hours)"
         )
     if network.hour + horizon_hours > network.total_hours:
         raise ValueError(

@@ -417,8 +417,10 @@ def _series_from_columns(columns, blanks, cell_codes) -> list[KpiSeries]:
     exists, so no more than one column is held twice at a time. One stable
     sort orders rows by (enb, cell) and then hours, with ties in file order,
     so the first violation found is the first one a row-by-row scan in that
-    order would meet. Rows keep no numbers: the failing row's number comes
-    from its place among the file's rows and the ``blanks`` before it.
+    order would meet; rows already in that order, as ``export_csv`` writes
+    them, are not copied. Rows keep no numbers: the failing row's number
+    comes from its place among the file's rows and the ``blanks`` before it.
+    The series are read-only views of the one KPI array.
     """
     codes, hours, values = columns
     keys = sorted(cell_codes)
@@ -429,9 +431,12 @@ def _series_from_columns(columns, blanks, cell_codes) -> list[KpiSeries]:
     hours = _drain(hours)
     order = np.lexsort((hours, cell_rank))
     del cell_rank
-    earliest, rel = hours.min(), hours[order]
+    in_order = not (order[1:] < order[:-1]).any()
+    earliest, rel = hours.min(), (hours if in_order else hours[order])
     del hours
-    values = _drain(values)[order]
+    values = _drain(values)
+    if not in_order:
+        values = values[order]
     prb, thr = values.T
     with np.errstate(over="ignore", invalid="ignore"):  # spans past the float range
         rel -= earliest
@@ -461,7 +466,8 @@ def _series_from_columns(columns, blanks, cell_codes) -> list[KpiSeries]:
             enb=enb, cell=cell, rel=float(rel[i]), offset=offset[i], prev=offset[i - 1],
             prb=float(prb[i]), thr=float(thr[i]),
         ))
-    del checks, off_grid, step, bad, rel, order  # free them before the series copy their rows
+    del checks, off_grid, step, bad, rel, order  # free them before the series check their rows
+    values.flags.writeable = False  # so each series keeps a view of its rows
     return [
         KpiSeries(CellId(*key), int(offset[lo]), values[lo:hi])
         for key, lo, hi in zip(keys, bounds[:-1], bounds[1:])

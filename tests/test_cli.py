@@ -347,6 +347,33 @@ class TestRun:
             assert key in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("horizon, period, named", [
+        (4, 6, "horizon_hours 4 must cover at least one loop.collection_period (6 hours)"),
+        (40, 40, "horizon_hours 40 leaves 8 hours of history, fewer than one "
+                 "loop.collection_period (40 hours)"),
+    ], ids=["over-horizon", "over-history"])
+    def test_collection_period_longer_than_window_exits_one(self, tmp_path, capsys, horizon,
+                                                            period, named):
+        doc = {"horizon_hours": horizon, "loop": {"collection_period": period},
+               "traffic": {"synthetic": {"n_enb": 1, "cells_per_enb": 2, "n_days": 2}}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "-c", str(cfg), "-o", str(tmp_path / "out")]) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["input_dim", "output_dim"])
+    @pytest.mark.parametrize("command", ["run", "train"])
+    def test_lstm_width_other_than_the_kpi_pair_exits_one(self, tmp_path, capsys, command, key):
+        doc = json.loads(json.dumps(TINY))
+        doc["lstm"][key] = 3
+        cfg = write_config(tmp_path, doc)
+        args = [command, "-c", str(cfg), "-o", str(tmp_path / "out")]
+        if command == "train":
+            args += ["-d", str(tmp_path / "dataset.csv")]  # never read: the config fails first
+        assert main(args) == 1
+        assert f"lstm.{key} must be 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_csv_traffic_run(self, tmp_path):
         cfg_doc = json.loads(json.dumps(TINY))
         gen_cfg = write_config(tmp_path, TINY, name="gen.json")

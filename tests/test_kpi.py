@@ -116,6 +116,25 @@ class TestInvariants:
         with pytest.raises(ValueError):
             CellId(-1, 0)
 
+    def test_series_keeps_only_arrays_nothing_can_write(self):
+        rows = np.array([(10.5, 1.25), (20.25, 2.5), (30.0, 0.5)])
+        frozen = rows.copy()
+        frozen.flags.writeable = False
+        assert KpiSeries(CellId(0, 0), 0, frozen).values is frozen
+        assert KpiSeries(CellId(0, 0), 0, frozen[1:]).values.base is frozen
+        assert KpiSeries(CellId(0, 0), 0, frozen.astype(np.float32)).values.dtype == np.float64
+        frozen_bad = np.array([(50.0, 1.0), (101.0, 1.0)])
+        frozen_bad.flags.writeable = False
+        with pytest.raises(ValueError, match="hour 1:"):
+            KpiSeries(CellId(0, 0), 0, frozen_bad)
+        read_only_view = rows[1:]
+        read_only_view.flags.writeable = False
+        for given, expected in ((rows, rows.copy()), (read_only_view, rows[1:].copy())):
+            series = KpiSeries(CellId(0, 0), 0, given)
+            rows[:] = 0.0  # the caller still writes through ``rows``
+            assert np.array_equal(series.values, expected)
+            rows[:] = [(10.5, 1.25), (20.25, 2.5), (30.0, 0.5)]
+
     def test_series_array_round_trip(self):
         s = series_from([(10.5, 1.25), (20.25, 2.5)], start=5)
         arr = s.to_array()

@@ -53,6 +53,7 @@ from oransim.splitting import (
 from oransim import traffic
 from oransim.traffic import DatasetSchema, export_csv, ingest_csv
 from test_traffic import ingest_outcome, seed_export_csv, seed_ingest_csv
+from test_validate import seed_validate_events
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -638,3 +639,41 @@ def test_validator_accepts_loop_logs_and_rejects_their_mutations(events, data):
         alarm = events[i - 1]
         assert (alarm.tag, alarm.cells) == (EventTag.ALARM_RAISED, events[i].cells)
         assert not validate_events(renumbered(events[: i - 1] + events[i:])).ok, "E2 alone"
+
+
+def mutated_logs(events, i, data):
+    """(name, log) for each kind of mutation of ``events`` at event ``i``."""
+    e = events[i]
+    yield "drop", events[:i] + events[i + 1:]
+    yield "swap", events[:i] + events[i + 1:i + 2] + [e] + events[i + 2:]
+    tag = data.draw(st.sampled_from(EventTag.ALL + ("Heartbeat",)))
+    yield "retag", events[:i] + [dataclasses.replace(e, tag=tag)] + events[i + 1:]
+    shifted = dataclasses.replace(e, hour=e.hour + data.draw(st.sampled_from([-3, -1, 1, 3])))
+    yield "shifted hour", events[:i] + [shifted] + events[i + 1:]
+    # an alarmed cell of another cycle makes an E2Control whose alarm is not in its own cycle
+    alarmed = [a.cells for a in events if a.tag == EventTag.ALARM_RAISED]
+    cells = data.draw(st.sampled_from([(), (CellId(9, 9),), e.cells + e.cells] + alarmed))
+    yield "cells", events[:i] + [dataclasses.replace(e, cells=cells)] + events[i + 1:]
+    yield "duplicate", events[:i + 1] + [e] + events[i + 1:]
+    yield "truncate", events[:i]
+    repeated = dataclasses.replace(e, seq=events[i - 1].seq)
+    yield "repeated seq", events[:i] + [repeated] + events[i + 1:]
+
+
+@PROPERTY
+@given(events=loop_logs(), data=st.data())
+def test_validator_verdicts_match_the_seed_validator(events, data):
+    # one place in each context of (previous, own, next) tag that the log holds
+    tags = [None] + [e.tag for e in events] + [None]
+    contexts = {}
+    for i in range(len(events)):
+        contexts.setdefault(tuple(tags[i:i + 3]), []).append(i)
+    places = [data.draw(st.sampled_from(at)) for at in contexts.values()]
+    logs = [("loop", events)] + [
+        (f"{name} at {i}{tail}", log)
+        for i in places for name, mutated in mutated_logs(events, i, data)
+        for tail, log in (("", mutated), (" renumbered", renumbered(mutated)))
+    ]
+    for name, log in logs:
+        got, expected = validate_events(log), seed_validate_events(log)
+        assert (got.ok, got.seq) == (expected.ok, expected.seq), name

@@ -269,7 +269,11 @@ class TestGenerator:
 class TestCsvRoundTrip:
     def test_round_trip_identity(self):
         series = generate_synthetic(SMALL)
-        assert ingest_csv(export_csv(series)) == series
+        ingested = ingest_csv(export_csv(series))
+        assert ingested == series
+        # every series is a read-only view of one array of all rows, not a copy
+        assert len({id(s.values.base) for s in ingested}) == 1
+        assert not ingested[0].values.base.flags.writeable
 
     def test_round_trip_hours_format(self):
         schema = DatasetSchema(timestamp_format="hours")

@@ -6,6 +6,95 @@ import pytest
 
 from oransim.kpi import CellId
 from oransim.ric import EventLog, EventTag, LoopEvent, validate_events, validate_jsonl
+from oransim.ric.validate import _FOLLOWS, ValidationResult, _fail
+
+
+# The recursive-descent validator that the table-driven one replaced, kept as
+# the reference its verdicts are compared with.
+def seed_validate_events(events) -> ValidationResult:
+    events = list(events)
+    if not events:
+        return ValidationResult(True)
+
+    for prev, cur in zip(events, events[1:]):
+        if cur.seq <= prev.seq:
+            return _fail(cur, f"sequence number must exceed {prev.seq}")
+        if cur.hour < prev.hour:
+            return _fail(cur, f"hour {cur.hour} precedes previous hour {prev.hour}")
+
+    i = 0
+    n = len(events)
+    seen_trained_model = False
+    while i < n:
+        ev = events[i]
+        if ev.tag != EventTag.O1_COLLECT:
+            return _fail(ev, "cycle must start with O1Collect")
+        cycle_hour = ev.hour
+        i += 1
+
+        def take(expected: str):
+            nonlocal i
+            if i >= n:
+                return None, ValidationResult(
+                    False, f"log ends mid-cycle: expected {expected}", events[-1].seq
+                )
+            ev = events[i]
+            if ev.tag != expected:
+                return None, _fail(ev, f"expected {expected}")
+            if ev.hour != cycle_hour:
+                return None, _fail(ev, f"hour {ev.hour} differs from cycle hour {cycle_hour}")
+            i += 1
+            return ev, None
+
+        _, err = take(EventTag.BUS_PUBLISH)
+        if err is not None:
+            return err
+
+        if i < n and events[i].tag == EventTag.CAPABILITY_QUERY:
+            for tag in (EventTag.CAPABILITY_QUERY, EventTag.TRAIN_REQUEST, EventTag.TRAINED_MODEL):
+                _, err = take(tag)
+                if err is not None:
+                    return err
+            seen_trained_model = True
+
+        deploy, err = take(EventTag.A1_DEPLOY)
+        if err is not None:
+            return err
+        if not seen_trained_model:
+            return _fail(deploy, "A1Deploy precedes any TrainedModel")
+
+        _, err = take(EventTag.INFERENCE)
+        if err is not None:
+            return err
+
+        alarmed: set = set()
+        while i < n and events[i].tag in (EventTag.ALARM_RAISED, EventTag.E2_CONTROL):
+            ev = events[i]
+            if ev.hour != cycle_hour:
+                return _fail(ev, f"hour {ev.hour} differs from cycle hour {cycle_hour}")
+            if len(ev.cells) != 1:
+                return _fail(ev, "alarm/control events must name exactly one cell")
+            if ev.tag == EventTag.ALARM_RAISED:
+                alarmed.add(ev.cells[0])
+            else:
+                if ev.cells[0] not in alarmed:
+                    return _fail(
+                        ev,
+                        f"E2Control for {ev.cells[0].label()} without a prior "
+                        f"AlarmRaised in this cycle",
+                    )
+            i += 1
+
+        _, err = take(EventTag.FEEDBACK)
+        if err is not None:
+            return err
+
+        while i < n and events[i].tag == EventTag.RETRAIN:
+            if events[i].hour != cycle_hour:
+                return _fail(events[i], "Retrain hour differs from cycle hour")
+            i += 1
+
+    return ValidationResult(True)
 
 
 DIGEST = "0123456789abcdef"  # the form payload_digest writes
@@ -44,6 +133,10 @@ def cycle(hour, seq0=0, train=False, alarms=(), e2=(), retrain=False):
 
 
 class TestValidCases:
+    def test_grammar_table_names_every_tag(self):
+        assert set(_FOLLOWS) == set(EventTag.ALL)
+        assert {t for follows in _FOLLOWS.values() for t in follows} == set(EventTag.ALL)
+
     def test_empty_log_passes(self):
         assert validate_events([]).ok
 
