@@ -100,7 +100,7 @@ def _build_network(cfg: ScenarioConfig) -> SimulatedNetwork:
     history = total - cfg.horizon_hours
     if history < 1:
         raise ValueError(
-            f"traffic provides {total} hours, horizon {cfg.horizon_hours} leaves no history"
+            f"traffic provides {total} hours, horizon_hours {cfg.horizon_hours} leaves no history"
         )
     return SimulatedNetwork(base, throughput_cap=cap, history_hours=history)
 

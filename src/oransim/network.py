@@ -107,6 +107,8 @@ class SimulatedNetwork:
         self._index_active()
         self.hour = 0  # next hour to realize
         self.split_events: list[SplitEvent] = []
+        if history_hours < 0:
+            raise ValueError(f"history_hours must be >= 0, got {history_hours}")
         if history_hours > self.total_hours:
             raise ValueError(
                 f"history_hours {history_hours} exceeds base horizon {self.total_hours}"

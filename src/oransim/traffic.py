@@ -14,7 +14,6 @@ perturb existing cells' waveforms.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import io
 from bisect import bisect_right
@@ -48,8 +47,6 @@ _WEEKLY_AMPLITUDE = 0.05
 # Dataset CSV rows parsed per column-wise batch on ingest: bounds the rows held as
 # Python strings at once, whatever the file size.
 _INGEST_CHUNK_ROWS = 2048
-# Input bytes the UTF-8 check decodes at a time: bounds the text it holds at once.
-_UTF8_PIECE_BYTES = 1 << 18
 # ASCII characters that ``float`` skips around or between digits; KPI fields may hold none.
 _FLOAT_SKIPS = "_ \t\n\r\v\f"
 
@@ -255,43 +252,22 @@ def _lines(raw) -> io.TextIOWrapper:
 
 
 def _check_utf8(raw) -> None:
-    """Raise IngestError naming the CSV record that holds the first byte of ``raw`` not in UTF-8.
-
-    The bytes are decoded ``_UTF8_PIECE_BYTES`` at a time and the text is
-    dropped, so the check never holds a decoded copy of the file. Only on
-    failure is the text before the bad byte decoded again, to count its records.
-    """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    with memoryview(raw) as view:
-        for at in range(0, len(view), _UTF8_PIECE_BYTES):
-            held = len(decoder.getstate()[0])  # leading bytes of a character the last piece cut
-            try:
-                decoder.decode(view[at:at + _UTF8_PIECE_BYTES],
-                               final=at + _UTF8_PIECE_BYTES >= len(view))
-            except UnicodeDecodeError as exc:
-                bad = at - held + exc.start
-                break
-        else:
-            return
+    """Raise IngestError naming the CSV record that holds the first byte of ``raw`` not in UTF-8."""
+    try:
+        raw.decode("utf-8")
+        return
+    except UnicodeDecodeError as exc:
+        bad = exc.start
     # the byte's record is the last one of the text before it plus one character
     try:
         row = sum(1 for _ in csv.reader(_lines(raw[:bad] + b"x")))
     except csv.Error:
         row = raw.count(b"\n", 0, bad) + 1
-    raise IngestError(row, f"invalid UTF-8 byte 0x{raw[bad]:02x}")
-
-
-def _line_source(source):
-    """The lines of ``source`` for ``csv.reader``; bytes are checked to be UTF-8 first."""
-    raw = source if isinstance(source, (bytes, bytearray)) else source.read()
-    if not isinstance(raw, (bytes, bytearray)):
-        return io.StringIO(raw)  # a text-mode source
-    _check_utf8(raw)
-    return _lines(raw)
+    raise IngestError(row, f"invalid UTF-8 byte 0x{raw[bad]:02x}") from None
 
 
 def _parse_chunk(chunk, width, cols, schema, cell_codes, stamp_hours):
-    """Columns of one chunk of CSV rows: (cell codes, hours, (n, 2) KPIs, blank records).
+    """Columns of one chunk of CSV rows: (cell codes, hours, prb_util, ip_throughput, blanks).
 
     Blank records are skipped; for each, the last array holds how many of the
     chunk's other rows precede it. ``cell_codes`` and ``stamp_hours`` map each
@@ -329,15 +305,14 @@ def _parse_chunk(chunk, width, cols, schema, cell_codes, stamp_hours):
     kpis = "".join(prbs + thrs)
     if not kpis.isascii() or any(c in kpis for c in _FLOAT_SKIPS):
         return "unparsable KPI value"
-    values = np.empty((n, 2))
     try:
-        values[:, 0] = np.fromiter(map(float, prbs), np.float64, n)
-        values[:, 1] = np.fromiter(map(float, thrs), np.float64, n)
+        prb = np.fromiter(map(float, prbs), np.float64, n)
+        thr = np.fromiter(map(float, thrs), np.float64, n)
     except ValueError:
         return "unparsable KPI value"
     codes = np.fromiter(map(cell_codes.__getitem__, keys), np.int64, n)
     hours = np.fromiter(map(stamp_hours.__getitem__, stamps), np.float64, n)
-    return codes, hours, values, blanks
+    return codes, hours, prb, thr, blanks
 
 
 def ingest_csv(source, schema: DatasetSchema = DatasetSchema()) -> list[KpiSeries]:
@@ -349,13 +324,31 @@ def ingest_csv(source, schema: DatasetSchema = DatasetSchema()) -> list[KpiSerie
     undecodable byte, out-of-range value, duplicate hour, or gap in a cell's
     hourly grid raises IngestError naming the row.
 
-    Bytes are checked to be UTF-8 before any row is parsed, so a bad byte is
-    the error even after a malformed row. ``csv.reader`` then reads lines
-    lazily from the bytes, and no decoded copy of the file is held. Rows are
-    parsed column-wise in chunks of ``_INGEST_CHUNK_ROWS``; a chunk holding a
-    malformed row is parsed again one row at a time to name the first one.
+    ``csv.reader`` reads lines lazily from the bytes through a strict UTF-8
+    decoder, so the bytes are decoded once and no decoded copy of the file is
+    held. Only when ingest fails are they checked for a bad byte, which is
+    then the error even if a malformed row came first. A text-mode file
+    object is read whole.
     """
-    reader = csv.reader(_line_source(source))
+    raw = source if isinstance(source, (bytes, bytearray)) else source.read()
+    if isinstance(raw, str):  # a text-mode source
+        return _ingest_lines(io.StringIO(raw), raw.count("\n") + 1, schema)
+    try:
+        return _ingest_lines(_lines(raw), raw.count(b"\n") + 1, schema)
+    except (IngestError, UnicodeDecodeError):
+        _check_utf8(raw)
+        raise
+
+
+def _ingest_lines(lines, max_records: int, schema: DatasetSchema) -> list[KpiSeries]:
+    """``ingest_csv`` of CSV text whose ``lines`` hold at most ``max_records`` records.
+
+    Rows are parsed column-wise in chunks of ``_INGEST_CHUNK_ROWS``, and each
+    chunk writes its columns into place in one set of columns sized for
+    ``max_records`` rows. A chunk holding a malformed row is parsed again
+    one row at a time to name the first one.
+    """
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
@@ -370,7 +363,10 @@ def ingest_csv(source, schema: DatasetSchema = DatasetSchema()) -> list[KpiSerie
     cell_codes: dict[tuple[int, int], int] = {}
     stamp_hours: dict[str, float] = {}
     args = (width, cols, schema, cell_codes, stamp_hours)
-    columns: tuple[list, list, list] = ([], [], [])  # chunk arrays: codes, hours, KPIs
+    codes = np.empty(max_records, np.int64)
+    hours = np.empty(max_records)
+    values = np.empty((max_records, 2))  # prb_util, ip_throughput
+    columns = (codes, hours, *values.T)
     blanks: list[int] = []  # for each blank record, the rows before it in `columns`
     n_rows = 0
     next_row = 2
@@ -392,51 +388,42 @@ def ingest_csv(source, schema: DatasetSchema = DatasetSchema()) -> list[KpiSerie
                     raise IngestError(row_no, reason)
             raise unread
         for column, array in zip(columns, part):
-            column.append(array)
-        blanks.extend((n_rows + part[3]).tolist())
+            column[n_rows:n_rows + len(array)] = array
+        blanks.extend((n_rows + part[-1]).tolist())
         n_rows += len(part[0])
         next_row += len(chunk)
     if not cell_codes:
         return []
-    return _series_from_columns(columns, blanks, cell_codes)
+    values.flags.writeable = False  # so each series keeps a view of its rows
+    return _series_from_columns(codes[:n_rows], hours[:n_rows], values[:n_rows], blanks,
+                                cell_codes)
 
 
-def _drain(parts: list) -> np.ndarray:
-    """The arrays of ``parts`` joined into one; the list is emptied, freeing them."""
-    joined = np.concatenate(parts)
-    parts.clear()
-    return joined
-
-
-def _series_from_columns(columns, blanks, cell_codes) -> list[KpiSeries]:
+def _series_from_columns(codes, hours, values, blanks, cell_codes) -> list[KpiSeries]:
     """Validate the hourly grid and KPI bounds of every row, then cut per-cell series.
 
-    ``columns`` holds the lists of chunk arrays that ``ingest_csv`` gathered:
-    cell codes, hours and KPIs, in file order. Each list is emptied as its
-    column is joined, and each joined column is dropped once its sorted copy
-    exists, so no more than one column is held twice at a time. One stable
-    sort orders rows by (enb, cell) and then hours, with ties in file order,
-    so the first violation found is the first one a row-by-row scan in that
-    order would meet; rows already in that order, as ``export_csv`` writes
-    them, are not copied. Rows keep no numbers: the failing row's number
-    comes from its place among the file's rows and the ``blanks`` before it.
-    The series are read-only views of the one KPI array.
+    ``codes``, ``hours`` and ``values`` are the cell codes, hours and KPIs of
+    the file's non-blank rows, in file order; ``values`` is read-only and
+    ``hours`` may be overwritten. One stable sort orders rows by (enb, cell)
+    and then hours, with ties in file order, so the first violation found is
+    the first one a row-by-row scan in that order would meet; rows already in
+    that order, as ``export_csv`` writes them, are not copied. Rows keep no
+    numbers: the failing row's number comes from its place among the file's
+    rows and the ``blanks`` before it. The series are read-only views of one
+    KPI array.
     """
-    codes, hours, values = columns
     keys = sorted(cell_codes)
     rank = np.empty(len(keys), np.int64)
     rank[[cell_codes[key] for key in keys]] = np.arange(len(keys))
-    cell_rank = rank[_drain(codes)]
+    cell_rank = rank[codes]
     bounds = np.append(0, np.cumsum(np.bincount(cell_rank, minlength=len(keys))))
-    hours = _drain(hours)
     order = np.lexsort((hours, cell_rank))
     del cell_rank
     in_order = not (order[1:] < order[:-1]).any()
     earliest, rel = hours.min(), (hours if in_order else hours[order])
-    del hours
-    values = _drain(values)
     if not in_order:
         values = values[order]
+        values.flags.writeable = False  # so each series keeps a view of its rows
     prb, thr = values.T
     with np.errstate(over="ignore", invalid="ignore"):  # spans past the float range
         rel -= earliest
@@ -467,7 +454,6 @@ def _series_from_columns(columns, blanks, cell_codes) -> list[KpiSeries]:
             prb=float(prb[i]), thr=float(thr[i]),
         ))
     del checks, off_grid, step, bad, rel, order  # free them before the series check their rows
-    values.flags.writeable = False  # so each series keeps a view of its rows
     return [
         KpiSeries(CellId(*key), int(offset[lo]), values[lo:hi])
         for key, lo, hi in zip(keys, bounds[:-1], bounds[1:])

@@ -347,6 +347,15 @@ class TestRun:
             assert key in err
         assert not (tmp_path / "out").exists()
 
+    def test_horizon_past_the_traffic_exits_one_naming_it(self, tmp_path, capsys):
+        doc = {"horizon_hours": 60,
+               "traffic": {"synthetic": {"n_enb": 1, "cells_per_enb": 2, "n_days": 2}}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "-c", str(cfg), "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "traffic provides 48 hours, horizon_hours 60 leaves no history" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("horizon, period, named", [
         (4, 6, "horizon_hours 4 must cover at least one loop.collection_period (6 hours)"),
         (40, 40, "horizon_hours 40 leaves 8 hours of history, fewer than one "

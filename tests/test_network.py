@@ -52,6 +52,14 @@ class TestRealization:
         with pytest.raises(ValueError):
             net.realize_hour()
 
+    @pytest.mark.parametrize("history, named", [
+        (-5, "history_hours must be >= 0, got -5"),
+        (7, "history_hours 7 exceeds base horizon 6"),
+    ])
+    def test_rejects_history_outside_the_base_traffic(self, history, named):
+        with pytest.raises(ValueError, match=named):
+            flat_network(n_hours=6, history=history)
+
     def test_rejects_mismatched_series(self):
         a = KpiSeries.from_arrays(CellId(0, 0), 0, [1.0, 2.0], [1.0, 1.0])
         b = KpiSeries.from_arrays(CellId(0, 1), 0, [1.0], [1.0])

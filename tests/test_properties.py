@@ -52,7 +52,7 @@ from oransim.splitting import (
 )
 from oransim import traffic
 from oransim.traffic import DatasetSchema, export_csv, ingest_csv
-from test_traffic import ingest_outcome, seed_export_csv, seed_ingest_csv
+from test_traffic import BAD_UTF8, ingest_outcome, seed_export_csv, seed_ingest_csv
 from test_validate import seed_validate_events
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
@@ -113,18 +113,18 @@ ODD_TEXT = {
 }
 MUTATIONS = ["shuffle", "blank", "blank", "quote", "extra_column", "extra_field", "reorder",
              "short", "field", "field", "field", "duplicate", "drop",
-             "line_end", "quoted_char", "bare_char", "bare_char", "bom"]
+             "line_end", "quoted_char", "bare_char", "bare_char", "bom", "bad_byte", "bad_byte"]
 # "\r" and "\n" end a line for csv; the others but NUL end one only for str.splitlines.
 LINE_CHARS = ["\r", "\n", "\u2028", "\x85", "\x0b", "\x0c", "\x1c", "\x00"]
 
 
 @st.composite
 def mutated_csvs(draw):
-    """A valid export of a random fleet after one to five row or field mutations."""
+    """A valid export of a random fleet after one to five row, field or byte mutations."""
     schema = DatasetSchema(timestamp_format=draw(st.sampled_from(["iso8601", "hours"])))
     text = seed_export_csv(draw(fleets()), schema).decode()
     header, *body = [line.split(",") for line in text.splitlines()]
-    bom = ""
+    bom, bad_bytes = "", []
     for kind in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=5)):
         if not body:
             break
@@ -178,19 +178,45 @@ def mutated_csvs(draw):
                 row[j] = f'"{row[j]}"'
         elif kind == "bom":
             bom = "\ufeff"
+        elif kind == "bad_byte":
+            bad_bytes.append(draw(st.sampled_from(BAD_UTF8))[0])
     lines = [",".join(r) for r in [header] + body]
-    return schema, (bom + "\n".join(lines) + "\n").encode()
+    payload = (bom + "\n".join(lines) + "\n").encode()
+    for bad in bad_bytes:  # at any byte offset, the end included
+        at = draw(st.integers(0, len(payload)))
+        payload = payload[:at] + bad + payload[at:]
+    return schema, payload
+
+
+def lines_decoding(decode_bytes):
+    """``traffic._lines``, but the text file it returns decodes ``decode_bytes`` bytes at a time."""
+    lines = traffic._lines
+
+    def lines_in_pieces(raw):
+        text = lines(raw)
+        text._CHUNK_SIZE = decode_bytes
+        return text
+    return lines_in_pieces
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
-@given(case=mutated_csvs(), chunk_rows=st.sampled_from([1, 2, 3, 5, 8, 2048]))
-def test_ingest_matches_seed_on_mutated_csvs(case, chunk_rows):
+@given(case=mutated_csvs(), chunk_rows=st.sampled_from([1, 2, 3, 5, 8, 2048]),
+       decode_bytes=st.sampled_from([1, 8192]))
+def test_ingest_matches_seed_on_mutated_csvs(case, chunk_rows, decode_bytes):
+    # decoded a byte at a time, a bad byte is met after the rows before it
     schema, payload = case
     expected = ingest_outcome(seed_ingest_csv, payload, schema)
-    # the same outcome from bytes, a binary file and a text file that translates no newline
-    sources = [payload, io.BytesIO(payload),
-               io.TextIOWrapper(io.BytesIO(payload), encoding="utf-8", newline="")]
-    with mock.patch.object(traffic, "_INGEST_CHUNK_ROWS", chunk_rows):
+    # the same outcome from bytes, a binary file and, if the bytes are UTF-8, a
+    # text file that translates no newline
+    sources = [payload, io.BytesIO(payload)]
+    try:
+        payload.decode("utf-8")
+    except UnicodeDecodeError:
+        pass
+    else:
+        sources.append(io.TextIOWrapper(io.BytesIO(payload), encoding="utf-8", newline=""))
+    with mock.patch.object(traffic, "_INGEST_CHUNK_ROWS", chunk_rows), \
+            mock.patch.object(traffic, "_lines", lines_decoding(decode_bytes)):
         for source in sources:
             assert ingest_outcome(ingest_csv, source, schema) == expected
 

@@ -177,11 +177,25 @@ def unreadable_record(payload):
     raise AssertionError("every record is readable")
 
 
+def byte_record(payload, at):
+    """The number (1-based, header included) of the CSV record holding byte ``at`` of ``payload``.
+
+    It is one past the records of the text before the byte, or the byte's
+    line if csv cannot read that text.
+    """
+    text = payload[:at].decode("utf-8") + "x"
+    try:
+        return sum(1 for _ in csv.reader(io.StringIO(text)))
+    except csv.Error:
+        return text.count("\n") + 1
+
+
 def ingest_outcome(ingest, payload, schema):
     """What an ingest function makes of ``payload``: its series, or its error's row and text.
 
-    The seed lets a record that csv cannot read escape as csv.Error, with no row;
-    the outcome gives it the row of that record.
+    The seed lets a record that csv cannot read escape as csv.Error, and a
+    byte that is not UTF-8 as UnicodeDecodeError, with no row; the outcome
+    gives each the row of the record that holds it.
     """
     try:
         return ("ok", ingest(payload, schema))
@@ -190,6 +204,16 @@ def ingest_outcome(ingest, payload, schema):
     except csv.Error as exc:
         row = unreadable_record(payload)
         return ("IngestError", row, f"row {row}: {exc}")
+    except UnicodeDecodeError as exc:
+        if ingest is not seed_ingest_csv:
+            raise  # only the seed decodes the whole payload, so that exc.start is its offset
+        row = byte_record(exc.object, exc.start)
+        return ("IngestError", row, f"row {row}: invalid UTF-8 byte 0x{exc.object[exc.start]:02x}")
+
+
+# (bytes that break UTF-8, the byte the error names); the last one also ends the file
+BAD_UTF8 = [(b"\xff", 0xFF), (b"\xe2\x82A", 0xE2), (b"\xed\xa0\x80", 0xED),
+            (b"\xc3", 0xC3), (b"\xe2\x82", 0xE2)]
 
 
 class TestGenerator:
@@ -472,29 +496,43 @@ class TestIngestErrors:
             ingest_csv(payload)
         assert exc.value.row == 3
 
-    # (bytes that break UTF-8, the byte the error names); the last one also ends the file
-    BAD_UTF8 = [(b"\xff", 0xFF), (b"\xe2\x82A", 0xE2), (b"\xed\xa0\x80", 0xED),
-                (b"\xc3", 0xC3), (b"\xe2\x82", 0xE2)]
-
     @pytest.mark.parametrize("bad, byte", BAD_UTF8)
-    @pytest.mark.parametrize("piece", [1, 2, 3, 5, 64, traffic._UTF8_PIECE_BYTES])
-    def test_non_utf8_byte_wins_over_an_earlier_malformed_row(self, piece, bad, byte):
-        # the check runs before any row is parsed, a piece at a time; characters of
-        # two to four bytes before the bad one straddle small pieces
+    @pytest.mark.parametrize("rows", [1, 2, 3, 2048])
+    @pytest.mark.parametrize("filler", [0, 400])
+    def test_non_utf8_byte_wins_over_an_earlier_malformed_row(self, filler, rows, bad, byte):
+        # without filler, the reader mostly meets the bad byte before a row is
+        # parsed; past 400 filler rows (12 KiB), a one-row chunk fails on row 2
+        # first. Characters of two to four bytes come before the bad one.
         payload = (
             b"enb_id,cell_id,timestamp,prb_util,ip_throughput,note\n"
             + "0,0,2000-01-01T00:00,x,1.0,\u00e9\u20ac\U0001f600\n".encode()
             + '0,0,2000-01-01T01:00,50.0,1.0,"two\nlines \u20ac"\n'.encode()
+            + b"0,0,2000-01-01T02:00,50.0,1.0,\n" * filler
             + b"0,0,2000-01-01T02:00,50.0,1.0," + bad
         )
-        with mock.patch.object(traffic, "_UTF8_PIECE_BYTES", piece):
+        with mock.patch.object(traffic, "_INGEST_CHUNK_ROWS", rows):
             with pytest.raises(IngestError) as exc:
                 ingest_csv(payload)
-            assert (exc.value.row, exc.value.reason) == (4, f"invalid UTF-8 byte 0x{byte:02x}")
+            assert (exc.value.row, exc.value.reason) == (4 + filler,
+                                                         f"invalid UTF-8 byte 0x{byte:02x}")
             # mended, the malformed row is the error again
             with pytest.raises(IngestError, match="unparsable KPI") as exc:
                 ingest_csv(payload[: -len(bad)] + b"\xc3\xa9\n")
             assert exc.value.row == 2
+
+    def test_valid_bytes_are_decoded_once(self):
+        # only a failed ingest looks for a bad byte
+        series = generate_synthetic(SMALL)
+        payload = export_csv(series)
+        with mock.patch.object(traffic, "_check_utf8", wraps=traffic._check_utf8) as check:
+            assert ingest_csv(payload) == series
+            assert ingest_csv(io.BytesIO(payload)) == series
+            check.assert_not_called()
+            header, row_2, rest = payload.split(b"\n", 2)
+            with pytest.raises(IngestError) as exc:
+                ingest_csv(b"\n".join([header, row_2, b"\xff" + rest]))
+            assert str(exc.value) == "row 3: invalid UTF-8 byte 0xff"
+            check.assert_called_once()
 
     def test_first_of_two_errors_in_different_chunks(self):
         payload = (
