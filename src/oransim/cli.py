@@ -95,8 +95,16 @@ def _build_network(cfg: ScenarioConfig) -> SimulatedNetwork:
         base = ingest_csv(Path(cfg.csv_path).read_bytes(), cfg.schema)
         if not base:
             raise ValueError(f"dataset {cfg.csv_path} contains no cells")
-        total = len(base[0])
+        total = max(series.start + len(series) for series in base)
+        for series in base:
+            if (series.start, len(series)) != (0, total):
+                raise ValueError(
+                    f"dataset {cfg.csv_path}: cell ({series.cell.enb},{series.cell.cell}) covers "
+                    f"hours [{series.start}, {series.start + len(series)}), expected [0, {total})"
+                )
         cap = max(float(series.to_array()[:, 1].max()) for series in base)
+        if cap <= 0:
+            raise ValueError(f"dataset {cfg.csv_path}: no ip_throughput is > 0")
     history = total - cfg.horizon_hours
     if history < 1:
         raise ValueError(

@@ -12,8 +12,9 @@ hour:
 
 With fraction 1 a cell realizes its base series exactly wherever the base
 throughput is at most ``cap``, which makes a no-action baseline trivially
-comparable. Splitting composes: after two rounds a cell's fraction is the
-product of its share draws.
+comparable. A split takes both halves' fractions from ``split_cell``, which
+conserves load bit-exactly, so an origin's fractions, added in split-tree
+order, sum to exactly 1.
 
 The fleet's realized KPIs and forecasts are two ``(total_hours, n_columns,
 2)`` arrays, ``kpis`` and ``predictions``. The row is the absolute hour;
@@ -215,21 +216,6 @@ class SimulatedNetwork:
 
     # splitting ---------------------------------------------------------
 
-    def load_state(self, key: CellKey) -> CellLoadState:
-        """Current CellLoadState: load normalized to 100 units per origin cell."""
-        cell = self.cells[key]
-        if self.hour > cell.created_at:
-            util, thr = self.kpis[self.hour - 1, cell.column].tolist()
-        else:
-            util, thr = 0.0, self.throughput_cap
-        return CellLoadState(
-            cell=cell.cell_id,
-            load=100.0 * cell.load_fraction,
-            prb_util=util,
-            ip_throughput=thr,
-            throughput_cap=self.throughput_cap,
-        )
-
     def split(
         self, key: CellKey, policy: SplitPolicy, rng: np.random.Generator, hour: int
     ) -> SplitEvent:
@@ -242,25 +228,28 @@ class SimulatedNetwork:
         if hour != self.hour:
             raise ValueError(f"split at hour {hour}, but the network is at hour {self.hour}")
         cell = self.cells[key]
-        state = self.load_state(key)
-        # hourly realization applies the share_kpis law via the cumulative
-        # load fraction, so only the load division happens here
+        if self.hour > cell.created_at:
+            util, thr = self.kpis[self.hour - 1, cell.column].tolist()
+        else:
+            util, thr = 0.0, self.throughput_cap
+        # the load unit is the origin cell's whole load, so split_cell's
+        # conserved loads are the two cells' fractions
+        state = CellLoadState(cell.cell_id, cell.load_fraction, util, thr, self.throughput_cap)
         enb = cell.cell_id.enb
-        after, _, event = split_cell(
+        kept, moved, event = split_cell(
             state, policy, hour, rng, child_cell_index=self._next_cell_index[enb]
         )
         self._next_cell_index[enb] += 1
-        share = event.r / 100.0
         child = ActiveCell(
             cell_id=event.child,
             origin=cell.origin,
-            load_fraction=cell.load_fraction * share,
+            load_fraction=moved.load,
             created_at=hour,
             column=self.kpis.shape[1],
             last_split_hour=hour,
         )
-        cell.cell_id = after.cell
-        cell.load_fraction *= 1.0 - share
+        cell.cell_id = kept.cell
+        cell.load_fraction = kept.load
         cell.last_split_hour = hour
         self.cells[child.key] = child
         empty = np.full((self.total_hours, 1, 2), np.nan)

@@ -318,7 +318,8 @@ def _parse_chunk(chunk, width, cols, schema, cell_codes, stamp_hours):
 def ingest_csv(source, schema: DatasetSchema = DatasetSchema()) -> list[KpiSeries]:
     """Parse a dataset CSV into per-cell series.
 
-    ``source`` is bytes or a binary/text file object. Rows are grouped by
+    ``source`` is bytes, a bytearray or a binary file object; any other
+    source, a text file among them, is a TypeError. Rows are grouped by
     (enb, cell), sorted by time, and converted to integer hour offsets from
     the earliest timestamp in the file. Any malformed row or CSV record,
     undecodable byte, out-of-range value, duplicate hour, or gap in a cell's
@@ -327,76 +328,70 @@ def ingest_csv(source, schema: DatasetSchema = DatasetSchema()) -> list[KpiSerie
     ``csv.reader`` reads lines lazily from the bytes through a strict UTF-8
     decoder, so the bytes are decoded once and no decoded copy of the file is
     held. Only when ingest fails are they checked for a bad byte, which is
-    then the error even if a malformed row came first. A text-mode file
-    object is read whole.
+    then the error even if a malformed row came first. Rows are parsed
+    column-wise in chunks of ``_INGEST_CHUNK_ROWS``, and each chunk writes its
+    columns into place in one set of columns sized for one row per ``\\n``
+    plus one. A chunk holding a malformed row is parsed again one row at a
+    time to name the first one.
     """
-    raw = source if isinstance(source, (bytes, bytearray)) else source.read()
-    if isinstance(raw, str):  # a text-mode source
-        return _ingest_lines(io.StringIO(raw), raw.count("\n") + 1, schema)
+    # a text file is not read, so its decoder cannot fail before the type check
+    raw = source if isinstance(source, (bytes, bytearray, str, io.TextIOBase)) else source.read()
+    if not isinstance(raw, (bytes, bytearray)):
+        raise TypeError(f"ingest_csv reads bytes or a binary file, got {type(raw).__name__}")
+    max_records = raw.count(b"\n") + 1  # only "\n" ends a record
     try:
-        return _ingest_lines(_lines(raw), raw.count(b"\n") + 1, schema)
+        reader = csv.reader(_lines(raw))
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestError(1, "empty file (missing header)") from None
+        except csv.Error as exc:
+            raise IngestError(1, str(exc)) from None
+        for name in schema.columns:
+            if name not in header:
+                raise IngestError(1, f"missing column {name!r} in header {header}")
+        width, cols = len(header), [header.index(name) for name in schema.columns]
+
+        cell_codes: dict[tuple[int, int], int] = {}
+        stamp_hours: dict[str, float] = {}
+        args = (width, cols, schema, cell_codes, stamp_hours)
+        codes = np.empty(max_records, np.int64)
+        hours = np.empty(max_records)
+        values = np.empty((max_records, 2))  # prb_util, ip_throughput
+        columns = (codes, hours, *values.T)
+        blanks: list[int] = []  # for each blank record, the rows before it in `columns`
+        n_rows = 0
+        next_row = 2
+        while True:
+            chunk: list[list[str]] = []
+            unread = None
+            try:
+                chunk.extend(islice(reader, _INGEST_CHUNK_ROWS))
+            except csv.Error as exc:
+                unread = IngestError(next_row + len(chunk), str(exc))
+            if not chunk and unread is None:
+                break
+            part = _parse_chunk(chunk, *args)
+            if isinstance(part, str) or unread is not None:
+                # a chunk fails exactly when one of its rows does; rows before a
+                # record csv cannot read keep their own errors
+                for row_no, row in enumerate(chunk, start=next_row):
+                    if isinstance(reason := _parse_chunk([row], *args), str):
+                        raise IngestError(row_no, reason)
+                raise unread
+            for column, array in zip(columns, part):
+                column[n_rows:n_rows + len(array)] = array
+            blanks.extend((n_rows + part[-1]).tolist())
+            n_rows += len(part[0])
+            next_row += len(chunk)
+        if not cell_codes:
+            return []
+        values.flags.writeable = False  # so each series keeps a view of its rows
+        return _series_from_columns(codes[:n_rows], hours[:n_rows], values[:n_rows], blanks,
+                                    cell_codes)
     except (IngestError, UnicodeDecodeError):
         _check_utf8(raw)
         raise
-
-
-def _ingest_lines(lines, max_records: int, schema: DatasetSchema) -> list[KpiSeries]:
-    """``ingest_csv`` of CSV text whose ``lines`` hold at most ``max_records`` records.
-
-    Rows are parsed column-wise in chunks of ``_INGEST_CHUNK_ROWS``, and each
-    chunk writes its columns into place in one set of columns sized for
-    ``max_records`` rows. A chunk holding a malformed row is parsed again
-    one row at a time to name the first one.
-    """
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise IngestError(1, "empty file (missing header)") from None
-    except csv.Error as exc:
-        raise IngestError(1, str(exc)) from None
-    for name in schema.columns:
-        if name not in header:
-            raise IngestError(1, f"missing column {name!r} in header {header}")
-    width, cols = len(header), [header.index(name) for name in schema.columns]
-
-    cell_codes: dict[tuple[int, int], int] = {}
-    stamp_hours: dict[str, float] = {}
-    args = (width, cols, schema, cell_codes, stamp_hours)
-    codes = np.empty(max_records, np.int64)
-    hours = np.empty(max_records)
-    values = np.empty((max_records, 2))  # prb_util, ip_throughput
-    columns = (codes, hours, *values.T)
-    blanks: list[int] = []  # for each blank record, the rows before it in `columns`
-    n_rows = 0
-    next_row = 2
-    while True:
-        chunk: list[list[str]] = []
-        unread = None
-        try:
-            chunk.extend(islice(reader, _INGEST_CHUNK_ROWS))
-        except csv.Error as exc:
-            unread = IngestError(next_row + len(chunk), str(exc))
-        if not chunk and unread is None:
-            break
-        part = _parse_chunk(chunk, *args)
-        if isinstance(part, str) or unread is not None:
-            # a chunk fails exactly when one of its rows does; rows before a
-            # record csv cannot read keep their own errors
-            for row_no, row in enumerate(chunk, start=next_row):
-                if isinstance(reason := _parse_chunk([row], *args), str):
-                    raise IngestError(row_no, reason)
-            raise unread
-        for column, array in zip(columns, part):
-            column[n_rows:n_rows + len(array)] = array
-        blanks.extend((n_rows + part[-1]).tolist())
-        n_rows += len(part[0])
-        next_row += len(chunk)
-    if not cell_codes:
-        return []
-    values.flags.writeable = False  # so each series keeps a view of its rows
-    return _series_from_columns(codes[:n_rows], hours[:n_rows], values[:n_rows], blanks,
-                                cell_codes)
 
 
 def _series_from_columns(codes, hours, values, blanks, cell_codes) -> list[KpiSeries]:
@@ -432,27 +427,29 @@ def _series_from_columns(codes, hours, values, blanks, cell_codes) -> list[KpiSe
         off_grid = np.abs(step, out=step) > 1e-9
         np.subtract(offset[1:], offset[:-1], out=step[1:])
         step[bounds[:-1]] = 1.0  # a cell's first row has no predecessor
+        # each check's rows are built when it is scanned, so only one set is held at a time
         checks = [  # (rows failing it, reason), in the order a row-by-row scan checks a row
-            (~np.isfinite(rel), "hour offset out of range ({rel}h)"),
-            (off_grid, "timestamp not on the hourly grid ({rel}h)"),
-            (step == 0.0, "duplicate sample for cell ({enb},{cell}) at hour {offset:.0f}"),
-            (step != 1.0, "gap in hourly grid for cell ({enb},{cell}): "
-                          "hour {prev:.0f} followed by {offset:.0f}"),
-            (~((prb >= 0.0) & (prb <= 100.0)), "prb_util out of range [0, 100]: {prb}"),
-            (~(np.isfinite(thr) & (thr >= 0.0)), "ip_throughput must be finite and >= 0: {thr}"),
+            (lambda: ~np.isfinite(rel), "hour offset out of range ({rel}h)"),
+            (lambda: off_grid, "timestamp not on the hourly grid ({rel}h)"),
+            (lambda: step == 0.0, "duplicate sample for cell ({enb},{cell}) at hour {offset:.0f}"),
+            (lambda: step != 1.0, "gap in hourly grid for cell ({enb},{cell}): "
+                                  "hour {prev:.0f} followed by {offset:.0f}"),
+            (lambda: ~((prb >= 0.0) & (prb <= 100.0)), "prb_util out of range [0, 100]: {prb}"),
+            (lambda: ~(np.isfinite(thr) & (thr >= 0.0)),
+             "ip_throughput must be finite and >= 0: {thr}"),
         ]
-    bad = np.zeros(len(order), bool)
-    for failed, _ in checks:
-        bad |= failed
-    if bad.any():
-        i = int(np.argmax(bad))
-        reason = next(reason for failed, reason in checks if failed[i])
-        enb, cell = keys[int(np.searchsorted(bounds, i, "right")) - 1]
-        at = int(order[i])  # the row's place among the file's non-blank rows
-        raise IngestError(at + 2 + bisect_right(blanks, at), reason.format(
-            enb=enb, cell=cell, rel=float(rel[i]), offset=offset[i], prev=offset[i - 1],
-            prb=float(prb[i]), thr=float(thr[i]),
-        ))
+        bad = np.zeros(len(order), bool)
+        for failed, _ in checks:
+            bad |= failed()
+        if bad.any():
+            i = int(np.argmax(bad))
+            reason = next(reason for failed, reason in checks if failed()[i])
+            enb, cell = keys[int(np.searchsorted(bounds, i, "right")) - 1]
+            at = int(order[i])  # the row's place among the file's non-blank rows
+            raise IngestError(at + 2 + bisect_right(blanks, at), reason.format(
+                enb=enb, cell=cell, rel=float(rel[i]), offset=offset[i], prev=offset[i - 1],
+                prb=float(prb[i]), thr=float(thr[i]),
+            ))
     del checks, off_grid, step, bad, rel, order  # free them before the series check their rows
     return [
         KpiSeries(CellId(*key), int(offset[lo]), values[lo:hi])

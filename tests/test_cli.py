@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface and scenario config."""
 
+import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -9,7 +11,9 @@ import pytest
 from oransim.cli import main
 from oransim.config import config_from_dict, derive_seed, load_config
 from oransim.forecast import load_model, model
+from oransim.kpi import KpiSeries
 from oransim.ric import validate_jsonl
+from oransim.traffic import SyntheticProfile, export_csv, generate_synthetic
 
 TINY = {
     "master_seed": 5,
@@ -92,6 +96,21 @@ class TestConfig:
         cfg = config_from_dict(TINY)
         again = config_from_dict(cfg.to_resolved_dict())
         assert again == cfg
+
+    def test_readme_config_is_the_defaults_with_its_seeds(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        cfg = config_from_dict(json.loads(block))
+        default = config_from_dict({})
+        assert cfg.master_seed == 42
+        reseeded = dataclasses.replace(
+            cfg,
+            master_seed=default.master_seed,
+            profile=dataclasses.replace(cfg.profile, seed=default.profile.seed),
+            training=dataclasses.replace(cfg.training, seed=default.training.seed),
+            split=dataclasses.replace(cfg.split, seed=default.split.seed),
+        )
+        assert reseeded == default
 
 
 class TestGenerate:
@@ -381,6 +400,24 @@ class TestRun:
             args += ["-d", str(tmp_path / "dataset.csv")]  # never read: the config fails first
         assert main(args) == 1
         assert f"lstm.{key} must be 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kept, message", [
+        (lambda series: [series[0], KpiSeries(series[1].cell, 0, series[1].values[:-10])],
+         "cell (0,1) covers hours [0, 62), expected [0, 72)"),
+        (lambda series: [series[0], KpiSeries(series[1].cell, 5, series[1].values[5:])],
+         "cell (0,1) covers hours [5, 72), expected [0, 72)"),
+        (lambda series: [KpiSeries(s.cell, s.start, s.values * [1.0, 0.0]) for s in series],
+         "no ip_throughput is > 0"),
+    ], ids=["short", "late", "no-throughput"])
+    def test_unusable_dataset_exits_one_naming_it(self, tmp_path, capsys, kept, message):
+        series = generate_synthetic(SyntheticProfile(n_enb=1, cells_per_enb=2, n_days=3))
+        dataset = tmp_path / "dataset.csv"
+        dataset.write_bytes(export_csv(kept(series)))
+        doc = {**TINY, "traffic": {"csv": {"path": str(dataset)}}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "-c", str(cfg), "-o", str(tmp_path / "out")]) == 1
+        assert f"error: dataset {dataset}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_csv_traffic_run(self, tmp_path):

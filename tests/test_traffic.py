@@ -329,6 +329,19 @@ class TestCsvRoundTrip:
     def test_accepts_file_object(self):
         series = generate_synthetic(SMALL)
         assert ingest_csv(io.BytesIO(export_csv(series))) == series
+        assert ingest_csv(bytearray(export_csv(series))) == series
+
+    @pytest.mark.parametrize("text, got", [
+        (lambda payload: payload.decode(), "str"),
+        (lambda payload: io.StringIO(payload.decode()), "StringIO"),
+        (lambda payload: io.TextIOWrapper(io.BytesIO(payload), encoding="utf-8"), "TextIOWrapper"),
+        # not read, so its bad byte raises no UnicodeDecodeError first
+        (lambda payload: io.TextIOWrapper(io.BytesIO(payload + b"\xff"), encoding="utf-8"),
+         "TextIOWrapper"),
+    ], ids=["str", "StringIO", "TextIOWrapper", "TextIOWrapper-bad-byte"])
+    def test_text_source_is_rejected(self, text, got):
+        with pytest.raises(TypeError, match=f"reads bytes or a binary file, got {got}$"):
+            ingest_csv(text(export_csv(generate_synthetic(SMALL))))
 
     def test_minimal_two_row_file(self):
         payload = (
