@@ -92,7 +92,10 @@ def _build_network(cfg: ScenarioConfig) -> SimulatedNetwork:
         base = generate_synthetic(cfg.profile)
         cap = cfg.profile.throughput_at_zero_load
     else:
-        base = ingest_csv(Path(cfg.csv_path).read_bytes(), cfg.schema)
+        csv_path = Path(cfg.csv_path)
+        if csv_path.is_dir():
+            raise ValueError(f"traffic.csv.path {csv_path} is a directory, expected a file")
+        base = ingest_csv(csv_path.read_bytes(), cfg.schema)
         if not base:
             raise ValueError(f"dataset {cfg.csv_path} contains no cells")
         total = max(series.start + len(series) for series in base)
@@ -196,9 +199,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_paths(args: argparse.Namespace) -> None:
+    """Reject an input path that is a directory, or an output path that cannot be one."""
+    for flag, name in (("-c/--config", "config"), ("-d/--dataset", "dataset"),
+                       ("events", "events")):
+        path = getattr(args, name, None)
+        if path is not None and path.is_dir():
+            raise ValueError(f"{flag} {path} is a directory, expected a file")
+    out = getattr(args, "output", None)
+    if out is not None:
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            raise ValueError(f"-o/--output {out}: {existing} is not a directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_paths(args)
         if args.command == "validate":
             return cmd_validate(args.events)
         cfg = load_config(args.config, master_seed_override=args.seed)

@@ -243,11 +243,12 @@ def _lstm_stack(
     BPTT reads. The layer input ``x``, (..., T, B, D), and ``h``,
     (..., T + 1, B, H), are model-major: each model's (T, B, .) block is
     contiguous, so the weight-gradient gemms reshape it to (T*B, .) without
-    a copy. The gates ``i``, ``f``, ``g`` and ``o`` and ``tanh_c``, each
-    (T, ..., B, H), and ``c``, (T + 1, ..., B, H), are time-major: the
-    step's write here and each of BPTT's per-step reads is one contiguous
-    (..., B, H) block, where a model-major slice would be strided across
-    models. Slot 0 of ``c`` and ``h`` is the zero state at t = -1.
+    a copy. The gates ``i``, ``f``, ``g`` and ``o``, each (T, ..., B, H),
+    and ``c``, (T + 1, ..., B, H), are time-major: the step's write here
+    and each of BPTT's per-step reads is one contiguous (..., B, H) block,
+    where a model-major slice would be strided across models. Slot 0 of
+    ``c`` and ``h`` is the zero state at t = -1. ``tanh(c)`` is not kept:
+    BPTT recomputes it from the same ``c``, so its bits are those used here.
     """
     steps = layer_in.shape[-3]
     n = model.config.units_per_layer
@@ -261,7 +262,7 @@ def _lstm_stack(
         if cache is not None:
             cs = np.empty((steps + 1,) + c.shape)
             cs[0] = 0.0
-            gi, gf, gg, go, tc = (np.empty((steps,) + c.shape) for _ in range(5))
+            gi, gf, gg, go = (np.empty((steps,) + c.shape) for _ in range(4))
         for t in range(steps):
             at, nxt = np.s_[..., t, :, :], np.s_[..., t + 1, :, :]
             z = layer_in[at] @ w_x_t
@@ -276,14 +277,11 @@ def _lstm_stack(
                 gi[t], gf[t], go[t], gg[t] = i, f, o, g
                 i, f, o = gi[t], gf[t], go[t]
             c = f * c + i * g
-            tanh_c = np.tanh(c)
-            np.multiply(o, tanh_c, out=hs[nxt])
+            np.multiply(o, np.tanh(c), out=hs[nxt])
             if cache is not None:
-                cs[t + 1], tc[t] = c, tanh_c
+                cs[t + 1] = c
         if cache is not None:
-            cache.append(
-                {"x": layer_in, "i": gi, "f": gf, "g": gg, "o": go, "c": cs, "tanh_c": tc, "h": hs}
-            )
+            cache.append({"x": layer_in, "i": gi, "f": gf, "g": gg, "o": go, "c": cs, "h": hs})
         layer_in = hs[..., 1:, :, :]
     return layer_in[..., -1, :, :] @ np.swapaxes(model.head.w, -1, -2) + model.head.b
 

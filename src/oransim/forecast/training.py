@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..kpi import KpiSample, KpiSeries
 from .model import (
@@ -122,7 +123,10 @@ class TrainingConfig:
 
 @dataclass(frozen=True)
 class WindowedDataset:
-    """Normalized supervised windows: inputs (N, lookback, D), targets (N, D)."""
+    """Normalized supervised windows: inputs (N, lookback, D), targets (N, D).
+
+    Both are read-only views of one normalized series (see ``make_windows``).
+    """
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -151,21 +155,31 @@ def compute_norm_stats(values: np.ndarray) -> NormStats:
     return NormStats(values.min(axis=0), values.max(axis=0))
 
 
+def _windows(values: np.ndarray, lookback: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sliding windows over the hours axis of (..., L, D) normalized ``values``.
+
+    Returns inputs (..., L - lookback, lookback, D), window i holding hours
+    i to i + lookback - 1, and their targets (..., L - lookback, D), hour
+    i + lookback. Both are read-only views of ``values``: no window is copied.
+    """
+    inputs = sliding_window_view(values[..., :-1, :], lookback, axis=-2)  # (..., N, D, lookback)
+    targets = values[..., lookback:, :]
+    targets.flags.writeable = False
+    return np.swapaxes(inputs, -1, -2), targets
+
+
 def make_windows(series: KpiSeries, cfg: TrainingConfig, norm: NormStats) -> WindowedDataset:
     """All sliding windows of the series with 1-hour-ahead targets.
 
-    A series of length L yields exactly L - lookback windows.
+    A series of length L yields exactly L - lookback windows, as read-only
+    views of the normalized series (``_windows``), so the windows share its
+    L x D values instead of holding lookback copies of each hour.
     """
-    raw = series.to_array()
-    n = len(series) - cfg.lookback
-    if n < 1:
+    if len(series) <= cfg.lookback:
         raise InsufficientDataError(
             f"series length {len(series)} yields no windows at lookback {cfg.lookback}"
         )
-    values = norm.normalize(raw)
-    inputs = np.stack([values[i : i + cfg.lookback] for i in range(n)])
-    targets = values[cfg.lookback :].copy()
-    return WindowedDataset(inputs, targets)
+    return WindowedDataset(*_windows(norm.normalize(series.to_array()), cfg.lookback))
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
@@ -187,23 +201,29 @@ def _bptt_layer(layer, lc, dh_seq, dh_carry, dz) -> tuple[np.ndarray, np.ndarray
     the top layer, whose only such gradient is ``dh_carry`` at the last
     step. Each step builds its gate gradients in one contiguous (..., B, 4H)
     buffer, which feeds the carry's gemm and is copied into ``dz``.
+    ``tanh(c)`` is recomputed from the cached ``c``, one step at a time: the
+    same ``np.tanh`` of the same array as in the forward, so the same bits,
+    for one (..., B, H) block instead of a cached (T, ..., B, H) array. Each
+    step indexes its cached blocks once, which wins back about half the
+    time of that extra ufunc.
     """
     n = dz.shape[-1] // 4
-    gi, gf, gg, go, tc, cs = lc["i"], lc["f"], lc["g"], lc["o"], lc["tanh_c"], lc["c"]
     dc_carry = np.zeros_like(dh_carry)
     dz_t = np.empty(dh_carry.shape[:-1] + (4 * n,))
     for t in reversed(range(dz.shape[-3])):
+        # c[t] is c at t - 1: slot 0 holds the zero initial state
+        i, f, g, o, c_prev = lc["i"][t], lc["f"][t], lc["g"][t], lc["o"][t], lc["c"][t]
+        tanh_c = np.tanh(lc["c"][t + 1])
         dh = dh_carry + (0.0 if dh_seq is None else dh_seq[t])
-        do = dh * tc[t]
-        dc = dc_carry + dh * go[t] * (1.0 - tc[t] * tc[t])
-        dz_t[..., 0 * n : 1 * n] = dc * gg[t] * gi[t] * (1.0 - gi[t])
-        # cs[t] is c at t - 1: slot 0 holds the zero initial state
-        dz_t[..., 1 * n : 2 * n] = dc * cs[t] * gf[t] * (1.0 - gf[t])
-        dz_t[..., 2 * n : 3 * n] = do * go[t] * (1.0 - go[t])
-        dz_t[..., 3 * n : 4 * n] = dc * gi[t] * (1.0 - gg[t] * gg[t])
+        do = dh * tanh_c
+        dc = dc_carry + dh * o * (1.0 - tanh_c * tanh_c)
+        dz_t[..., 0 * n : 1 * n] = dc * g * i * (1.0 - i)
+        dz_t[..., 1 * n : 2 * n] = dc * c_prev * f * (1.0 - f)
+        dz_t[..., 2 * n : 3 * n] = do * o * (1.0 - o)
+        dz_t[..., 3 * n : 4 * n] = dc * i * (1.0 - g * g)
         dz[..., t, :, :] = dz_t
         dh_carry = dz_t @ layer.w_h
-        dc_carry = dc * gf[t]
+        dc_carry = dc * f
     lead, rows = dz.shape[:-3], dz.shape[-3] * dz.shape[-2]
     dz_rows = dz.reshape(lead + (rows, 4 * n))
     dz_rows_t = np.swapaxes(dz_rows, -1, -2)
@@ -328,26 +348,31 @@ def train_split(length: int, cfg: TrainingConfig) -> int:
 # Width probe, one stacked step (forward, BPTT, Adam) of 2 x 12-unit
 # models at lookback 24, on a 2-vCPU VM with one OpenBLAS thread, the
 # least of three probes that each take the best of 3, per-model time at
-# stack widths M = 1 / 2 / 4 / 8 / 16 / 32:
-#   batch 16: 3.32 / 2.40 / 1.83 / 1.57 / 1.37 / 1.28 ms, 0.66 MiB traced per model;
-#   batch 9:  2.47 / 2.04 / 1.31 / 0.93 / 0.70 / 0.80 ms, 0.38 MiB traced per model.
-# Three MiB admits 4 models at batch 16 and 8 at batch 9: most of the gain,
-# while a wide round (hundreds of cells) adds at most ~3 MiB to the peak.
-STACK_BYTES = 3 << 20
+# stack widths M = 1 / 2 / 4 / 8 / 16 / 32, and the step's tracemalloc
+# peak over its width at the width this bound gives:
+#   batch 16: 2.22 / 1.41 / 1.04 / 0.79 / 0.95 / 1.00 ms, 0.60 MiB traced per model;
+#   batch 9:  1.77 / 1.17 / 0.74 / 0.54 / 0.45 / 0.57 ms, 0.34 MiB traced per model.
+# 2.75 MiB admits 4 models at batch 16 and 8 at batch 9: most of the gain,
+# while a wide round (hundreds of cells) adds at most ~2.75 MiB to the peak.
+STACK_BYTES = 11 << 18
 
 
-def stack_width(lstm_cfg: LstmConfig, cfg: TrainingConfig, length: int) -> int:
-    """How many models of ``length``-hour series one stack trains within ``STACK_BYTES``.
+def _model_bytes(lstm_cfg: LstmConfig, cfg: TrainingConfig, length: int) -> int:
+    """One model's share of a stack's BPTT working set, in bytes, for ``length``-hour series.
 
-    A model's share of the working set at the top layer's BPTT is every
-    layer's cache (i, f, g, o and tanh_c, plus c and h with their t = -1
-    slot), the ``dz`` buffer and the batch input.
+    At the top layer's BPTT that share is every layer's cache (i, f, g and
+    o, plus c and h with their t = -1 slot: 6T + 2 rows of H per batch row),
+    the ``dz`` buffer and the batch input.
     """
     batch = min(cfg.batch_size, train_split(length, cfg) - cfg.lookback)
     steps, n = cfg.lookback, lstm_cfg.units_per_layer
-    cache = lstm_cfg.n_layers * (7 * steps + 2) * n
-    per_model = 8 * batch * (cache + steps * (4 * n + lstm_cfg.input_dim))
-    return max(1, STACK_BYTES // per_model)
+    cache = lstm_cfg.n_layers * (6 * steps + 2) * n
+    return 8 * batch * (cache + steps * (4 * n + lstm_cfg.input_dim))
+
+
+def stack_width(lstm_cfg: LstmConfig, cfg: TrainingConfig, length: int) -> int:
+    """How many models of ``length``-hour series one stack trains within ``STACK_BYTES``."""
+    return max(1, STACK_BYTES // _model_bytes(lstm_cfg, cfg, length))
 
 
 def train_stack(
@@ -378,17 +403,16 @@ def train_stack(
         raise ValueError("stacked training configs may differ only in their seed")
     split = train_split(length, cfg)
     n_train = split - cfg.lookback  # window i has target hour i + lookback
-    models, rngs, inputs, targets = [], [], [], []
+    models, rngs, values = [], [], []
     for series, cell_cfg in zip(series_list, train_cfgs):
-        norm = compute_norm_stats(series.to_array()[:split])
-        windows = make_windows(series, cfg, norm)
+        hours = series.to_array()[:split]
+        norm = compute_norm_stats(hours)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cell_cfg.seed])))
         models.append(init_model(lstm_cfg, norm, rng))
         rngs.append(rng)
-        inputs.append(windows.inputs)
-        targets.append(windows.targets)
-    inputs, targets = np.stack(inputs), np.stack(targets)  # (M, N, T, D), (M, N, D)
-    train_inputs, train_targets = inputs[:, :n_train], targets[:, :n_train]
+        values.append(norm.normalize(hours))
+    # (M, n_train, T, D) and (M, n_train, D) views of the (M, split, D) training hours
+    train_inputs, train_targets = _windows(np.stack(values), cfg.lookback)
 
     stack = stack_models(models)
     params = param_arrays(stack)
@@ -470,7 +494,8 @@ def evaluate_heldout(
     percent, number of validation points).
     """
     split = train_split(len(series), cfg)
-    # the window whose target is hour ``split`` starts ``lookback`` hours earlier
+    # the window whose target is hour ``split`` starts ``lookback`` hours earlier;
+    # slicing the view copies no window
     inputs = make_windows(series, cfg, model.norm).inputs[split - cfg.lookback :]
     preds = clamp_prediction(model.norm.denormalize(forward(model, inputs)))
     return accuracy(preds, series.to_array()[split:]), len(inputs)

@@ -271,13 +271,14 @@ def _parse_chunk(chunk, width, cols, schema, cell_codes, stamp_hours):
 
     Blank records are skipped; for each, the last array holds how many of the
     chunk's other rows precede it. ``cell_codes`` and ``stamp_hours`` map each
-    distinct (enb, cell) and timestamp text seen so far to its code and its
-    hours, so each distinct timestamp is parsed once per file. Fields must
-    match one ASCII grammar: indices ``[0-9]+``, KPIs Python's float literal
-    without padding or ``_``, stamps as ``_parse_timestamp`` reads them. A
-    malformed chunk returns the reason of its first failing check; checks run
-    in the order of a row's fields, so for a one-row chunk that is the row's
-    own first fault.
+    distinct (enb, cell) and timestamp text seen so far to its code (codes
+    count up in the order cells are first seen) and its hours, so each
+    distinct timestamp is parsed once per file. Fields must match one ASCII
+    grammar: indices ``[0-9]+``, KPIs Python's float literal without padding
+    or ``_``, stamps as ``_parse_timestamp`` reads them. A malformed chunk
+    returns the reason of its first failing check; checks run in the order
+    of a row's fields, so for a one-row chunk that is the row's own first
+    fault.
     """
     lengths = np.fromiter(map(len, chunk), np.int64, len(chunk))
     filled = lengths > 0
@@ -295,8 +296,8 @@ def _parse_chunk(chunk, width, cols, schema, cell_codes, stamp_hours):
         keys = list(zip(map(int, enbs), map(int, cells)))
     except ValueError:  # an empty index, or more digits than int() converts
         return "unparsable eNB/cell index"
-    for key in set(keys).difference(cell_codes):
-        cell_codes[key] = len(cell_codes)
+    for key in dict.fromkeys(keys):  # codes in first-seen order
+        cell_codes.setdefault(key, len(cell_codes))
     try:
         for text in set(stamps).difference(stamp_hours):
             stamp_hours[text] = _parse_timestamp(text, schema)
@@ -358,8 +359,8 @@ def ingest_csv(source, schema: DatasetSchema = DatasetSchema()) -> list[KpiSerie
         codes = np.empty(max_records, np.int64)
         hours = np.empty(max_records)
         values = np.empty((max_records, 2))  # prb_util, ip_throughput
-        columns = (codes, hours, *values.T)
-        blanks: list[int] = []  # for each blank record, the rows before it in `columns`
+        into = (codes, hours, *values.T)
+        blanks: list[int] = []  # for each blank record, the rows before it in `into`
         n_rows = 0
         next_row = 2
         while True:
@@ -379,7 +380,7 @@ def ingest_csv(source, schema: DatasetSchema = DatasetSchema()) -> list[KpiSerie
                     if isinstance(reason := _parse_chunk([row], *args), str):
                         raise IngestError(row_no, reason)
                 raise unread
-            for column, array in zip(columns, part):
+            for column, array in zip(into, part):
                 column[n_rows:n_rows + len(array)] = array
             blanks.extend((n_rows + part[-1]).tolist())
             n_rows += len(part[0])
@@ -387,37 +388,49 @@ def ingest_csv(source, schema: DatasetSchema = DatasetSchema()) -> list[KpiSerie
         if not cell_codes:
             return []
         values.flags.writeable = False  # so each series keeps a view of its rows
-        return _series_from_columns(codes[:n_rows], hours[:n_rows], values[:n_rows], blanks,
-                                    cell_codes)
+        columns = [codes[:n_rows], hours[:n_rows], values[:n_rows]]
+        del codes, hours, values, into  # the grid check owns the columns from here
+        return _series_from_columns(columns, blanks, cell_codes)
     except (IngestError, UnicodeDecodeError):
         _check_utf8(raw)
         raise
 
 
-def _series_from_columns(codes, hours, values, blanks, cell_codes) -> list[KpiSeries]:
+def _series_from_columns(columns, blanks, cell_codes) -> list[KpiSeries]:
     """Validate the hourly grid and KPI bounds of every row, then cut per-cell series.
 
-    ``codes``, ``hours`` and ``values`` are the cell codes, hours and KPIs of
-    the file's non-blank rows, in file order; ``values`` is read-only and
-    ``hours`` may be overwritten. One stable sort orders rows by (enb, cell)
-    and then hours, with ties in file order, so the first violation found is
-    the first one a row-by-row scan in that order would meet; rows already in
-    that order, as ``export_csv`` writes them, are not copied. Rows keep no
-    numbers: the failing row's number comes from its place among the file's
-    rows and the ``blanks`` before it. The series are read-only views of one
-    KPI array.
+    ``columns`` is a list of the cell codes, hours and KPIs of the file's
+    non-blank rows, in file order; the KPI array is read-only and the hours
+    may be overwritten. This takes the arrays over and empties the list, so
+    each is freed once it is no longer read: the cell codes as soon as the
+    ranks exist, which are the codes themselves when cells were first seen in
+    (enb, cell) order. Rows are checked in (enb, cell) and then hour order,
+    ties in file order, so the first violation found is the first one a
+    row-by-row scan in that order would meet. One pass of comparisons tells
+    whether the file is already in that order, as ``export_csv`` writes it;
+    only a file that is not is sorted, by one stable ``np.lexsort``, whose
+    permutation maps a failing row back to its place in the file. Rows keep
+    no numbers: the failing row's number comes from that place and the
+    ``blanks`` before it. The series are read-only views of one KPI array.
     """
+    codes, rel, values = columns  # rel: the hours, made relative to the earliest below
+    columns.clear()
     keys = sorted(cell_codes)
-    rank = np.empty(len(keys), np.int64)
-    rank[[cell_codes[key] for key in keys]] = np.arange(len(keys))
-    cell_rank = rank[codes]
+    if keys == list(cell_codes):
+        cell_rank = codes
+    else:
+        rank = np.empty(len(keys), np.int64)
+        rank[[cell_codes[key] for key in keys]] = np.arange(len(keys))
+        cell_rank = rank[codes]
+    del codes
     bounds = np.append(0, np.cumsum(np.bincount(cell_rank, minlength=len(keys))))
-    order = np.lexsort((hours, cell_rank))
-    del cell_rank
-    in_order = not (order[1:] < order[:-1]).any()
-    earliest, rel = hours.min(), (hours if in_order else hours[order])
-    if not in_order:
-        values = values[order]
+    before, after = cell_rank[:-1], cell_rank[1:]
+    in_order = not ((after < before) | ((after == before) & (rel[1:] < rel[:-1]))).any()
+    order = None if in_order else np.lexsort((rel, cell_rank))
+    del cell_rank, before, after
+    earliest = rel.min()
+    if order is not None:
+        rel, values = rel[order], values[order]
         values.flags.writeable = False  # so each series keeps a view of its rows
     prb, thr = values.T
     with np.errstate(over="ignore", invalid="ignore"):  # spans past the float range
@@ -438,14 +451,14 @@ def _series_from_columns(codes, hours, values, blanks, cell_codes) -> list[KpiSe
             (lambda: ~(np.isfinite(thr) & (thr >= 0.0)),
              "ip_throughput must be finite and >= 0: {thr}"),
         ]
-        bad = np.zeros(len(order), bool)
+        bad = np.zeros(len(rel), bool)
         for failed, _ in checks:
             bad |= failed()
         if bad.any():
             i = int(np.argmax(bad))
             reason = next(reason for failed, reason in checks if failed()[i])
             enb, cell = keys[int(np.searchsorted(bounds, i, "right")) - 1]
-            at = int(order[i])  # the row's place among the file's non-blank rows
+            at = i if order is None else int(order[i])  # its place among non-blank rows
             raise IngestError(at + 2 + bisect_right(blanks, at), reason.format(
                 enb=enb, cell=cell, rel=float(rel[i]), offset=offset[i], prev=offset[i - 1],
                 prb=float(prb[i]), thr=float(thr[i]),

@@ -2,12 +2,15 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import oransim
 from oransim.cli import main
 from oransim.config import config_from_dict, derive_seed, load_config
 from oransim.forecast import load_model, model
@@ -45,6 +48,40 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+class TestPaths:
+    @pytest.mark.parametrize("argv, flag, path", [
+        (["generate", "-c", "{dir}", "-o", "{dir}/out"], "-c/--config", "{dir}"),
+        (["train", "-c", "{cfg}", "-d", "{dir}", "-o", "{dir}/out"], "-d/--dataset", "{dir}"),
+        (["validate", "{dir}"], "events", "{dir}"),
+        (["generate", "-c", "{cfg}", "-o", "{cfg}"], "-o/--output", "{cfg}"),
+        (["run", "-c", "{cfg}", "-o", "{cfg}/out"], "-o/--output", "{cfg}/out"),
+        (["run", "-c", "{csv_cfg}", "-o", "{dir}/out"], "traffic.csv.path", "{dir}"),
+    ], ids=["config-dir", "dataset-dir", "events-dir", "output-file", "output-under-file",
+            "csv-path-dir"])
+    def test_wrong_kind_of_path_exits_one_naming_flag_and_path(self, tmp_path, capsys, argv,
+                                                               flag, path):
+        csv_cfg = write_config(tmp_path, {"traffic": {"csv": {"path": str(tmp_path)}}}, "csv.json")
+        names = {"dir": str(tmp_path), "cfg": str(write_config(tmp_path, TINY)),
+                 "csv_cfg": str(csv_cfg)}
+        assert main([arg.format(**names) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {path.format(**names)}")
+        assert not (tmp_path / "out").exists()
+
+
+def test_python_m_oransim_runs_the_cli(tmp_path):
+    path = [str(Path(oransim.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    (tmp_path / "empty.jsonl").write_text("")
+    (tmp_path / "bad.jsonl").write_text("not json\n")
+    exits = {}
+    for name in ("empty.jsonl", "bad.jsonl", "."):
+        done = subprocess.run([sys.executable, "-m", "oransim", "validate", str(tmp_path / name)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        exits[name] = (done.returncode, (done.stdout + done.stderr).split(":")[0])
+    assert exits == {"empty.jsonl": (0, "PASS"), "bad.jsonl": (1, "FAIL"), ".": (1, "error")}
 
 
 class TestConfig:

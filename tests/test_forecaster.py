@@ -9,6 +9,7 @@ import copy
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,13 +310,15 @@ class TestSeedReference:
         assert np.array_equal(pred, ref_pred)
         assert len(cache) == len(ref_cache) == n_layers
         for layer, ref_layer in zip(cache, ref_cache):
-            assert layer.keys() == ref_layer.keys()
+            # tanh_c is not cached: BPTT recomputes it from c
+            assert layer.keys() == ref_layer.keys() - {"tanh_c"}
             for name, arr in layer.items():
                 if name in ("c", "h"):
                     # slot 0 holds the zero state at t = -1
                     assert np.array_equal(arr[0], np.zeros_like(arr[0])), name
                     arr = arr[1:]
                 assert np.array_equal(arr, ref_layer[name]), name
+            assert np.array_equal(np.tanh(layer["c"][1:]), ref_layer["tanh_c"])
 
     def test_backward_matches_seed_bptt(self, n_layers, batch):
         model, windows = self.model_and_windows(n_layers, batch)
@@ -571,6 +574,25 @@ class TestStackedTraining:
     def test_stack_width_at_the_bench_shapes(self, batch_size, length, width):
         cfg = TrainingConfig(batch_size=batch_size, lookback=24)
         assert stack_width(LstmConfig(), cfg, length) == width
+
+    def test_stacked_step_stays_within_its_model_bytes(self):
+        # one width-4 step at loop-retrain's shapes traces 2,499,152 bytes; caching
+        # tanh(c) as well took it to 2,787,424, over the 2,649,293 allowed here
+        lstm, cfg = LstmConfig(), TrainingConfig(batch_size=16, lookback=24)
+        norm = NormStats(np.zeros(2), np.ones(2))
+        stack = stack_models([init_model(lstm, norm, rng_for(seed)) for seed in range(4)])
+        data = rng_for(9)
+        layer_in = data.uniform(0.0, 1.0, size=(4, 24, 16, 2))
+        targets = data.uniform(0.0, 1.0, size=(4, 16, 2))
+        training._loss_and_gradients(stack, layer_in, targets)  # numpy's first-call set-up
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            training._loss_and_gradients(stack, layer_in, targets)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 4 * training._model_bytes(lstm, cfg, 153)
 
 
 class TestPrediction:

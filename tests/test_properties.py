@@ -379,7 +379,7 @@ def test_fleet_forward_matches_each_model_alone(fleet):
 
 
 # the cache entries of ``_lstm_stack`` that lead with time; the others lead with the model
-TIME_MAJOR_CACHE = {"i", "f", "g", "o", "tanh_c", "c"}
+TIME_MAJOR_CACHE = {"i", "f", "g", "o", "c"}
 
 
 @st.composite
