@@ -271,14 +271,13 @@ def _parse_chunk(chunk, width, cols, schema, cell_codes, stamp_hours):
 
     Blank records are skipped; for each, the last array holds how many of the
     chunk's other rows precede it. ``cell_codes`` and ``stamp_hours`` map each
-    distinct (enb, cell) and timestamp text seen so far to its code (codes
-    count up in the order cells are first seen) and its hours, so each
-    distinct timestamp is parsed once per file. Fields must match one ASCII
-    grammar: indices ``[0-9]+``, KPIs Python's float literal without padding
-    or ``_``, stamps as ``_parse_timestamp`` reads them. A malformed chunk
-    returns the reason of its first failing check; checks run in the order
-    of a row's fields, so for a one-row chunk that is the row's own first
-    fault.
+    distinct (enb, cell) and timestamp text seen so far to its code and its
+    hours, so each distinct timestamp is parsed once per file. Fields must
+    match one ASCII grammar: indices ``[0-9]+``, KPIs Python's float literal
+    without padding or ``_``, stamps as ``_parse_timestamp`` reads them. A
+    malformed chunk returns the reason of its first failing check; checks run
+    in the order of a row's fields, so for a one-row chunk that is the row's
+    own first fault.
     """
     lengths = np.fromiter(map(len, chunk), np.int64, len(chunk))
     filled = lengths > 0
@@ -296,8 +295,8 @@ def _parse_chunk(chunk, width, cols, schema, cell_codes, stamp_hours):
         keys = list(zip(map(int, enbs), map(int, cells)))
     except ValueError:  # an empty index, or more digits than int() converts
         return "unparsable eNB/cell index"
-    for key in dict.fromkeys(keys):  # codes in first-seen order
-        cell_codes.setdefault(key, len(cell_codes))
+    for key in set(keys).difference(cell_codes):
+        cell_codes[key] = len(cell_codes)
     try:
         for text in set(stamps).difference(stamp_hours):
             stamp_hours[text] = _parse_timestamp(text, schema)
@@ -403,8 +402,7 @@ def _series_from_columns(columns, blanks, cell_codes) -> list[KpiSeries]:
     non-blank rows, in file order; the KPI array is read-only and the hours
     may be overwritten. This takes the arrays over and empties the list, so
     each is freed once it is no longer read: the cell codes as soon as the
-    ranks exist, which are the codes themselves when cells were first seen in
-    (enb, cell) order. Rows are checked in (enb, cell) and then hour order,
+    ranks exist. Rows are checked in (enb, cell) and then hour order,
     ties in file order, so the first violation found is the first one a
     row-by-row scan in that order would meet. One pass of comparisons tells
     whether the file is already in that order, as ``export_csv`` writes it;
@@ -416,12 +414,9 @@ def _series_from_columns(columns, blanks, cell_codes) -> list[KpiSeries]:
     codes, rel, values = columns  # rel: the hours, made relative to the earliest below
     columns.clear()
     keys = sorted(cell_codes)
-    if keys == list(cell_codes):
-        cell_rank = codes
-    else:
-        rank = np.empty(len(keys), np.int64)
-        rank[[cell_codes[key] for key in keys]] = np.arange(len(keys))
-        cell_rank = rank[codes]
+    rank = np.empty(len(keys), np.int64)
+    rank[[cell_codes[key] for key in keys]] = np.arange(len(keys))
+    cell_rank = rank[codes]
     del codes
     bounds = np.append(0, np.cumsum(np.bincount(cell_rank, minlength=len(keys))))
     before, after = cell_rank[:-1], cell_rank[1:]
