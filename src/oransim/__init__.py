@@ -11,23 +11,9 @@ Subpackages / modules:
   config/cli - scenario configuration and the command-line interface
 """
 
-from .kpi import (
-    CellId,
-    CongestionRule,
-    KpiSample,
-    KpiSeries,
-    congested_hours,
-    evaluate_congestion,
-)
+from . import kpi
+from .kpi import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CellId",
-    "CongestionRule",
-    "KpiSample",
-    "KpiSeries",
-    "congested_hours",
-    "evaluate_congestion",
-    "__version__",
-]
+__all__ = kpi.__all__

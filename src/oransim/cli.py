@@ -44,7 +44,7 @@ def cmd_generate(cfg: ScenarioConfig, outdir: Path) -> int:
         outdir / "manifest.json",
         {
             "n_cells": len(series),
-            "n_hours": len(series[0]) if series else 0,
+            "n_hours": len(series[0]),
             "n_rows": sum(len(s) for s in series),
             "dataset_sha256": hashlib.sha256(payload).hexdigest(),
         },

@@ -1,81 +1,7 @@
 """From-scratch stacked LSTM forecaster for next-hour KPI prediction."""
 
-from .model import (
-    ForecastModel,
-    HeadParams,
-    LayerParams,
-    LstmConfig,
-    NormStats,
-    forward,
-    init_model,
-    load_model,
-    model_digest,
-    model_from_json,
-    model_to_json,
-    param_arrays,
-    save_model,
-    stack_models,
-)
-from .training import (
-    AdamHyper,
-    AdamState,
-    EpochStats,
-    InsufficientDataError,
-    TrainingConfig,
-    UndefinedMetricError,
-    WindowedDataset,
-    accuracy,
-    adam_step,
-    backward,
-    clamp_prediction,
-    compute_norm_stats,
-    derive_seed,
-    evaluate_heldout,
-    make_windows,
-    mse_loss,
-    predict_fleet,
-    predict_from_window,
-    stack_width,
-    train,
-    train_split,
-    train_stack,
-)
+from . import model, training
+from .model import *
+from .training import *
 
-__all__ = [
-    "AdamHyper",
-    "AdamState",
-    "EpochStats",
-    "ForecastModel",
-    "HeadParams",
-    "InsufficientDataError",
-    "LayerParams",
-    "LstmConfig",
-    "NormStats",
-    "TrainingConfig",
-    "UndefinedMetricError",
-    "WindowedDataset",
-    "accuracy",
-    "adam_step",
-    "backward",
-    "clamp_prediction",
-    "compute_norm_stats",
-    "derive_seed",
-    "evaluate_heldout",
-    "forward",
-    "init_model",
-    "load_model",
-    "make_windows",
-    "model_digest",
-    "model_from_json",
-    "model_to_json",
-    "mse_loss",
-    "param_arrays",
-    "predict_fleet",
-    "predict_from_window",
-    "save_model",
-    "stack_models",
-    "stack_width",
-    "train",
-    "train_split",
-    "train_stack",
-]
+__all__ = model.__all__ + training.__all__

@@ -42,6 +42,7 @@ __all__ = [
     "model_from_json",
     "save_model",
     "load_model",
+    "param_arrays",
 ]
 
 MODEL_FORMAT = "oransim-forecast-model"

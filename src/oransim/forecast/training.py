@@ -34,7 +34,6 @@ __all__ = [
     "AdamHyper",
     "TrainingConfig",
     "derive_seed",
-    "WindowedDataset",
     "EpochStats",
     "AdamState",
     "InsufficientDataError",
@@ -122,20 +121,6 @@ class TrainingConfig:
 
 
 @dataclass(frozen=True)
-class WindowedDataset:
-    """Normalized supervised windows: inputs (N, lookback, D), targets (N, D).
-
-    Both are read-only views of one normalized series (see ``make_windows``).
-    """
-
-    inputs: np.ndarray
-    targets: np.ndarray
-
-    def __len__(self) -> int:
-        return self.inputs.shape[0]
-
-
-@dataclass(frozen=True)
 class EpochStats:
     """One epoch's log entry: the mean of its batch losses, each weighted by batch size.
 
@@ -168,18 +153,21 @@ def _windows(values: np.ndarray, lookback: int) -> tuple[np.ndarray, np.ndarray]
     return np.swapaxes(inputs, -1, -2), targets
 
 
-def make_windows(series: KpiSeries, cfg: TrainingConfig, norm: NormStats) -> WindowedDataset:
+def make_windows(
+    series: KpiSeries, cfg: TrainingConfig, norm: NormStats
+) -> tuple[np.ndarray, np.ndarray]:
     """All sliding windows of the series with 1-hour-ahead targets.
 
-    A series of length L yields exactly L - lookback windows, as read-only
-    views of the normalized series (``_windows``), so the windows share its
-    L x D values instead of holding lookback copies of each hour.
+    A series of length L yields inputs (L - lookback, lookback, D) and
+    targets (L - lookback, D), both read-only views of the normalized series
+    (``_windows``), so the windows share its L x D values instead of holding
+    lookback copies of each hour.
     """
     if len(series) <= cfg.lookback:
         raise InsufficientDataError(
             f"series length {len(series)} yields no windows at lookback {cfg.lookback}"
         )
-    return WindowedDataset(*_windows(norm.normalize(series.to_array()), cfg.lookback))
+    return _windows(norm.normalize(series.to_array()), cfg.lookback)
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
@@ -496,7 +484,7 @@ def evaluate_heldout(
     split = train_split(len(series), cfg)
     # the window whose target is hour ``split`` starts ``lookback`` hours earlier;
     # slicing the view copies no window
-    inputs = make_windows(series, cfg, model.norm).inputs[split - cfg.lookback :]
+    inputs = make_windows(series, cfg, model.norm)[0][split - cfg.lookback :]
     preds = clamp_prediction(model.norm.denormalize(forward(model, inputs)))
     return accuracy(preds, series.to_array()[split:]), len(inputs)
 

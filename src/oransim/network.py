@@ -132,9 +132,6 @@ class SimulatedNetwork:
     def active_keys(self) -> list[CellKey]:
         return sorted(self.cells)
 
-    def active_cell_ids(self) -> list[CellId]:
-        return [self.cells[k].cell_id for k in self.active_keys()]
-
     # realization -------------------------------------------------------
 
     def _index_active(self) -> None:
@@ -180,10 +177,6 @@ class SimulatedNetwork:
         lo, n = self.window_span(key, start, length)
         return KpiSeries(cell.cell_id, lo, self.kpis[lo : lo + n, cell.column])
 
-    def series(self, key: CellKey) -> KpiSeries:
-        """The cell's full realized series (id snapshot at current generation)."""
-        return self.window(key, 0, self.hour)
-
     def training_history(self, key: CellKey) -> KpiSeries:
         """The series a forecaster for this cell should train on.
 
@@ -216,20 +209,17 @@ class SimulatedNetwork:
 
     # splitting ---------------------------------------------------------
 
-    def split(
-        self, key: CellKey, policy: SplitPolicy, rng: np.random.Generator, hour: int
-    ) -> SplitEvent:
-        """Split an active cell, effective for all hours from ``hour`` on.
+    def split(self, key: CellKey, policy: SplitPolicy, rng: np.random.Generator) -> SplitEvent:
+        """Split an active cell from the network's current hour on, the next
+        hour ``realize_hour`` fills.
 
         The child inherits the parent's origin waveform scaled by its share;
-        it has no realized history before the split hour. ``hour`` must be
-        the network's current hour, the next one ``realize_hour`` fills.
+        it has no realized history before the split hour.
         """
-        if hour != self.hour:
-            raise ValueError(f"split at hour {hour}, but the network is at hour {self.hour}")
+        hour = self.hour
         cell = self.cells[key]
-        if self.hour > cell.created_at:
-            util, thr = self.kpis[self.hour - 1, cell.column].tolist()
+        if hour > cell.created_at:
+            util, thr = self.kpis[hour - 1, cell.column].tolist()
         else:
             util, thr = 0.0, self.throughput_cap
         # the load unit is the origin cell's whole load, so split_cell's

@@ -24,7 +24,7 @@ from ..forecast import (
     train_stack,
 )
 from ..kpi import CellId, CongestionRule, KpiSeries
-from ..network import SimulatedNetwork
+from ..network import CellKey, SimulatedNetwork
 from ..splitting import SplitPolicy
 from .messages import (
     A1Deployment,
@@ -40,8 +40,6 @@ __all__ = ["DataCollector", "train_cells", "NonRtRic", "CpmXapp"]
 
 logger = logging.getLogger(__name__)
 
-CellKey = tuple[int, int]
-
 
 class DataCollector:
     """SMO-side collector gathering RAN counters over O1."""
@@ -50,21 +48,18 @@ class DataCollector:
         self.log = log
 
     def collect(self, network: SimulatedNetwork, window_start: int, window_hours: int) -> O1Report:
-        """Report every active cell's span of hours in a fully elapsed window."""
+        """Report the active cells and their realized hours in a fully elapsed window."""
         if window_start + window_hours > network.hour:
             raise ValueError(
                 f"window [{window_start}, {window_start + window_hours}) not yet elapsed "
                 f"(network at hour {network.hour})"
             )
-        payload = {
-            network.cells[key].cell_id: network.window_span(key, window_start, window_hours)
-            for key in network.active_keys()
-        }
+        keys = network.active_keys()
         report = O1Report(
             window_start=window_start,
             window_hours=window_hours,
-            payload=payload,
-            source=tuple(sorted(payload)),
+            source=tuple(network.cells[key].cell_id for key in keys),
+            n_samples=sum(network.window_span(key, window_start, window_hours)[1] for key in keys),
         )
         self.log.append(
             EventTag.O1_COLLECT,
@@ -280,23 +275,14 @@ class CpmXapp:
             payload={"prediction": prediction.tolist()},
         )
 
-    def issue_e2(
-        self,
-        cell_id: CellId,
-        alarmed: set[CellId],
-        policy: SplitPolicy,
-        hour: int,
-    ) -> E2ControlRequest:
-        """One CellSplit request for an alarmed, eligible cell."""
-        if cell_id not in alarmed:
-            raise ValueError(
-                f"E2 control requested for non-alarmed cell {cell_id.label()}"
-            )
-        if cell_id.split_factor >= policy.max_factor:
-            raise ValueError(
-                f"cell {cell_id.label()} already at split factor cap {policy.max_factor}"
-            )
-        request = E2ControlRequest(cell_id, "CellSplit", policy, hour)
+    def issue_e2(self, cell_id: CellId, policy: SplitPolicy, hour: int) -> E2ControlRequest:
+        """Send and log one CellSplit request for ``cell_id``.
+
+        The loop picks the cells to split (alarmed, under the factor cap,
+        out of split cooldown); ``split_cell`` refuses a split past the cap,
+        and ``validate_events`` an E2Control with no alarm before it.
+        """
+        request = E2ControlRequest(cell_id, policy, hour)
         self.log.append(
             EventTag.E2_CONTROL, hour=hour, cells=(cell_id,), payload=request.to_json_dict()
         )

@@ -27,16 +27,14 @@ import numpy as np
 
 from ..forecast import InsufficientDataError, LstmConfig, TrainingConfig, accuracy, train_split
 from ..kpi import CongestionRule, congested_hours
-from ..network import SimulatedNetwork
+from ..network import CellKey, SimulatedNetwork
 from ..splitting import SplitPolicy
 from .hosts import CpmXapp, DataCollector, NonRtRic
 from .messages import E2ControlRequest, EventLog, EventTag, ModelPerformanceFeedback
 
-__all__ = ["ControlLoopConfig", "LoopResult", "run_control_loop"]
+__all__ = ["ControlLoopConfig", "LoopResult", "run_control_loop", "summarize_run"]
 
 logger = logging.getLogger(__name__)
-
-CellKey = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -226,14 +224,12 @@ def run_control_loop(
             network.predictions[hour, network.cells[key].column] = pred
 
         # (7) alarms and the cell-split control action
-        alarmed_ids = set()
         for key, (pred, alarm) in inferences.items():
             if not alarm:
                 continue
             cell = network.cells[key]
             cell_id = cell.cell_id
             xapp.raise_alarm(cell_id, pred, hour)
-            alarmed_ids.add(cell_id)
             at_cap = cell_id.split_factor >= loop_cfg.max_split_factor
             cooling = (
                 cell.last_split_hour is not None
@@ -246,9 +242,9 @@ def run_control_loop(
                     "factor cap" if at_cap else "split cooldown",
                 )
                 continue
-            request = xapp.issue_e2(cell_id, alarmed_ids, split_policy, hour)
+            request = xapp.issue_e2(cell_id, split_policy, hour)
             result.e2_requests.append(request)
-            event = network.split(key, split_policy, split_rng, hour)
+            event = network.split(key, split_policy, split_rng)
             non_rt.register_child(key, (event.child.enb, event.child.cell))
 
         # realize this cycle's hours with the post-action topology
@@ -294,9 +290,8 @@ def run_control_loop(
 
     result.end_hour = hour
     result.metrics = summarize_run(network, rule, start, hour)
-    acc_values = [f.window_accuracy for f in result.final_feedback]
-    result.metrics["mean_final_accuracy"] = (
-        float(np.mean(acc_values)) if acc_values else None
+    result.metrics["mean_final_accuracy"] = float(
+        np.mean([f.window_accuracy for f in result.final_feedback])
     )
     result.metrics["terminated_early"] = result.terminated_early
     result.metrics["end_hour"] = result.end_hour

@@ -166,27 +166,13 @@ class EventLog:
 
 @dataclass(frozen=True)
 class O1Report:
-    """Per-cell ``(first_hour, n)`` spans of hours reported for one elapsed window."""
+    """What the active cells reported over one elapsed window: the cells,
+    in ``active_keys`` order, and the number of realized hours they cover."""
 
     window_start: int
     window_hours: int
-    payload: dict[CellId, tuple[int, int]]
     source: tuple[CellId, ...]
-
-    def __post_init__(self):
-        if len(set(self.source)) != len(self.source):
-            raise ValueError("report source cells must be distinct")
-        lo, hi = self.window_start, self.window_start + self.window_hours
-        for cell, (first, n) in self.payload.items():
-            if n < 0 or (n > 0 and not lo <= first <= first + n <= hi):
-                raise ValueError(
-                    f"hours [{first}, {first + n}) outside window [{lo}, {hi}) "
-                    f"for {cell.label()}"
-                )
-
-    @property
-    def n_samples(self) -> int:
-        return sum(n for _, n in self.payload.values())
+    n_samples: int
 
 
 @dataclass(frozen=True)
@@ -228,18 +214,13 @@ class E2ControlRequest:
     """Cell-split control action sent toward the CU/DU over E2."""
 
     target: CellId
-    action: str
     policy: SplitPolicy
     issued_at: int
-
-    def __post_init__(self):
-        if self.action != "CellSplit":
-            raise ValueError(f"unsupported E2 action {self.action!r}")
 
     def to_json_dict(self) -> dict:
         return {
             "target": self.target.to_json(),
-            "action": self.action,
+            "action": "CellSplit",
             "policy": {
                 "r_min": self.policy.r_min,
                 "r_max": self.policy.r_max,

@@ -72,7 +72,6 @@ class SplitEvent:
     child: CellId
     r: float
     hour: int
-    round: int
 
     def __post_init__(self):
         if self.child.generation != self.parent.generation + 1:
@@ -136,7 +135,7 @@ def split_cell(
     child_id = CellId(state.cell.enb, child_cell_index, state.cell.generation + 1)
     parent = replace(state, cell=parent_id, load=parent_load)
     child = replace(state, cell=child_id, load=child_load)
-    event = SplitEvent(state.cell, child_id, r, hour, round=child_id.generation)
+    event = SplitEvent(state.cell, child_id, r, hour)
     return parent, child, event
 
 

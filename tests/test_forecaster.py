@@ -229,9 +229,9 @@ def seed_train(series, lstm_cfg, cfg):
     without its per-epoch validation forward, whose loss nothing read."""
     split = int(np.floor(cfg.train_fraction * len(series)))
     norm = compute_norm_stats(series.to_array()[:split])
-    windows = make_windows(series, cfg, norm)
+    inputs, targets = make_windows(series, cfg, norm)
     n_train = split - cfg.lookback
-    train_inputs, train_targets = windows.inputs[:n_train], windows.targets[:n_train]
+    train_inputs, train_targets = inputs[:n_train], targets[:n_train]
     rng = rng_for(cfg.seed)
     model = init_model(lstm_cfg, norm, rng)
     params = param_arrays(model)
@@ -459,31 +459,31 @@ class TestWindows:
     def test_window_count_minimal(self):
         series = sine_series(25)
         cfg = TrainingConfig(lookback=24, seed=0)
-        windows = make_windows(series, cfg, compute_norm_stats(series.to_array()))
-        assert len(windows) == 1
+        inputs, targets = make_windows(series, cfg, compute_norm_stats(series.to_array()))
+        assert len(inputs) == len(targets) == 1
 
     def test_window_count_arithmetic(self):
         series = sine_series(600)
         cfg = TrainingConfig(lookback=24, seed=0)
-        windows = make_windows(series, cfg, compute_norm_stats(series.to_array()))
-        assert len(windows) == 576
+        inputs, targets = make_windows(series, cfg, compute_norm_stats(series.to_array()))
+        assert len(inputs) == len(targets) == 576
 
     def test_targets_are_next_hour(self):
         series = sine_series(30)
         cfg = TrainingConfig(lookback=4, seed=0)
         norm = compute_norm_stats(series.to_array())
-        windows = make_windows(series, cfg, norm)
+        inputs, targets = make_windows(series, cfg, norm)
         values = norm.normalize(series.to_array())
-        for i in range(len(windows)):
-            assert np.array_equal(windows.inputs[i], values[i : i + 4])
-            assert np.array_equal(windows.targets[i], values[i + 4])
+        for i in range(len(inputs)):
+            assert np.array_equal(inputs[i], values[i : i + 4])
+            assert np.array_equal(targets[i], values[i + 4])
 
     def test_constant_series_normalizes_to_equal_inputs(self):
         series = series_from_arrays([50.0] * 30, [2.0] * 30)
         norm = NormStats(np.array([0.0, 0.0]), np.array([100.0, 4.0]))
         cfg = TrainingConfig(lookback=5, seed=0)
-        windows = make_windows(series, cfg, norm)
-        assert np.all(windows.inputs == windows.inputs[0, 0])
+        inputs, _ = make_windows(series, cfg, norm)
+        assert np.all(inputs == inputs[0, 0])
 
     def test_too_short_series_rejected(self):
         series = sine_series(10)

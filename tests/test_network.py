@@ -4,7 +4,7 @@ import pytest
 
 from oransim.kpi import CellId, KpiSeries
 from oransim.network import SimulatedNetwork
-from oransim.splitting import SplitPolicy
+from oransim.splitting import SplitPolicy, SplitRefusedError
 from oransim.traffic import SyntheticProfile
 
 
@@ -21,7 +21,7 @@ class TestRealization:
         profile = SyntheticProfile(n_enb=1, cells_per_enb=2, n_days=2, seed=3)
         net = SimulatedNetwork.from_profile(profile, history_hours=48)
         for key in net.active_keys():
-            series = net.series(key)
+            series = net.window(key, 0, net.hour)
             base = net.baseline_series(0, 48)
             match = [b for b in base if (b.cell.enb, b.cell.cell) == key]
             assert series == match[0]
@@ -77,7 +77,7 @@ class TestSplitEffects:
     def test_split_scales_util_and_throughput(self):
         net = flat_network(util=90.0, thr=0.9, history=4)
         policy = SplitPolicy(r_min=60.0, r_max=60.0, max_factor=2)
-        event = net.split((0, 0), policy, policy.rng(), hour=4)
+        event = net.split((0, 0), policy, policy.rng())
         assert event.parent == CellId(0, 0, 0)
         assert event.child == CellId(0, 2, 1)  # next free index in the eNB
         rows = net.realize_hour()
@@ -91,7 +91,7 @@ class TestSplitEffects:
     def test_throughput_capped_after_split(self):
         net = flat_network(util=20.0, thr=6.0, cap=10.0, history=4)
         policy = SplitPolicy(r_min=75.0, r_max=75.0, max_factor=2)
-        net.split((0, 0), policy, policy.rng(), hour=4)
+        net.split((0, 0), policy, policy.rng())
         rows = net.realize_hour()
         assert rows[0, 1] == 10.0  # 6/0.25 = 24, capped
         assert rows[2, 1] == pytest.approx(6.0 / 0.75)
@@ -99,7 +99,7 @@ class TestSplitEffects:
     def test_generation_advances_for_both_halves(self):
         net = flat_network(history=4)
         policy = SplitPolicy(r_min=70.0, r_max=70.0, max_factor=4)
-        net.split((0, 0), policy, policy.rng(), hour=4)
+        net.split((0, 0), policy, policy.rng())
         assert net.cells[(0, 0)].generation == 1
         assert net.cells[(0, 2)].generation == 1
         assert net.max_factor_reached() == 2
@@ -108,26 +108,32 @@ class TestSplitEffects:
         net = flat_network(util=80.0, thr=1.0, history=2)
         policy = SplitPolicy(r_min=50.0, r_max=50.0, max_factor=4)
         rng = policy.rng()
-        net.split((0, 0), policy, rng, hour=2)
-        net.split((0, 0), policy, rng, hour=2)
+        net.split((0, 0), policy, rng)
+        net.split((0, 0), policy, rng)
         assert net.cells[(0, 0)].load_fraction == pytest.approx(0.25)
         prb, thr = net.realize_hour()[0]
         assert prb == pytest.approx(20.0)
         assert thr == pytest.approx(4.0)
 
-    def test_split_rejects_hour_other_than_current(self):
+    def test_split_past_cap_refused_and_network_unchanged(self):
         net = flat_network(history=4)
-        policy = SplitPolicy(r_min=70.0, r_max=70.0)
-        for hour in (3, 7):
-            with pytest.raises(ValueError, match="network is at hour 4"):
-                net.split((0, 0), policy, policy.rng(), hour=hour)
-        assert sorted(net.cells) == [(0, 0), (0, 1)] and net.split_events == []
-        assert net.cells[(0, 0)].generation == 0
+        policy = SplitPolicy(r_min=70.0, r_max=70.0, max_factor=2)
+        net.split((0, 0), policy, policy.rng())
+        parent = net.cells[(0, 0)]
+        before = (sorted(net.cells), list(net.split_events), net.kpis.shape,
+                  parent.cell_id, parent.load_fraction)
+        with pytest.raises(SplitRefusedError, match=r"split factor 2 \(max 2\)"):
+            net.split((0, 0), policy, policy.rng())
+        assert (sorted(net.cells), net.split_events, net.kpis.shape,
+                parent.cell_id, parent.load_fraction) == before
+        # the next split in the eNB still takes the next free cell index
+        event = net.split((0, 1), policy, policy.rng())
+        assert event.child == CellId(0, 3, 1)
 
     def test_child_history_starts_at_split(self):
         net = flat_network(history=6)
         policy = SplitPolicy(r_min=70.0, r_max=70.0)
-        net.split((0, 0), policy, policy.rng(), hour=6)
+        net.split((0, 0), policy, policy.rng())
         net.realize_hour()
         child = net.cells[(0, 2)]
         assert child.created_at == 6
@@ -138,7 +144,7 @@ class TestSplitEffects:
     def test_training_history_truncated_at_split(self):
         net = flat_network(history=6)
         policy = SplitPolicy(r_min=70.0, r_max=70.0)
-        net.split((0, 0), policy, policy.rng(), hour=6)
+        net.split((0, 0), policy, policy.rng())
         net.realize_hour()
         net.realize_hour()
         hist = net.training_history((0, 0))
@@ -149,8 +155,8 @@ class TestSplitEffects:
     def test_active_cells_after_split(self):
         net = flat_network(history=2)
         policy = SplitPolicy(r_min=70.0, r_max=70.0)
-        net.split((0, 1), policy, policy.rng(), hour=2)
-        ids = net.active_cell_ids()
+        net.split((0, 1), policy, policy.rng())
+        ids = [net.cells[k].cell_id for k in net.active_keys()]
         assert ids == [CellId(0, 0, 0), CellId(0, 1, 1), CellId(0, 2, 1)]
 
 
@@ -158,7 +164,7 @@ class TestWindows:
     def test_realized_series_clipping(self):
         net = flat_network(history=4)
         policy = SplitPolicy(r_min=70.0, r_max=70.0)
-        net.split((0, 0), policy, policy.rng(), hour=4)
+        net.split((0, 0), policy, policy.rng())
         for _ in range(3):
             net.realize_hour()
         window = net.realized_series(2, 5)
@@ -169,7 +175,7 @@ class TestWindows:
     def test_window_skips_hours_before_birth(self):
         net = flat_network(history=4)
         policy = SplitPolicy(r_min=70.0, r_max=70.0)
-        net.split((0, 0), policy, policy.rng(), hour=4)
+        net.split((0, 0), policy, policy.rng())
         net.realize_hour()
         window = net.window((0, 2), 3, 2)
         assert (window.cell, window.start, len(window)) == (CellId(0, 2, 1), 4, 1)

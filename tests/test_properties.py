@@ -292,7 +292,7 @@ def split_and_realize(net, picks, policy):
             keys = net.active_keys()
             key = keys[i % len(keys)]
             if net.cells[key].cell_id.split_factor < policy.max_factor:
-                net.split(key, policy, rng, net.hour)
+                net.split(key, policy, rng)
         hour = net.hour
         yield hour, net.realize_hour()
 

@@ -29,7 +29,7 @@ from oransim.ric import (
     NonRtRic,
     run_control_loop,
 )
-from oransim.ric.messages import A1Deployment, ModelPerformanceFeedback, O1Report
+from oransim.ric.messages import A1Deployment, ModelPerformanceFeedback
 from oransim.splitting import SplitPolicy
 from oransim.traffic import SyntheticProfile
 
@@ -81,22 +81,24 @@ class TestCollectorAndBus:
         net = flat_network(cells=3, history=24)
         log = EventLog()
         report = DataCollector(log).collect(net, 0, 24)
-        assert len(report.payload) == 3
+        assert report.source == (CellId(0, 0), CellId(0, 1), CellId(0, 2))
         assert report.n_samples == 72
         assert log[0].tag == EventTag.O1_COLLECT
+
+    def test_collect_counts_child_hours_from_birth(self):
+        net = flat_network(cells=2, history=24)
+        policy = SplitPolicy(r_min=70.0, r_max=70.0)
+        net.split((0, 0), policy, policy.rng())
+        for _ in range(4):
+            net.realize_hour()
+        report = DataCollector(EventLog()).collect(net, 20, 8)
+        assert report.source == (CellId(0, 0, 1), CellId(0, 1), CellId(0, 2, 1))
+        assert report.n_samples == 8 + 8 + 4  # the child exists from hour 24 on
 
     def test_future_window_rejected(self):
         net = flat_network(history=10)
         with pytest.raises(ValueError):
             DataCollector(EventLog()).collect(net, 0, 11)
-
-    def test_report_window_invariant(self):
-        with pytest.raises(ValueError):
-            O1Report(0, 2, {CellId(0, 0): (5, 1)}, (CellId(0, 0),))
-        with pytest.raises(ValueError):
-            O1Report(0, 2, {CellId(0, 0): (1, 2)}, (CellId(0, 0),))
-        O1Report(0, 2, {CellId(0, 0): (1, 1), CellId(0, 1): (0, 0)},
-                 (CellId(0, 0), CellId(0, 1)))
 
 
 class TestTrainingRound:
@@ -104,7 +106,7 @@ class TestTrainingRound:
         net = flat_network(history=40)
         log = EventLog()
         non_rt = NonRtRic(log)
-        histories = {k: net.series(k) for k in net.active_keys()}
+        histories = {k: net.training_history(k) for k in net.active_keys()}
         failures = non_rt.train_and_update(histories, LSTM_TINY, TRAIN_TINY, hour=40)
         assert failures == []
         targets = {k: net.cells[k].cell_id for k in net.active_keys()}
@@ -117,7 +119,7 @@ class TestTrainingRound:
         net = flat_network(history=40)
         log = EventLog()
         non_rt = NonRtRic(log)
-        histories = {k: net.series(k) for k in net.active_keys()}
+        histories = {k: net.training_history(k) for k in net.active_keys()}
         short = KpiSeries.from_arrays(CellId(0, 9), 0, [50.0] * 5, [5.0] * 5)
         histories[(0, 9)] = short
         failures = non_rt.train_and_update(histories, LSTM_TINY, TRAIN_TINY, hour=40)
@@ -127,7 +129,7 @@ class TestTrainingRound:
     def test_models_are_held_and_deployed_by_reference(self):
         net = flat_network(history=40)
         non_rt = NonRtRic(EventLog())
-        histories = {k: net.series(k) for k in net.active_keys()}
+        histories = {k: net.training_history(k) for k in net.active_keys()}
         non_rt.train_and_update(histories, LSTM_TINY, TRAIN_TINY, hour=40)
         targets = {k: net.cells[k].cell_id for k in net.active_keys()}
         deployment, _ = non_rt.build_deployment(CongestionRule(), targets, hour=40)
@@ -150,7 +152,7 @@ class TestXapp:
     def deployed_xapp(self, net):
         log = EventLog()
         non_rt = NonRtRic(log)
-        histories = {k: net.series(k) for k in net.active_keys()}
+        histories = {k: net.training_history(k) for k in net.active_keys()}
         non_rt.train_and_update(histories, LSTM_TINY, TRAIN_TINY, hour=net.hour)
         targets = {k: net.cells[k].cell_id for k in net.active_keys()}
         deployment, _ = non_rt.build_deployment(CongestionRule(), targets, hour=net.hour)
@@ -223,7 +225,7 @@ class TestXapp:
                 assert pred.tolist() == [expected.prb_util, expected.ip_throughput]
                 assert alarm == evaluate_congestion(expected, rule)
 
-        histories = {k: net.series(k) for k in net.active_keys()}
+        histories = {k: net.training_history(k) for k in net.active_keys()}
         non_rt.train_and_update(histories, LSTM_TINY, TRAIN_TINY, hour=net.hour)
         check_infer(deploy(net.active_keys()), [(0, 0), (0, 1), (0, 2)])
         fleet = xapp._fleet
@@ -232,9 +234,9 @@ class TestXapp:
 
         # retrain one cell, split another; the child gets its parent's model
         retrain = TrainingConfig(epochs=2, lookback=lookback, seed=99)
-        non_rt.train_and_update({(0, 1): net.series((0, 1))}, LSTM_TINY, retrain, hour=net.hour)
+        non_rt.train_and_update({(0, 1): net.training_history((0, 1))}, LSTM_TINY, retrain, hour=net.hour)
         policy = SplitPolicy(r_min=70.0, r_max=70.0)
-        event = net.split((0, 2), policy, policy.rng(), net.hour)
+        event = net.split((0, 2), policy, policy.rng())
         child = (event.child.enb, event.child.cell)
         non_rt.register_child((0, 2), child)
         deployment = deploy(net.active_keys())
@@ -255,19 +257,6 @@ class TestXapp:
         xapp, log = self.deployed_xapp(net)
         with pytest.raises(ValueError):
             xapp.receive_deployment(xapp.deployment)
-
-    def test_e2_for_non_alarmed_cell_rejected(self):
-        net = flat_network(history=40)
-        xapp, _ = self.deployed_xapp(net)
-        with pytest.raises(ValueError, match="non-alarmed"):
-            xapp.issue_e2(CellId(0, 0), alarmed=set(), policy=SplitPolicy(), hour=40)
-
-    def test_e2_at_factor_cap_rejected(self):
-        net = flat_network(history=40)
-        xapp, _ = self.deployed_xapp(net)
-        cell = CellId(0, 0, 1)
-        with pytest.raises(ValueError, match="cap"):
-            xapp.issue_e2(cell, alarmed={cell}, policy=SplitPolicy(max_factor=2), hour=40)
 
     def test_feedback_flags_below_threshold(self):
         net = flat_network(history=40)
@@ -544,7 +533,7 @@ class TestModelLessRetry:
         profile = SyntheticProfile(n_enb=1, cells_per_enb=3, n_days=6, seed=8)
         network = SimulatedNetwork.from_profile(profile, history_hours=60)
         policy = SplitPolicy(max_factor=4, seed=11)
-        event = network.split((0, 0), policy, policy.rng(), network.hour)
+        event = network.split((0, 0), policy, policy.rng())
         halves = [(0, 0), (event.child.enb, event.child.cell)]
         result = run_control_loop(
             network,
@@ -578,7 +567,7 @@ class TestModelLessRetry:
         ]
         network = SimulatedNetwork(base, throughput_cap=10.0, history_hours=40)
         policy = SplitPolicy(max_factor=4, seed=11)
-        event = network.split((0, 0), policy, policy.rng(), network.hour)
+        event = network.split((0, 0), policy, policy.rng())
         halves = {(0, 0), (event.child.enb, event.child.cell)}
         result = tiny_loop(network, horizon=12, factor=4, retrain_cooldown_hours=8)
         requests = keys_by_hour(result, EventTag.TRAIN_REQUEST)

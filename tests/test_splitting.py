@@ -71,7 +71,7 @@ class TestSplitCell:
         assert event.child == CellId(0, 18, 1)
         assert event.child.generation == event.parent.generation + 1
         assert parent.cell == CellId(0, 0, 1)  # parent advances a round too
-        assert event.round == 1
+        assert event.child.generation == 1
 
     def test_zero_load_split_is_legal(self):
         policy = SplitPolicy(r_min=60.0, r_max=75.0)
@@ -103,7 +103,7 @@ class TestSplitCell:
         for round_no in range(3):
             s, _, event = split_cell(s, policy, hour=round_no, rng=rng,
                                      child_cell_index=round_no + 1)
-            assert event.round == round_no + 1
+            assert event.child.generation == round_no + 1
         assert s.cell.split_factor == 8
         with pytest.raises(SplitRefusedError):
             split_cell(s, policy, hour=3, rng=rng, child_cell_index=9)

@@ -1,0 +1,58 @@
+"""Print a sha256 for every file that oransim writes on the benchmark's loop configs.
+
+Usage: python3 tools/output_digests.py [CHECKOUT]
+
+CHECKOUT is the root of an oransim checkout (default: the one holding this
+script). Its ``src`` is the program that runs, and ``bench/workloads.py``
+gives the configs, which are only read. For each of the loop workloads at
+the default and the confirming seed, ``oransim run`` writes its outputs;
+on the loop-retrain config ``oransim generate`` writes the dataset CSV and
+``oransim train`` trains on it. Each output file prints as one
+``<sha256>  <workload>/<seed>/<command>/<file>`` line, so two checkouts
+write the same bytes exactly when their listings are equal.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+
+def _oransim(checkout: Path, *args: str) -> None:
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    subprocess.run([sys.executable, "-m", "oransim", *args], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+
+
+def main(argv: list[str]) -> int:
+    checkout = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
+    sys.path.insert(0, str(checkout / "bench"))
+    from workloads import CONFIRM_SEED, DEFAULT_SEED, LOOPS, config
+
+    with tempfile.TemporaryDirectory(prefix="oransim-digests-") as tmp:
+        root = Path(tmp)
+        for workload in LOOPS:
+            for seed in (DEFAULT_SEED, CONFIRM_SEED):
+                base = root / workload / str(seed)
+                base.mkdir(parents=True)
+                cfg = base / "config.json"
+                cfg.write_text(json.dumps(config(workload, seed)), encoding="utf-8")
+                _oransim(checkout, "run", "-c", str(cfg), "-o", str(base / "run"))
+                if workload == "loop-retrain":
+                    _oransim(checkout, "generate", "-c", str(cfg), "-o", str(base / "generate"))
+                    _oransim(checkout, "train", "-c", str(cfg), "-d",
+                             str(base / "generate" / "dataset.csv"), "-o", str(base / "train"))
+                cfg.unlink()
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(root).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
