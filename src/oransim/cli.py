@@ -117,9 +117,8 @@ def _build_network(cfg: ScenarioConfig) -> SimulatedNetwork:
 
 
 def cmd_run(cfg: ScenarioConfig, outdir: Path) -> int:
-    network = _build_network(cfg)
     result = run_control_loop(
-        network,
+        _build_network(cfg),
         rule=cfg.rule,
         lstm_cfg=cfg.lstm,
         train_cfg=cfg.training,
@@ -140,21 +139,18 @@ def cmd_run(cfg: ScenarioConfig, outdir: Path) -> int:
         "".join(canonical_json(r.to_json_dict()) + "\n" for r in result.e2_requests),
         encoding="utf-8",
     )
-    window = result.end_hour - result.start_hour
     edges = default_bin_edges()
-    baseline = network.baseline_series(result.start_hour, window)
-    after = network.realized_series(result.start_hour, window)
     (outdir / "histogram_baseline.csv").write_bytes(
-        export_histogram_csv(histogram_hours(baseline, edges), edges)
+        export_histogram_csv(histogram_hours(result.baseline, edges), edges)
     )
     (outdir / "histogram_after.csv").write_bytes(
-        export_histogram_csv(histogram_hours(after, edges), edges)
+        export_histogram_csv(histogram_hours(result.after, edges), edges)
     )
     _write_json(outdir / "summary.json", result.metrics)
     _write_config_echo(cfg, outdir)
     m = result.metrics
     print(
-        f"simulated hours [{result.start_hour}, {result.end_hour}): "
+        f"simulated hours [{m['window_start']}, {m['end_hour']}): "
         f"congested hours {m['congested_hours_baseline']} -> {m['congested_hours_after']}, "
         f"{m['splits_issued']} splits, max factor {m['max_split_factor_reached']}"
     )

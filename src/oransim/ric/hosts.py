@@ -16,6 +16,7 @@ from ..forecast import (
     InsufficientDataError,
     LstmConfig,
     TrainingConfig,
+    accuracy,
     model_digest,
     predict_fleet,
     stack_models,
@@ -174,21 +175,24 @@ class NonRtRic:
             self._digests[child_key] = self._digests[parent_key]
 
     def build_deployment(
-        self, policy: CongestionRule, targets: dict[CellKey, CellId], hour: int
+        self, policy: CongestionRule, network: SimulatedNetwork
     ) -> tuple[A1Deployment, str]:
-        """Package the current model set for the target cells; bump version.
+        """Package the models of the network's active cells that have one,
+        at the network's hour; bump version.
 
         Returns the deployment and its record, the canonical JSON line that
         ``a1_deployments.jsonl`` holds.
         """
         self.version += 1
-        deployed = [(k, cell_id) for k, cell_id in sorted(targets.items()) if k in self._models]
-        models = {cell_id: self._models[key] for key, cell_id in deployed}
-        digests = {cell_id: self._digests[key] for key, cell_id in deployed}
+        deployed = [
+            (network.cells[k].cell_id, k) for k in network.active_keys() if k in self._models
+        ]
+        models = {cell_id: self._models[key] for cell_id, key in deployed}
+        digests = {cell_id: self._digests[key] for cell_id, key in deployed}
         deployment = A1Deployment(self.version, policy, models, digests)
         payload = deployment.to_json_dict()
         self.log.append(
-            EventTag.A1_DEPLOY, hour=hour, cells=tuple(sorted(models)), payload=payload
+            EventTag.A1_DEPLOY, hour=network.hour, cells=tuple(sorted(models)), payload=payload
         )
         return deployment, canonical_json(payload)
 
@@ -222,43 +226,36 @@ class CpmXapp:
         self.deployment = deployment
 
     def infer(
-        self,
-        windows: dict[CellKey, tuple[CellId, np.ndarray]],
-        hour: int,
-        lookback: int,
+        self, network: SimulatedNetwork, lookback: int
     ) -> dict[CellKey, tuple[np.ndarray, bool]]:
-        """Predict hour ``hour`` per cell and evaluate the alarm predicate.
+        """Predict the network's current hour from each deployed cell's
+        ``trailing_window``, write it into ``network.predictions`` and
+        evaluate the alarm predicate.
 
-        ``windows`` maps each inferable cell to (current id, trailing raw
-        window). Cells without a deployed model are skipped; every other
-        cell maps to its (prb_util, ip_throughput) prediction and alarm.
-        The stacked models run one forward; a model whose cell has no
-        window rides along on a zero window, so the stack needs no per-hour
-        copy.
+        A cell whose history is shorter than ``lookback`` is skipped; every
+        other deployed cell maps to its (prb_util, ip_throughput) prediction
+        and alarm. The stacked models run one forward; a model whose cell
+        has no window rides along on a zero window.
         """
         if self.deployment is None:
             raise RuntimeError("no active A1 deployment")
-        digests, keys, fleet = self._fleet
-        for key in sorted(windows):
-            cell_id, window = windows[key]
-            if key in digests and window.shape[0] != lookback:
-                raise ValueError(
-                    f"window for {cell_id.label()} has {window.shape[0]} hours, "
-                    f"expected {lookback}"
-                )
-        covered = [m for m, key in enumerate(keys) if key in windows]
+        _, keys, fleet = self._fleet
+        hour = network.hour
+        windows = {m: window for m, key in enumerate(keys)
+                   if (window := network.trailing_window(key, lookback)) is not None}
         results: dict[CellKey, tuple[np.ndarray, bool]] = {}
-        if covered:
+        if windows:
             raw = np.zeros((len(keys), lookback, fleet.config.input_dim))
-            for m in covered:
-                raw[m] = windows[keys[m]][1]
+            for m, window in windows.items():
+                raw[m] = window
             out = predict_fleet(fleet, raw)
             if not np.isfinite(out).all():
                 raise ValueError(f"non-finite prediction for hour {hour}")
             policy = self.deployment.policy
-            for m in covered:
+            for m in windows:
+                network.predictions[hour, network.cells[keys[m]].column] = out[m]
                 results[keys[m]] = (out[m], bool(policy.congested(out[m, 0], out[m, 1])))
-        ids = [windows[key][0] for key in results]
+        ids = [network.cells[key].cell_id for key in results]
         self.log.append(
             EventTag.INFERENCE,
             hour=hour,
@@ -289,24 +286,26 @@ class CpmXapp:
         return request
 
     def feedback(
-        self,
-        evaluations: dict[CellKey, tuple[CellId, float]],
-        threshold: float,
-        hour: int,
+        self, network: SimulatedNetwork, hour: int, window_hours: int, threshold: float
     ) -> list[ModelPerformanceFeedback]:
-        """Report per-cell window accuracy; flag cells below the threshold.
+        """Score each active cell's predictions for the ``window_hours`` hours
+        that end at ``hour``; flag cells below the threshold.
 
-        An empty feedback window means no prediction/actual pair exists for
-        any cell, so the loop has nothing to monitor: that is an error.
+        Cells are named by their current ids, so a cell split this cycle is
+        scored under its new generation. An empty window has nothing to
+        monitor: that is an error.
         """
-        if not evaluations:
-            raise ValueError("empty feedback window: no prediction/actual pairs")
+        lo = max(0, hour + 1 - window_hours)
+        preds, actuals = network.predictions[lo : hour + 1], network.kpis[lo : hour + 1]
         feedbacks = []
-        for key in sorted(evaluations):
-            cell_id, acc = evaluations[key]
-            feedbacks.append(
-                ModelPerformanceFeedback(cell_id, acc, misprediction=acc < threshold)
-            )
+        for key in network.active_keys():
+            cell = network.cells[key]
+            made = ~np.isnan(preds[:, cell.column, 0])
+            if made.any():
+                acc = accuracy(preds[made, cell.column], actuals[made, cell.column])
+                feedbacks.append(ModelPerformanceFeedback(cell.cell_id, acc, acc < threshold))
+        if not feedbacks:
+            raise ValueError("empty feedback window: no prediction/actual pairs")
         self.log.append(
             EventTag.FEEDBACK,
             hour=hour,

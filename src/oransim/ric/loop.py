@@ -1,32 +1,31 @@
-"""The hour-by-hour control loop tying collection, training, inference, and
-cell splitting together.
-
-Each cycle executes the end-to-end flow in a fixed order, which is exactly
-what the offline validator checks:
+"""The hour-by-hour control loop. Each cycle calls the hosts in a fixed
+order, which is exactly what the offline validator checks:
 
     O1Collect -> BusPublish -> (CapabilityQuery -> TrainRequest ->
     TrainedModel)? -> A1Deploy -> Inference -> (AlarmRaised E2Control?)* ->
     Feedback -> Retrain*
 
-Training runs in the first cycle and again whenever feedback flags cells
-below the accuracy threshold (subject to a per-cell retrain cooldown). Cells
-without a model (their history could not train yet) retry on the same
-cooldown, and every training round retries all of them. The A1 policy/model
-push is re-issued every cycle with a monotonically increasing version;
-unchanged models are recognized by digest at the xApp.
-Splits actuate immediately, so the hour being predicted is already served
-by the post-split cells (the preemptive remedy).
+The hosts do each step's work on the network; the loop decides only which
+alarmed cells split and which cells retrain, and logs those retrain flags
+and the bus publish. Training runs in the first cycle and again whenever
+feedback flags cells below the accuracy threshold (subject to a per-cell
+retrain cooldown). Cells without a model (their history could not train
+yet) retry on the same cooldown, and every training round retries all of
+them. The A1 policy/model push is re-issued every cycle with a
+monotonically increasing version; unchanged models are recognized by digest
+at the xApp. Splits actuate immediately, so the hour being predicted is
+already served by the post-split cells (the preemptive remedy).
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..forecast import InsufficientDataError, LstmConfig, TrainingConfig, accuracy, train_split
-from ..kpi import CongestionRule, congested_hours
+from ..forecast import InsufficientDataError, LstmConfig, TrainingConfig, train_split
+from ..kpi import CongestionRule, KpiSeries, congested_hours
 from ..network import CellKey, SimulatedNetwork
 from ..splitting import SplitPolicy
 from .hosts import CpmXapp, DataCollector, NonRtRic
@@ -74,14 +73,12 @@ class ControlLoopConfig:
 @dataclass
 class LoopResult:
     log: EventLog
-    network: SimulatedNetwork
-    start_hour: int
-    end_hour: int
-    terminated_early: bool
-    deployments: list[str] = field(default_factory=list)  # canonical JSON per A1 push
-    e2_requests: list[E2ControlRequest] = field(default_factory=list)
-    final_feedback: list[ModelPerformanceFeedback] = field(default_factory=list)
-    metrics: dict = field(default_factory=dict)
+    metrics: dict                # summary.json: the window, its totals, how the run ended
+    baseline: list[KpiSeries]    # no-action series of the original cells over the window
+    after: list[KpiSeries]       # realized series of the cells over the window
+    deployments: list[str]       # canonical JSON per A1 push
+    e2_requests: list[E2ControlRequest]
+    final_feedback: list[ModelPerformanceFeedback]
 
 
 def _target_met(network: SimulatedNetwork, rule: CongestionRule, cfg: ControlLoopConfig) -> bool:
@@ -93,12 +90,9 @@ def _target_met(network: SimulatedNetwork, rule: CongestionRule, cfg: ControlLoo
 
 
 def summarize_run(
-    network: SimulatedNetwork, rule: CongestionRule, start: int, end: int
+    rule: CongestionRule, baseline: list[KpiSeries], after: list[KpiSeries]
 ) -> dict:
-    """Loop-window metrics against the no-action baseline on identical traffic."""
-    length = end - start
-    baseline = network.baseline_series(start, length)
-    after = network.realized_series(start, length)
+    """Loop-window totals against the no-action baseline on identical traffic."""
 
     def below_threshold_hours(series_list):
         return int(
@@ -106,16 +100,12 @@ def summarize_run(
         )
 
     return {
-        "window_start": start,
-        "window_hours": length,
         "n_cells_baseline": len(baseline),
         "n_cells_after": len(after),
         "congested_hours_baseline": int(sum(congested_hours(s, rule) for s in baseline)),
         "congested_hours_after": int(sum(congested_hours(s, rule) for s in after)),
         "hours_below_threshold_baseline": below_threshold_hours(baseline),
         "hours_below_threshold_after": below_threshold_hours(after),
-        "splits_issued": len(network.split_events),
-        "max_split_factor_reached": network.max_factor_reached(),
     }
 
 
@@ -128,7 +118,6 @@ def run_control_loop(
     loop_cfg: ControlLoopConfig,
     split_policy: SplitPolicy,
     horizon_hours: int,
-    log: EventLog | None = None,
 ) -> LoopResult:
     """Advance the scenario ``horizon_hours`` past the pre-realized history.
 
@@ -166,19 +155,16 @@ def run_control_loop(
             f"max_split_factor {loop_cfg.max_split_factor}"
         )
 
-    log = log if log is not None else EventLog()
+    log = EventLog()
     collector = DataCollector(log)
     non_rt = NonRtRic(log)
     xapp = CpmXapp(log)
     split_rng = split_policy.rng()
 
-    result = LoopResult(
-        log=log,
-        network=network,
-        start_hour=network.hour,
-        end_hour=network.hour,
-        terminated_early=False,
-    )
+    deployments: list[str] = []
+    e2_requests: list[E2ControlRequest] = []
+    feedbacks: list[ModelPerformanceFeedback] = []
+    terminated_early = False
     due: set[CellKey] = set(network.active_keys())  # cells the next training round trains
     last_train_attempt: dict[CellKey, int] = {}
 
@@ -201,27 +187,17 @@ def run_control_loop(
         if due:
             due.update(k for k in network.active_keys() if not non_rt.has_model(k))
             histories = {k: network.training_history(k) for k in sorted(due)}
-            failures = non_rt.train_and_update(histories, lstm_cfg, train_cfg, hour)
+            non_rt.train_and_update(histories, lstm_cfg, train_cfg, hour)
             last_train_attempt.update(dict.fromkeys(due, hour))
-            if failures:
-                logger.info("cells excluded from deployment this round: %s", failures)
             due.clear()
 
         # (5) A1 policy/model push (hourly re-affirmation, new version)
-        targets = {k: network.cells[k].cell_id for k in network.active_keys()}
-        deployment, record = non_rt.build_deployment(rule, targets, hour)
+        deployment, record = non_rt.build_deployment(rule, network)
         xapp.receive_deployment(deployment)
-        result.deployments.append(record)
+        deployments.append(record)
 
-        # (6) inference for every cell with a model and enough history
-        windows = {}
-        for key in network.active_keys():
-            window = network.trailing_window(key, train_cfg.lookback)
-            if window is not None:
-                windows[key] = (network.cells[key].cell_id, window)
-        inferences = xapp.infer(windows, hour, train_cfg.lookback)
-        for key, (pred, _) in inferences.items():
-            network.predictions[hour, network.cells[key].column] = pred
+        # (6) inference for every deployed cell with enough history
+        inferences = xapp.infer(network, train_cfg.lookback)
 
         # (7) alarms and the cell-split control action
         for key, (pred, alarm) in inferences.items():
@@ -243,7 +219,7 @@ def run_control_loop(
                 )
                 continue
             request = xapp.issue_e2(cell_id, split_policy, hour)
-            result.e2_requests.append(request)
+            e2_requests.append(request)
             event = network.split(key, split_policy, split_rng)
             non_rt.register_child(key, (event.child.enb, event.child.cell))
 
@@ -252,19 +228,10 @@ def run_control_loop(
         for _ in range(realize_n):
             network.realize_hour()
 
-        # feedback on the freshly realized actuals: the predictions for the
-        # feedback_window_hours hours that end at this cycle's hour
-        lo = max(0, hour + 1 - loop_cfg.feedback_window_hours)
-        preds, actuals = network.predictions[lo : hour + 1], network.kpis[lo : hour + 1]
-        evaluations = {}
-        for key in network.active_keys():
-            cell = network.cells[key]
-            made = ~np.isnan(preds[:, cell.column, 0])
-            if made.any():
-                acc = accuracy(preds[made, cell.column], actuals[made, cell.column])
-                evaluations[key] = (cell.cell_id, acc)
-        feedbacks = xapp.feedback(evaluations, loop_cfg.retrain_accuracy_threshold, hour)
-        result.final_feedback = feedbacks
+        # feedback on the freshly realized actuals
+        feedbacks = xapp.feedback(
+            network, hour, loop_cfg.feedback_window_hours, loop_cfg.retrain_accuracy_threshold
+        )
 
         # mispredicted cells, and cells with no model yet, retrain once cooled
         mispredicted = {(f.cell.enb, f.cell.cell) for f in feedbacks if f.misprediction}
@@ -285,14 +252,19 @@ def run_control_loop(
 
         hour += realize_n
         if loop_cfg.max_congested_hours is not None and _target_met(network, rule, loop_cfg):
-            result.terminated_early = True
+            terminated_early = True
             break
 
-    result.end_hour = hour
-    result.metrics = summarize_run(network, rule, start, hour)
-    result.metrics["mean_final_accuracy"] = float(
-        np.mean([f.window_accuracy for f in result.final_feedback])
+    baseline = network.baseline_series(start, hour - start)
+    after = network.realized_series(start, hour - start)
+    metrics = summarize_run(rule, baseline, after)
+    metrics.update(
+        window_start=start,
+        window_hours=hour - start,
+        end_hour=hour,
+        terminated_early=terminated_early,
+        splits_issued=len(network.split_events),
+        max_split_factor_reached=network.max_factor_reached(),
+        mean_final_accuracy=float(np.mean([f.window_accuracy for f in feedbacks])),
     )
-    result.metrics["terminated_early"] = result.terminated_early
-    result.metrics["end_hour"] = result.end_hour
-    return result
+    return LoopResult(log, metrics, baseline, after, deployments, e2_requests, feedbacks)

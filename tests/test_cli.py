@@ -15,6 +15,7 @@ from oransim.cli import main
 from oransim.config import config_from_dict, derive_seed, load_config
 from oransim.forecast import load_model, model
 from oransim.kpi import KpiSeries
+from oransim.network import SimulatedNetwork
 from oransim.ric import validate_jsonl
 from oransim.traffic import SyntheticProfile, export_csv, generate_synthetic
 
@@ -306,6 +307,19 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["window_hours"] == 12
         assert summary["n_cells_baseline"] == 2
+
+    def test_run_builds_the_window_series_once(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("baseline_series", "realized_series"):
+            original = getattr(SimulatedNetwork, name)
+
+            def counting(self, *args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(SimulatedNetwork, name, counting)
+        self.run_outputs(tmp_path, TINY)
+        assert sorted(calls) == ["baseline_series", "realized_series"]
 
     def test_run_parses_no_model_file(self, tmp_path, monkeypatch):
         parsed = []

@@ -1,12 +1,18 @@
-"""Each package's public names are its modules' ``__all__`` lists, in import order."""
+"""Each package's public names are its modules' ``__all__`` lists, in import order,
+and the version that pyproject.toml resolves is the package's ``__version__``."""
 
 import ast
 import importlib
+import warnings
 from pathlib import Path
 
 import pytest
+from setuptools.config.pyprojecttoml import read_configuration
+
+import oransim
 
 ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
+PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
 
 # the modules each package re-exports with ``from .mod import *``
 PACKAGES = {
@@ -41,3 +47,11 @@ def test_package_exports_its_modules_names(package):
     assert imported
     for module, name in imported:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_pyproject_reads_the_package_version():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # older setuptools calls [tool.setuptools] beta
+        project = read_configuration(PYPROJECT)["project"]
+    assert "version" in project["dynamic"]
+    assert project["version"] == oransim.__version__

@@ -109,11 +109,11 @@ class TestTrainingRound:
         histories = {k: net.training_history(k) for k in net.active_keys()}
         failures = non_rt.train_and_update(histories, LSTM_TINY, TRAIN_TINY, hour=40)
         assert failures == []
-        targets = {k: net.cells[k].cell_id for k in net.active_keys()}
-        d1, _ = non_rt.build_deployment(CongestionRule(), targets, hour=40)
-        d2, _ = non_rt.build_deployment(CongestionRule(), targets, hour=41)
+        d1, _ = non_rt.build_deployment(CongestionRule(), net)
+        d2, _ = non_rt.build_deployment(CongestionRule(), net)
         assert d1.version == 1 and d2.version == 2
-        assert set(d1.models) == set(targets.values())
+        assert set(d1.models) == {net.cells[k].cell_id for k in net.active_keys()}
+        assert [e.hour for e in log if e.tag == EventTag.A1_DEPLOY] == [40, 40]
 
     def test_short_history_cell_excluded(self):
         net = flat_network(history=40)
@@ -132,7 +132,7 @@ class TestTrainingRound:
         histories = {k: net.training_history(k) for k in net.active_keys()}
         non_rt.train_and_update(histories, LSTM_TINY, TRAIN_TINY, hour=40)
         targets = {k: net.cells[k].cell_id for k in net.active_keys()}
-        deployment, _ = non_rt.build_deployment(CongestionRule(), targets, hour=40)
+        deployment, _ = non_rt.build_deployment(CongestionRule(), net)
         held = [v for a in vars(non_rt).values() if isinstance(a, dict) for v in a.values()]
         assert not any(isinstance(v, (bytes, str)) and len(v) > 16 for v in held)
         for cell_id, model in deployment.models.items():
@@ -154,8 +154,7 @@ class TestXapp:
         non_rt = NonRtRic(log)
         histories = {k: net.training_history(k) for k in net.active_keys()}
         non_rt.train_and_update(histories, LSTM_TINY, TRAIN_TINY, hour=net.hour)
-        targets = {k: net.cells[k].cell_id for k in net.active_keys()}
-        deployment, _ = non_rt.build_deployment(CongestionRule(), targets, hour=net.hour)
+        deployment, _ = non_rt.build_deployment(CongestionRule(), net)
         xapp = CpmXapp(log)
         xapp.receive_deployment(deployment)
         return xapp, log
@@ -171,26 +170,20 @@ class TestXapp:
     def test_infer_is_deterministic(self):
         net = flat_network(history=40)
         xapp, _ = self.deployed_xapp(net)
-        windows = {
-            k: (net.cells[k].cell_id, net.trailing_window(k, TRAIN_TINY.lookback))
-            for k in net.active_keys()
-        }
-        a = xapp.infer(windows, hour=net.hour, lookback=TRAIN_TINY.lookback)
-        b = xapp.infer(windows, hour=net.hour, lookback=TRAIN_TINY.lookback)
+        a = xapp.infer(net, lookback=TRAIN_TINY.lookback)
+        b = xapp.infer(net, lookback=TRAIN_TINY.lookback)
         assert list(a) == list(b) == net.active_keys()
         assert all(a[k][0].tolist() == b[k][0].tolist() and a[k][1] == b[k][1] for k in a)
+        for k, (pred, _) in a.items():
+            assert net.predictions[net.hour, net.cells[k].column].tolist() == pred.tolist()
 
     def test_non_finite_prediction_is_an_error(self):
         net = flat_network(history=40)
         xapp, _ = self.deployed_xapp(net)
         _, _, fleet = xapp._fleet
         fleet.head.b[0, 0, 0] = np.nan  # the stack's array, viewed by the first model
-        windows = {
-            k: (net.cells[k].cell_id, net.trailing_window(k, TRAIN_TINY.lookback))
-            for k in net.active_keys()
-        }
         with pytest.raises(ValueError, match="non-finite prediction"):
-            xapp.infer(windows, hour=net.hour, lookback=TRAIN_TINY.lookback)
+            xapp.infer(net, lookback=TRAIN_TINY.lookback)
 
     def test_fleet_cache_follows_redeployments(self):
         profile = SyntheticProfile(n_enb=1, cells_per_enb=3, n_days=4, seed=8)
@@ -201,22 +194,13 @@ class TestXapp:
         rule = CongestionRule()
         lookback = TRAIN_TINY.lookback
 
-        def deploy(keys):
-            targets = {k: net.cells[k].cell_id for k in keys}
-            deployment, _ = non_rt.build_deployment(rule, targets, hour=net.hour)
+        def deploy():
+            deployment, _ = non_rt.build_deployment(rule, net)
             xapp.receive_deployment(deployment)
             return deployment
 
-        def windows():
-            out = {}
-            for k in net.active_keys():
-                window = net.trailing_window(k, lookback)
-                if window is not None:
-                    out[k] = (net.cells[k].cell_id, window)
-            return out
-
         def check_infer(deployment, expected_keys):
-            got = xapp.infer(windows(), hour=net.hour, lookback=lookback)
+            got = xapp.infer(net, lookback=lookback)
             assert sorted(got) == expected_keys
             for key, (pred, alarm) in got.items():
                 cell_id = net.cells[key].cell_id
@@ -227,9 +211,9 @@ class TestXapp:
 
         histories = {k: net.training_history(k) for k in net.active_keys()}
         non_rt.train_and_update(histories, LSTM_TINY, TRAIN_TINY, hour=net.hour)
-        check_infer(deploy(net.active_keys()), [(0, 0), (0, 1), (0, 2)])
+        check_infer(deploy(), [(0, 0), (0, 1), (0, 2)])
         fleet = xapp._fleet
-        deploy(net.active_keys())
+        deploy()
         assert xapp._fleet is fleet  # no model changed, no cell dropped: no rebuild
 
         # retrain one cell, split another; the child gets its parent's model
@@ -239,17 +223,24 @@ class TestXapp:
         event = net.split((0, 2), policy, policy.rng())
         child = (event.child.enb, event.child.cell)
         non_rt.register_child((0, 2), child)
-        deployment = deploy(net.active_keys())
+        deployment = deploy()
         assert deployment.digests[event.child] == deployment.digests[net.cells[(0, 2)].cell_id]
         # the child has no trailing window yet: only the covered cells are predicted
         check_infer(deployment, [(0, 0), (0, 1), (0, 2)])
         for _ in range(lookback):
             net.realize_hour()
-        deployment = deploy(net.active_keys())
+        deployment = deploy()
         check_infer(deployment, [(0, 0), (0, 1), (0, 2), child])
 
         # a redeploy that drops a cell stops predicting it
-        deployment = deploy([(0, 0), (0, 2), child])
+        kept = [net.cells[k].cell_id for k in [(0, 0), (0, 2), child]]
+        deployment = A1Deployment(
+            deployment.version + 1,
+            rule,
+            {c: deployment.models[c] for c in kept},
+            {c: deployment.digests[c] for c in kept},
+        )
+        xapp.receive_deployment(deployment)
         check_infer(deployment, [(0, 0), (0, 2), child])
 
     def test_stale_version_rejected(self):
@@ -259,13 +250,14 @@ class TestXapp:
             xapp.receive_deployment(xapp.deployment)
 
     def test_feedback_flags_below_threshold(self):
-        net = flat_network(history=40)
+        net = flat_network(history=40)  # every realized hour is (50.0, 5.0)
         xapp, _ = self.deployed_xapp(net)
-        evaluations = {
-            (0, 0): (CellId(0, 0), 95.0),
-            (0, 1): (CellId(0, 1), 50.0),
-        }
-        feedbacks = xapp.feedback(evaluations, threshold=90.0, hour=40)
+        net.predictions[40, 0] = [52.5, 5.25]  # 5% off: 95% accurate
+        net.predictions[40, 1] = [75.0, 2.5]   # 50% off: 50% accurate
+        net.realize_hour()
+        feedbacks = xapp.feedback(net, hour=40, window_hours=24, threshold=90.0)
+        assert [f.cell for f in feedbacks] == [CellId(0, 0), CellId(0, 1)]
+        assert [f.window_accuracy for f in feedbacks] == pytest.approx([95.0, 50.0])
         assert [f.misprediction for f in feedbacks] == [False, True]
 
     def test_feedback_accuracy_bounds(self):
@@ -276,7 +268,7 @@ class TestXapp:
         net = flat_network(history=40)
         xapp, _ = self.deployed_xapp(net)
         with pytest.raises(ValueError, match="empty feedback window"):
-            xapp.feedback({}, threshold=90.0, hour=40)
+            xapp.feedback(net, hour=40, window_hours=24, threshold=90.0)
 
 
 class TestControlLoop:
@@ -340,9 +332,10 @@ class TestControlLoop:
         assert versions[0] == 1
 
     def test_split_cells_get_models_and_rejoin_inference(self):
-        result = tiny_loop(congested_network(n_hours=120, history=40), horizon=72)
+        net = congested_network(n_hours=120, history=40)
+        result = tiny_loop(net, horizon=72)
         assert result.metrics["splits_issued"] >= 1
-        child_ids = {e.child for e in result.network.split_events}
+        child_ids = {e.child for e in net.split_events}
         inferred = set()
         for e in result.log:
             if e.tag == EventTag.INFERENCE:
@@ -352,9 +345,8 @@ class TestControlLoop:
     def test_early_termination_on_target(self):
         net = flat_network(n_hours=80, history=40)
         result = tiny_loop(net, horizon=30, max_congested_hours=0, target_window_hours=4)
-        assert result.terminated_early
-        assert result.end_hour < 70
         assert result.metrics["terminated_early"] is True
+        assert result.metrics["end_hour"] < 70
 
     def test_liveness_always_congested_cell(self):
         # constant congestion and a strictly load-reducing split: the loop
@@ -465,14 +457,16 @@ class TestFeedbackPairing:
         checked = []
         infer, feedback = CpmXapp.infer, CpmXapp.feedback
 
-        def recording_infer(self, windows, hour, lookback):
-            results = infer(self, windows, hour, lookback)
+        def recording_infer(self, net, lookback):
+            hour = net.hour
+            results = infer(self, net, lookback)
             for key, (pred, _) in results.items():
                 predictions[key].append((hour, KpiSample(hour, *pred.tolist())))
             return results
 
-        def checking_feedback(self, evaluations, threshold, hour):
-            feedbacks = feedback(self, evaluations, threshold, hour)
+        def checking_feedback(self, net, hour, window_hours, threshold):
+            assert window_hours == window
+            feedbacks = feedback(self, net, hour, window_hours, threshold)
             expected = reference_evaluations(network, predictions, hour, window)
             assert feedbacks == [
                 ModelPerformanceFeedback(cell_id, acc, acc < threshold)
@@ -487,7 +481,7 @@ class TestFeedbackPairing:
         assert result.final_feedback == checked[-1]
         assert len(checked) == sum(e.tag == EventTag.FEEDBACK for e in result.log) > 2
         assert result.metrics["splits_issued"] >= 1
-        assert result.terminated_early == ("max_congested_hours" in kwargs)
+        assert result.metrics["terminated_early"] == ("max_congested_hours" in kwargs)
 
     @FEEDBACK_LOOPS
     def test_retrain_matches_two_pass_reference(self, make_network, kwargs):
@@ -501,14 +495,17 @@ class TestFeedbackPairing:
             last_train_attempt.update(dict.fromkeys(histories, hour))
             return train(self, histories, lstm_cfg, train_cfg, hour)
 
-        def recording_feedback(self, evaluations, threshold, hour):
+        def recording_feedback(self, net, hour, window_hours, threshold):
+            feedbacks = feedback(self, net, hour, window_hours, threshold)
+            evaluations = {(f.cell.enb, f.cell.cell): (f.cell, f.window_accuracy)
+                           for f in feedbacks}
             flagged = reference_retrain(
                 evaluations, network.active_keys(), hosts["non_rt"].has_model,
                 last_train_attempt, hour, threshold, cooldown,
             )
             if flagged:
                 expected[hour] = [network.cells[k].cell_id for k in flagged]
-            return feedback(self, evaluations, threshold, hour)
+            return feedbacks
 
         with mock.patch.object(NonRtRic, "train_and_update", recording_train), \
                 mock.patch.object(CpmXapp, "feedback", recording_feedback):
