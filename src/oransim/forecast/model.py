@@ -227,8 +227,79 @@ def init_model(config: LstmConfig, norm: NormStats, rng: np.random.Generator) ->
     return model
 
 
+class _Workspace:
+    """Every buffer the recurrence (and, in training, BPTT) writes, for input (..., T, B, D).
+
+    Each buffer is one flat allocation, viewed at the workspace's shapes. A
+    workspace built on a ``full`` one at a smaller batch views the leading
+    elements of the same buffers, so the short last batch of an epoch runs
+    in the memory of the full ones. Nothing is assumed about what an
+    earlier step left there: every element is written before it is read,
+    and the t = -1 states and BPTT's carries are zeroed on every call.
+
+    ``cache`` holds one dict per layer, what BPTT reads: the layer input
+    ``x``, (..., T, B, D), and ``h``, (..., T + 1, B, H), are model-major,
+    so the weight-gradient gemms see each model's (T*B, .) rows without a
+    copy. ``gates[l]``, (T, 4, ..., B, H), is gate-major in the order
+    (i, f, o, g), and ``c``, (T + 1, ..., B, H), is time-major: a step's
+    gates are one contiguous block, its three sigmoid gates the first
+    three quarters of it. The dict's ``i``, ``f``, ``o`` and ``g`` are
+    views of that block. Slot 0 of ``c`` and ``h`` is the zero state at
+    t = -1. ``proj``, (..., T, B, 4H), receives each layer's input
+    projection ``x @ w_x + b`` for all steps in one matmul and is BPTT's
+    ``dz`` afterwards; ``x`` is the batch input that ``train_stack``
+    gathers. Beyond the caches, ``proj`` and ``x``, the workspace holds
+    seven (..., B, H) blocks of per-step scratch: ``z``, (..., B, 4H), which
+    holds a forward step's pre-activations and BPTT's gate gradients of one
+    step, and ``tmp``, ``dh`` and ``dc``.
+
+    Inference (``cached=False``) keeps no step it has passed: one time slot
+    of ``proj`` and of the gates, two of ``c``, and one ``h`` sequence that
+    each layer overwrites as it reads it, step by step.
+    """
+
+    def __init__(self, config: LstmConfig, shape: tuple, cached: bool = True,
+                 full: "_Workspace | None" = None):
+        lead, steps, batch = shape[:-3], shape[-3], shape[-2]
+        n = config.units_per_layer
+        block = lead + (batch, n)
+        held = steps if cached else 1
+        self.buffers: list[np.ndarray] = []
+
+        def take(piece_shape: tuple) -> np.ndarray:
+            size = int(np.prod(piece_shape))
+            buf = np.empty(size) if full is None else full.buffers[len(self.buffers)]
+            self.buffers.append(buf)
+            return buf[:size].reshape(piece_shape)
+
+        self.proj = take(lead + (held, batch, 4 * n))
+        self.z, self.tmp = take(lead + (batch, 4 * n)), take(block)
+        self.proj_rows = self.proj.reshape(lead + (-1, 4 * n))
+        # the sigmoid gates and the candidate of ``z``, the first gate-major
+        self.z_sig = np.moveaxis(self.z[..., : 3 * n].reshape(lead + (batch, 3, n)), -2, 0)
+        self.z_g = self.z[..., 3 * n :]
+        # (gates, c, h) per layer; inference's layers share one set
+        h_shape = lead + (steps + 1, batch, n)
+        layers = [(take((held, 4) + block), take((held + 1,) + block), take(h_shape))
+                  for _ in range(config.n_layers if cached else 1)]
+        if not cached:
+            layers *= config.n_layers
+        self.gates = [gates for gates, _, _ in layers]
+        self.cache = [{"i": g[:, 0], "f": g[:, 1], "o": g[:, 2], "g": g[:, 3], "c": c, "h": h}
+                      for g, c, h in layers]
+        if cached:
+            self.x, self.dh, self.dc = take(shape), take(block), take(block)
+            # ``proj`` as (..., T, B, 4, H), where BPTT copies each step's ``dz_step``
+            self.dz_gates = self.proj.reshape(lead + (steps, batch, 4, n))
+            # BPTT's gate gradients of one step, gate-major in the memory of ``z``
+            self.dz_step = self.z.reshape((4,) + block)
+            # dL/dh for the layer below: the top layer's gates are spent once its BPTT is done
+            self.dh_seq = self.gates[-1].reshape(-1)[: steps * int(np.prod(block))].reshape(
+                (steps,) + block)
+
+
 def _lstm_stack(
-    model: ForecastModel, layer_in: np.ndarray, cache: list | None = None
+    model: ForecastModel, layer_in: np.ndarray, cache: _Workspace | list | None = None
 ) -> np.ndarray:
     """The stacked recurrence over input (..., T, B, D), zero initial states.
 
@@ -236,54 +307,60 @@ def _lstm_stack(
     last hidden state. Parameter arrays may carry a leading model axis that
     broadcasts against the input's ``...`` (see ``stack_models``), so one
     call runs M independent models, each with the arithmetic it has alone.
-    The input is projected step by step: that keeps no (..., T, B, 4H)
-    array alive and is no slower at training batch sizes than one hoisted
-    matmul.
 
-    When ``cache`` is a list, one dict per layer is appended holding what
-    BPTT reads. The layer input ``x``, (..., T, B, D), and ``h``,
-    (..., T + 1, B, H), are model-major: each model's (T, B, .) block is
-    contiguous, so the weight-gradient gemms reshape it to (T*B, .) without
-    a copy. The gates ``i``, ``f``, ``g`` and ``o``, each (T, ..., B, H),
-    and ``c``, (T + 1, ..., B, H), are time-major: the step's write here
-    and each of BPTT's per-step reads is one contiguous (..., B, H) block,
-    where a model-major slice would be strided across models. Slot 0 of
-    ``c`` and ``h`` is the zero state at t = -1. ``tanh(c)`` is not kept:
-    BPTT recomputes it from the same ``c``, so its bits are those used here.
+    Every step writes into the buffers of a ``_Workspace``, and inference
+    and training differ only in the workspace they pass. ``cache`` None runs
+    in a fresh inference workspace, which projects the input one step at a
+    time. A training workspace is written in place and keeps every layer's
+    cache for BPTT; each layer's input is projected for all steps in one
+    matmul before its recurrence. A list receives the per-layer cache dicts
+    of a fresh training workspace. The projection is the same per-step
+    (B, D) @ (D, 4H) gemm either way, batched over the steps, so its bits do
+    not depend on the workspace. A step's sigmoid reads the i, f and o
+    quarters of its pre-activations ``z`` and writes them straight into the
+    gate-major cache, as its tanh does the candidate; every elementwise op
+    writes through ``out=``. That is twelve numpy calls per layer and step
+    in training and fourteen in inference, each the op of the textbook
+    expression on the same operands.
     """
-    steps = layer_in.shape[-3]
-    n = model.config.units_per_layer
-    state_shape = layer_in.shape[:-3] + (steps + 1,) + layer_in.shape[-2:-1] + (n,)
-    for layer in model.layers:
-        w_x_t = np.swapaxes(layer.w_x, -1, -2)
+    work = cache if isinstance(cache, _Workspace) else _Workspace(
+        model.config, layer_in.shape, cached=cache is not None)
+    steps, held = layer_in.shape[-3], work.proj.shape[-3]
+    for layer, lc, gates in zip(model.layers, work.cache, work.gates):
+        lc["x"] = layer_in
+        c, h = lc["c"], lc["h"]
+        w_x_t = np.swapaxes(layer.w_x, -1, -2)[..., np.newaxis, :, :]
         w_h_t = np.swapaxes(layer.w_h, -1, -2)
-        hs = np.empty(state_shape)
-        hs[..., 0, :, :] = 0.0
-        c = hs[..., 0, :, :]
-        if cache is not None:
-            cs = np.empty((steps + 1,) + c.shape)
-            cs[0] = 0.0
-            gi, gf, gg, go = (np.empty((steps,) + c.shape) for _ in range(4))
+        # views that a step indexes on their first axis, the cheapest indexing
+        h_at, proj_at = np.moveaxis(h, -3, 0), np.moveaxis(work.proj, -3, 0)
+        c[0] = 0.0
+        h_at[0] = 0.0
         for t in range(steps):
-            at, nxt = np.s_[..., t, :, :], np.s_[..., t + 1, :, :]
-            z = layer_in[at] @ w_x_t
-            z += layer.b
-            z += hs[at] @ w_h_t
-            gates = sigmoid(z[..., : 3 * n])
-            i, f, o = gates[..., :n], gates[..., n : 2 * n], gates[..., 2 * n :]
-            g = np.tanh(z[..., 3 * n :])
-            if cache is not None:
-                # at batch > 1 the gate slices are strided; the contiguous
-                # copies BPTT keeps are also faster to compute with
-                gi[t], gf[t], go[t], gg[t] = i, f, o, g
-                i, f, o = gi[t], gf[t], go[t]
-            c = f * c + i * g
-            np.multiply(o, np.tanh(c), out=hs[nxt])
-            if cache is not None:
-                cs[t + 1] = c
-        if cache is not None:
-            cache.append({"x": layer_in, "i": gi, "f": gf, "g": gg, "o": go, "c": cs, "h": hs})
-        layer_in = hs[..., 1:, :, :]
+            k = t % held
+            if k == 0:  # the input projection of the next ``held`` steps
+                np.matmul(layer_in[..., t : t + held, :, :], w_x_t, out=work.proj)
+                np.add(work.proj_rows, layer.b, out=work.proj_rows)
+            g_t = gates[k]
+            np.matmul(h_at[t], w_h_t, out=work.z)
+            np.add(proj_at[k], work.z, out=work.z)  # z = (x @ w_x + b) + h @ w_h
+            # the gates read z's (..., B, 4H) rows gate by gate, the only strided reads of a
+            # step, and are written gate-major: sigmoid(z) = 1 / (1 + exp(-z)), op for op
+            sig = g_t[:3]
+            np.negative(work.z_sig, out=sig)
+            np.exp(sig, out=sig)
+            np.add(1.0, sig, out=sig)
+            np.divide(1.0, sig, out=sig)
+            i, f, o, g = g_t[0], g_t[1], g_t[2], g_t[3]
+            np.tanh(work.z_g, out=g)
+            c_prev, c_next = c[t % len(c)], c[(t + 1) % len(c)]
+            np.multiply(f, c_prev, out=c_next)
+            np.multiply(i, g, out=work.tmp)
+            np.add(c_next, work.tmp, out=c_next)
+            np.tanh(c_next, out=work.tmp)
+            np.multiply(o, work.tmp, out=h_at[t + 1])
+        layer_in = h[..., 1:, :, :]
+    if isinstance(cache, list):
+        cache.extend(work.cache)
     return layer_in[..., -1, :, :] @ np.swapaxes(model.head.w, -1, -2) + model.head.b
 
 

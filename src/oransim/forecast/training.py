@@ -23,7 +23,7 @@ from .model import (
     LstmConfig,
     NormStats,
     _lstm_stack,
-    _write_params,
+    _Workspace,
     forward,
     init_model,
     param_arrays,
@@ -180,77 +180,98 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-def _bptt_layer(layer, lc, dh_seq, dh_carry, dz) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fill ``dz`` with one layer's gate gradients; return its (w_x, w_h, b) gradients.
+def _bptt_layer(layer, work: _Workspace, l: int, dh_seq) -> tuple[np.ndarray, ...]:
+    """Fill ``dz`` with layer ``l``'s gate gradients; return its (w_x, w_h, b) gradients.
 
-    ``dz`` is model-major, (..., T, B, 4H), as the weight-gradient gemms
+    ``dz`` is ``work.proj``, model-major, (..., T, B, 4H), as the weight-gradient gemms
     read it. ``dh_seq`` is dL/dh from the layer above, time-major
-    (T, ..., B, H) like the gate caches it is combined with, or None for
-    the top layer, whose only such gradient is ``dh_carry`` at the last
-    step. Each step builds its gate gradients in one contiguous (..., B, 4H)
-    buffer, which feeds the carry's gemm and is copied into ``dz``.
-    ``tanh(c)`` is recomputed from the cached ``c``, one step at a time: the
-    same ``np.tanh`` of the same array as in the forward, so the same bits,
-    for one (..., B, H) block instead of a cached (T, ..., B, H) array. Each
-    step indexes its cached blocks once, which wins back about half the
-    time of that extra ufunc.
+    (T, ..., B, H) like the cache, or None for the top layer, whose only
+    such gradient is the carry that ``work.dh`` holds at the last step.
+
+    Each step builds its gate gradients gate-major in ``work.dz_step``, one
+    contiguous (4, ..., B, H) block in the memory of the forward's ``z``,
+    copies it into its step of ``dz`` (the one strided op) and takes the
+    carry's gemm from there. Every gradient is the product of the same
+    operands in the same order as the expression per gate
+    (``dc * g * i * (1 - i)`` and so on), so the bits are those; the calls
+    are fewer because where the gates agree on an op a step does it once on
+    a block of them: ``dc`` times (g, i), the first three gradients times
+    (i, f, o), and all four times (1 - i, 1 - f, 1 - o, 1 - g * g). Those
+    factors are built in the step's gate block, and ``tanh(c)`` and
+    ``1 - tanh(c) ** 2`` in its ``c`` slot, each of which BPTT then reads
+    for the last time: the cache is spent as BPTT goes, in seventeen numpy
+    calls per step. ``tanh(c)`` is recomputed from the cached ``c``, the
+    same ``np.tanh`` of the same array as in the forward, so the same bits.
     """
-    n = dz.shape[-1] // 4
-    dc_carry = np.zeros_like(dh_carry)
-    dz_t = np.empty(dh_carry.shape[:-1] + (4 * n,))
+    gates, lc, dz, dz_t = work.gates[l], work.cache[l], work.proj, work.dz_step
+    c, dh, dc = lc["c"], work.dh, work.dc  # ``dh`` enters holding the carry
+    dz_t_to_dz = np.moveaxis(dz_t, 0, -2)  # (..., B, 4, H), as ``dz_gates`` lays a step out
+    dz_at, dz_gates_at = np.moveaxis(dz, -3, 0), np.moveaxis(work.dz_gates, -4, 0)
+    dc[...] = 0.0
     for t in reversed(range(dz.shape[-3])):
         # c[t] is c at t - 1: slot 0 holds the zero initial state
-        i, f, g, o, c_prev = lc["i"][t], lc["f"][t], lc["g"][t], lc["o"][t], lc["c"][t]
-        tanh_c = np.tanh(lc["c"][t + 1])
-        dh = dh_carry + (0.0 if dh_seq is None else dh_seq[t])
-        do = dh * tanh_c
-        dc = dc_carry + dh * o * (1.0 - tanh_c * tanh_c)
-        dz_t[..., 0 * n : 1 * n] = dc * g * i * (1.0 - i)
-        dz_t[..., 1 * n : 2 * n] = dc * c_prev * f * (1.0 - f)
-        dz_t[..., 2 * n : 3 * n] = do * o * (1.0 - o)
-        dz_t[..., 3 * n : 4 * n] = dc * i * (1.0 - g * g)
-        dz[..., t, :, :] = dz_t
-        dh_carry = dz_t @ layer.w_h
-        dc_carry = dc * f
-    lead, rows = dz.shape[:-3], dz.shape[-3] * dz.shape[-2]
-    dz_rows = dz.reshape(lead + (rows, 4 * n))
-    dz_rows_t = np.swapaxes(dz_rows, -1, -2)
+        g_t, tanh_c = gates[t], c[t + 1]
+        f, o, g = g_t[1], g_t[2], g_t[3]
+        np.tanh(tanh_c, out=tanh_c)
+        np.add(dh, 0.0 if dh_seq is None else dh_seq[t], out=dh)
+        np.multiply(dh, tanh_c, out=dz_t[2])  # do
+        np.multiply(tanh_c, tanh_c, out=tanh_c)
+        np.subtract(1.0, tanh_c, out=tanh_c)
+        np.multiply(dh, o, out=dh)
+        np.multiply(dh, tanh_c, out=dh)
+        np.add(dc, dh, out=dc)
+        np.multiply(dc, g_t[::-3], out=dz_t[::3])  # dc * g and dc * i
+        np.multiply(dc, c[t], out=dz_t[1])
+        np.multiply(dz_t[:3], g_t[:3], out=dz_t[:3])
+        np.multiply(dc, f, out=dc)  # the carry
+        np.multiply(g, g, out=g)
+        np.subtract(1.0, g_t, out=g_t)
+        np.multiply(dz_t, g_t, out=dz_t)
+        np.copyto(dz_gates_at[t], dz_t_to_dz)
+        np.matmul(dz_at[t], layer.w_h, out=dh)
+    lead, rows, n = dz.shape[:-3], dz.shape[-3] * dz.shape[-2], dz.shape[-1] // 4
+    dz_rows_t = np.swapaxes(work.proj_rows, -1, -2)
     gw_x = dz_rows_t @ lc["x"].reshape(lead + (rows, -1))
     gw_h = dz_rows_t @ lc["h"][..., :-1, :, :].reshape(lead + (rows, n))
-    return gw_x, gw_h, dz_rows.sum(axis=-2).reshape(layer.b.shape)
+    return gw_x, gw_h, work.proj_rows.sum(axis=-2).reshape(layer.b.shape)
 
 
-def _backward_from_cache(model, cache, dpred) -> list[np.ndarray]:
-    """BPTT through a cache of ``_lstm_stack`` (see its layouts), which it empties.
+def _backward_from_cache(model, work: _Workspace, dpred) -> list[np.ndarray]:
+    """BPTT through the cache that ``_lstm_stack`` left in ``work``, which it spends.
 
     ``dpred`` is (..., B, output_dim) with the cache's leading model axes.
-    Each layer's cache is dropped as soon as its gradients are taken and one
-    model-major ``dz`` buffer, (..., T, B, 4H), serves every layer, so the
-    working set peaks at the top layer. The gradient a layer passes down,
-    dL/dh of the layer below, is time-major like the gate caches: one
-    (B, 4H) @ (4H, D) gemm per model and step, as in the model-major
-    layout. Returns the gradients in ``param_arrays`` order and shapes.
+    Every buffer is the workspace's: ``proj`` serves each layer as ``dz``,
+    and the gradient a layer passes down, dL/dh of the layer below, is
+    written time-major into the top layer's gate block, whose cache is
+    spent by then: one (B, 4H) @ (4H, D) gemm per model and step. Returns
+    the gradients in ``param_arrays`` order and shapes.
     """
-    hs = cache[-1]["h"]  # (..., T + 1, B, H)
+    hs = work.cache[-1]["h"]  # (..., T + 1, B, H)
     g_head_w = np.swapaxes(dpred, -1, -2) @ hs[..., -1, :, :]
     g_head_b = dpred.sum(axis=-2).reshape(model.head.b.shape)
-    dz = np.empty(hs[..., 1:, :, :].shape[:-1] + (4 * hs.shape[-1],))
+    np.matmul(dpred, model.head.w, out=work.dh)
     grads: list[np.ndarray] = []
-    dh_seq, dh_carry = None, dpred @ model.head.w
+    dh_seq = None
     for l in reversed(range(len(model.layers))):
-        grads[:0] = _bptt_layer(model.layers[l], cache.pop(), dh_seq, dh_carry, dz)
+        grads[:0] = _bptt_layer(model.layers[l], work, l, dh_seq)
         if l > 0:
-            dh_seq = np.moveaxis(dz, -3, 0) @ model.layers[l].w_x  # feeds the layer below
-            dh_carry = np.zeros_like(dh_carry)
+            dh_seq = np.matmul(np.moveaxis(work.proj, -3, 0), model.layers[l].w_x, out=work.dh_seq)
+            work.dh[...] = 0.0
     return grads + [g_head_w, g_head_b]
 
 
-def _loss_and_gradients(model, layer_in, targets) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Per-model mean batch MSE and gradients for input (..., T, B, D)."""
-    cache: list[dict] = []
-    pred = _lstm_stack(model, layer_in, cache)
+def _loss_and_gradients(model, layer_in, targets, work: _Workspace | None = None
+                        ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Per-model mean batch MSE and gradients for input (..., T, B, D).
+
+    The step runs in ``work``, a training ``_Workspace`` for the input's
+    shape, or in a fresh one.
+    """
+    if work is None:
+        work = _Workspace(model.config, layer_in.shape)
+    pred = _lstm_stack(model, layer_in, work)
     dpred = 2.0 * (pred - targets) / (pred.shape[-2] * pred.shape[-1])
-    return _mse(pred, targets), _backward_from_cache(model, cache, dpred)
+    return _mse(pred, targets), _backward_from_cache(model, work, dpred)
 
 
 def _mse(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -275,6 +296,9 @@ def backward(model: ForecastModel, inputs: np.ndarray, targets: np.ndarray) -> l
         raise ValueError(
             f"input dim {inputs.shape[2]} != configured {model.config.input_dim}"
         )
+    expected = (inputs.shape[0], model.config.output_dim)
+    if targets.shape != expected:
+        raise ValueError(f"targets shape {targets.shape} != {expected} for inputs {inputs.shape}")
     _, grads = _loss_and_gradients(model, np.ascontiguousarray(inputs.transpose(1, 0, 2)), targets)
     return grads
 
@@ -301,19 +325,39 @@ def adam_step(
     """One bias-corrected Adam update. Returns fresh arrays; inputs untouched."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("params, grads, and state must have the same structure")
-    t = state.step + 1
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m_t = hyper.beta1 * m + (1.0 - hyper.beta1) * g
-        v_t = hyper.beta2 * v + (1.0 - hyper.beta2) * (g * g)
-        m_hat = m_t / (1.0 - hyper.beta1**t)
-        v_hat = v_t / (1.0 - hyper.beta2**t)
-        new_params.append(p - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + hyper.epsilon))
-        new_m.append(m_t)
-        new_v.append(v_t)
-    return new_params, AdamState(new_m, new_v, t)
+    new_params = [p.copy() for p in params]
+    new_state = AdamState([m.copy() for m in state.m], [v.copy() for v in state.v], state.step)
+    _adam_update(new_params, [g.copy() for g in grads], new_state, hyper)
+    return new_params, new_state
+
+
+def _adam_update(params, grads, state: AdamState, hyper: AdamHyper) -> None:
+    """``adam_step`` in place: ``params`` and ``state`` are updated, ``grads`` spent as scratch.
+
+    Each op is one of the textbook expressions' ops, in their order,
+    written through ``out=``, so the bits are theirs; only one parameter's
+    ``g * g`` is allocated at a time.
+    """
+    state.step += 1
+    t = state.step
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        sq = g * g
+        np.multiply(sq, 1.0 - hyper.beta2, out=sq)
+        np.multiply(v, hyper.beta2, out=v)
+        np.add(v, sq, out=v)  # v_t = beta2 * v + (1 - beta2) * (g * g)
+        np.multiply(m, hyper.beta1, out=m)
+        np.multiply(g, 1.0 - hyper.beta1, out=g)
+        np.add(m, g, out=m)  # m_t = beta1 * m + (1 - beta1) * g
+        np.divide(v, 1.0 - hyper.beta2**t, out=g)
+        np.sqrt(g, out=g)
+        np.add(g, hyper.epsilon, out=g)  # sqrt(v_hat) + epsilon
+        np.divide(m, 1.0 - hyper.beta1**t, out=sq)
+        np.multiply(sq, hyper.learning_rate, out=sq)
+        np.divide(sq, g, out=sq)
+        np.subtract(p, sq, out=p)  # p - learning_rate * m_hat / (sqrt(v_hat) + epsilon)
 
 
 def train_split(length: int, cfg: TrainingConfig) -> int:
@@ -333,24 +377,30 @@ def train_split(length: int, cfg: TrainingConfig) -> int:
 
 
 # Bound on one stack's BPTT working set, in bytes (see ``stack_width``).
-# Width probe, one stacked step (forward, BPTT, Adam) of 2 x 12-unit
-# models at lookback 24, on a 2-vCPU VM with one OpenBLAS thread, the
-# least of three probes that each take the best of 3, per-model time at
-# stack widths M = 1 / 2 / 4 / 8 / 16 / 32, and the step's tracemalloc
-# peak over its width at the width this bound gives:
-#   batch 16: 2.22 / 1.41 / 1.04 / 0.79 / 0.95 / 1.00 ms, 0.60 MiB traced per model;
-#   batch 9:  1.77 / 1.17 / 0.74 / 0.54 / 0.45 / 0.57 ms, 0.34 MiB traced per model.
-# 2.75 MiB admits 4 models at batch 16 and 8 at batch 9: most of the gain,
-# while a wide round (hundreds of cells) adds at most ~2.75 MiB to the peak.
+# Width probe, one stacked step (forward, BPTT, in-place Adam) of 2 x 12-unit
+# models at lookback 24 in a held workspace, on a 2-vCPU VM with one
+# OpenBLAS thread, the least of three probes that each take the best of 3,
+# per-model time at stack widths M = 1 / 2 / 4 / 8 / 16 / 32, and the
+# traced peak of a step with a fresh workspace over its width at the width
+# this bound gives:
+#   batch 16: 1.63 / 1.08 / 0.79 / 0.66 / 0.58 / 0.55 ms, 0.60 MiB traced per model;
+#   batch 9:  1.43 / 0.88 / 0.58 / 0.44 / 0.37 / 0.34 ms, 0.35 MiB traced per model.
+# 2.75 MiB admits 4 models at batch 16 and 8 at batch 9, while a wide round
+# (hundreds of cells) adds at most ~2.75 MiB to the peak. Without the page
+# faults of a per-step working set, wider stacks keep gaining a little past
+# width 8; widening has to come from fewer bytes per model, not a larger bound.
 STACK_BYTES = 11 << 18
 
 
 def _model_bytes(lstm_cfg: LstmConfig, cfg: TrainingConfig, length: int) -> int:
-    """One model's share of a stack's BPTT working set, in bytes, for ``length``-hour series.
+    """One model's share of a stack's training workspace, in bytes, for ``length``-hour series.
 
-    At the top layer's BPTT that share is every layer's cache (i, f, g and
-    o, plus c and h with their t = -1 slot: 6T + 2 rows of H per batch row),
-    the ``dz`` buffer and the batch input.
+    That share is what the workspace holds from the first step to the last:
+    every layer's cache (the gate-major i, f, o and g, plus c and h with
+    their t = -1 slot: 6T + 2 rows of H per batch row), the buffer that
+    holds each layer's input projection and then BPTT's ``dz``, and the
+    batch input. The seven (B, H) blocks of per-step scratch beside them
+    and the gradients are not counted.
     """
     batch = min(cfg.batch_size, train_split(length, cfg) - cfg.lookback)
     steps, n = cfg.lookback, lstm_cfg.units_per_layer
@@ -407,20 +457,25 @@ def train_stack(
     state = AdamState.zeros_like(params)
     logs: list[list[EpochStats]] = [[] for _ in models]
     rows = np.arange(len(models))[:, np.newaxis]
+    # one workspace at the full batch; the short last batch, if any, runs in leading views of it
+    shape = (len(models), cfg.lookback, min(cfg.batch_size, n_train), lstm_cfg.input_dim)
+    works = {shape[2]: _Workspace(lstm_cfg, shape)}
+    if n_train % shape[2]:
+        short = shape[:2] + (n_train % shape[2],) + shape[3:]
+        works[short[2]] = _Workspace(lstm_cfg, short, full=works[shape[2]])
     for epoch in range(1, cfg.epochs + 1):
         order = np.stack([rng.permutation(n_train) for rng in rngs])
         sq_sum = np.zeros(len(models))
         for lo in range(0, n_train, cfg.batch_size):
             batch = order[:, lo : lo + cfg.batch_size]
-            layer_in = np.ascontiguousarray(train_inputs[rows, batch].transpose(0, 2, 1, 3))
-            losses, grads = _loss_and_gradients(stack, layer_in, train_targets[rows, batch])
+            work = works[batch.shape[1]]
+            work.x[...] = train_inputs[rows, batch].transpose(0, 2, 1, 3)
+            losses, grads = _loss_and_gradients(stack, work.x, train_targets[rows, batch], work)
             sq_sum += losses * batch.shape[1]
-            params, state = adam_step(params, grads, state, cfg.adam)
-            _write_params(stack, params)
+            _adam_update(params, grads, state, cfg.adam)  # the models' views see it
         for m, log in enumerate(logs):
             log.append(EpochStats(epoch, float(sq_sum[m] / n_train)))
-    for m, model in enumerate(models):
-        _write_params(model, [a[m].reshape(p.shape) for a, p in zip(params, param_arrays(model))])
+    for model in models:
         model.trained_epochs = cfg.epochs
     return list(zip(models, logs))
 

@@ -48,7 +48,7 @@ from oransim.forecast import (
     train_stack,
 )
 from oransim.forecast import training
-from oransim.forecast.model import _lstm_stack, _write_params, sigmoid
+from oransim.forecast.model import _lstm_stack, _Workspace, _write_params, sigmoid
 
 
 def rng_for(seed):
@@ -406,6 +406,13 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(model, np.zeros((0, 4, 2)), np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("shape", [(2,), (1, 2), (3, 1), (3, 2, 1), (2, 2)])
+    def test_targets_must_be_batch_by_output_dim(self, shape):
+        # broadcasting any of these against the (3, 2) prediction would give a gradient
+        model = small_model()
+        with pytest.raises(ValueError, match=re.escape(f"{shape} != (3, 2)")):
+            backward(model, np.zeros((3, 4, 2)), np.zeros(shape))
+
 
 class TestAdam:
     def test_zero_gradients_fixed_point(self):
@@ -593,6 +600,47 @@ class TestStackedTraining:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * 4 * training._model_bytes(lstm, cfg, 153)
+
+    def stacked_step_inputs(self, batch, seed, lstm=LstmConfig(), width=4):
+        data = rng_for(seed)
+        return (data.uniform(0.0, 1.0, size=(width, 24, batch, lstm.input_dim)),
+                data.uniform(0.0, 1.0, size=(width, batch, lstm.output_dim)))
+
+    def test_held_workspace_step_allocates_almost_nothing(self):
+        # a step that allocated its caches again would trace about 20 times this bound
+        lstm, cfg = LstmConfig(), TrainingConfig(batch_size=16, lookback=24)
+        norm = NormStats(np.zeros(2), np.ones(2))
+        stack = stack_models([init_model(lstm, norm, rng_for(seed)) for seed in range(4)])
+        layer_in, targets = self.stacked_step_inputs(16, 9)
+        work = _Workspace(lstm, layer_in.shape)
+        training._loss_and_gradients(stack, layer_in, targets, work)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            training._loss_and_gradients(stack, layer_in, targets, work)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * 4 * training._model_bytes(lstm, cfg, 153)
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_reused_workspace_keeps_no_state_between_steps(self, n_layers):
+        # the short batch's buffers start inside the full batch's, where its t = -1
+        # states and the carries of the step before were left
+        lstm = LstmConfig(n_layers, 5, 2, 2)
+        norm = NormStats(np.zeros(2), np.ones(2))
+        stack = stack_models([init_model(lstm, norm, rng_for(seed)) for seed in range(3)])
+        full_in, full_targets = self.stacked_step_inputs(16, 1, lstm, 3)
+        short_in, short_targets = self.stacked_step_inputs(5, 2, lstm, 3)
+        full = _Workspace(lstm, full_in.shape)
+        short = _Workspace(lstm, short_in.shape, full=full)
+        steps = [(full, full_in, full_targets), (short, short_in, short_targets),
+                 (full, full_in, full_targets)]
+        for work, layer_in, targets in steps:
+            loss, grads = training._loss_and_gradients(stack, layer_in, targets, work)
+            ref_loss, ref_grads = training._loss_and_gradients(stack, layer_in, targets)
+            assert np.array_equal(loss, ref_loss)
+            assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
 
 
 class TestPrediction:
