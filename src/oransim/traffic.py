@@ -47,6 +47,8 @@ _WEEKLY_AMPLITUDE = 0.05
 # Dataset CSV rows parsed per column-wise batch on ingest: bounds the rows held as
 # Python strings at once, whatever the file size.
 _INGEST_CHUNK_ROWS = 2048
+# Rows per block of a table lookup on ingest: bounds numpy's intp copy of an int32 index.
+_GATHER_ROWS = 8192
 # ASCII characters that ``float`` skips around or between digits; KPI fields may hold none.
 _FLOAT_SKIPS = "_ \t\n\r\v\f"
 
@@ -266,18 +268,19 @@ def _check_utf8(raw) -> None:
     raise IngestError(row, f"invalid UTF-8 byte 0x{raw[bad]:02x}") from None
 
 
-def _parse_chunk(chunk, width, cols, schema, cell_codes, stamp_hours):
-    """Columns of one chunk of CSV rows: (cell codes, hours, prb_util, ip_throughput, blanks).
+def _parse_chunk(chunk, width, cols, schema, cell_codes, stamp_ids, stamp_hours):
+    """Columns of one chunk of CSV rows: (cell codes, stamp ids, prb_util, ip_throughput, blanks).
 
     Blank records are skipped; for each, the last array holds how many of the
-    chunk's other rows precede it. ``cell_codes`` and ``stamp_hours`` map each
-    distinct (enb, cell) and timestamp text seen so far to its code and its
-    hours, so each distinct timestamp is parsed once per file. Fields must
-    match one ASCII grammar: indices ``[0-9]+``, KPIs Python's float literal
-    without padding or ``_``, stamps as ``_parse_timestamp`` reads them. A
-    malformed chunk returns the reason of its first failing check; checks run
-    in the order of a row's fields, so for a one-row chunk that is the row's
-    own first fault.
+    chunk's other rows precede it. ``cell_codes`` maps each distinct (enb,
+    cell) seen so far to its code, and ``stamp_ids`` each distinct timestamp
+    text to its index in ``stamp_hours``, which holds its hours: each distinct
+    text is parsed once per file, and a row keeps only two int32 codes. Fields
+    must match one ASCII grammar: indices ``[0-9]+``, KPIs Python's float
+    literal without padding or ``_``, stamps as ``_parse_timestamp`` reads
+    them. A malformed chunk returns the reason of its first failing check;
+    checks run in the order of a row's fields, so for a one-row chunk that is
+    the row's own first fault.
     """
     lengths = np.fromiter(map(len, chunk), np.int64, len(chunk))
     filled = lengths > 0
@@ -298,8 +301,9 @@ def _parse_chunk(chunk, width, cols, schema, cell_codes, stamp_hours):
     for key in set(keys).difference(cell_codes):
         cell_codes[key] = len(cell_codes)
     try:
-        for text in set(stamps).difference(stamp_hours):
-            stamp_hours[text] = _parse_timestamp(text, schema)
+        for text in set(stamps).difference(stamp_ids):
+            stamp_hours.append(_parse_timestamp(text, schema))
+            stamp_ids[text] = len(stamp_ids)
     except ValueError as exc:
         return str(exc)
     kpis = "".join(prbs + thrs)
@@ -310,9 +314,9 @@ def _parse_chunk(chunk, width, cols, schema, cell_codes, stamp_hours):
         thr = np.fromiter(map(float, thrs), np.float64, n)
     except ValueError:
         return "unparsable KPI value"
-    codes = np.fromiter(map(cell_codes.__getitem__, keys), np.int64, n)
-    hours = np.fromiter(map(stamp_hours.__getitem__, stamps), np.float64, n)
-    return codes, hours, prb, thr, blanks
+    codes = np.fromiter(map(cell_codes.__getitem__, keys), np.int32, n)
+    ids = np.fromiter(map(stamp_ids.__getitem__, stamps), np.int32, n)
+    return codes, ids, prb, thr, blanks
 
 
 def ingest_csv(source, schema: DatasetSchema = DatasetSchema()) -> list[KpiSeries]:
@@ -331,8 +335,9 @@ def ingest_csv(source, schema: DatasetSchema = DatasetSchema()) -> list[KpiSerie
     then the error even if a malformed row came first. Rows are parsed
     column-wise in chunks of ``_INGEST_CHUNK_ROWS``, and each chunk writes its
     columns into place in one set of columns sized for one row per ``\\n``
-    plus one. A chunk holding a malformed row is parsed again one row at a
-    time to name the first one.
+    plus one: an int32 cell code, an int32 index into the file's table of
+    distinct timestamp texts, and the two KPIs. A chunk holding a malformed
+    row is parsed again one row at a time to name the first one.
     """
     # a text file is not read, so its decoder cannot fail before the type check
     raw = source if isinstance(source, (bytes, bytearray, str, io.TextIOBase)) else source.read()
@@ -353,12 +358,13 @@ def ingest_csv(source, schema: DatasetSchema = DatasetSchema()) -> list[KpiSerie
         width, cols = len(header), [header.index(name) for name in schema.columns]
 
         cell_codes: dict[tuple[int, int], int] = {}
-        stamp_hours: dict[str, float] = {}
-        args = (width, cols, schema, cell_codes, stamp_hours)
-        codes = np.empty(max_records, np.int64)
-        hours = np.empty(max_records)
+        stamp_ids: dict[str, int] = {}
+        stamp_hours: list[float] = []  # by stamp id
+        args = (width, cols, schema, cell_codes, stamp_ids, stamp_hours)
+        codes = np.empty(max_records, np.int32)
+        ids = np.empty(max_records, np.int32)
         values = np.empty((max_records, 2))  # prb_util, ip_throughput
-        into = (codes, hours, *values.T)
+        into = (codes, ids, *values.T)
         blanks: list[int] = []  # for each blank record, the rows before it in `into`
         n_rows = 0
         next_row = 2
@@ -387,58 +393,79 @@ def ingest_csv(source, schema: DatasetSchema = DatasetSchema()) -> list[KpiSerie
         if not cell_codes:
             return []
         values.flags.writeable = False  # so each series keeps a view of its rows
-        columns = [codes[:n_rows], hours[:n_rows], values[:n_rows]]
-        del codes, hours, values, into  # the grid check owns the columns from here
-        return _series_from_columns(columns, blanks, cell_codes)
+        columns = [codes[:n_rows], ids[:n_rows], values[:n_rows]]
+        del codes, ids, values, into  # the grid check owns the columns from here
+        return _series_from_columns(columns, blanks, cell_codes, stamp_hours)
     except (IngestError, UnicodeDecodeError):
         _check_utf8(raw)
         raise
 
 
-def _series_from_columns(columns, blanks, cell_codes) -> list[KpiSeries]:
+def _gather(table, index, out=None):
+    """``table[index]``, taken ``_GATHER_ROWS`` rows at a time; ``out`` may be ``index``.
+
+    numpy copies an int32 index to intp before it gathers; in blocks, that
+    copy stays small.
+    """
+    if out is None:
+        out = np.empty(len(index), table.dtype)
+    for lo in range(0, len(index), _GATHER_ROWS):
+        np.take(table, index[lo:lo + _GATHER_ROWS], out=out[lo:lo + _GATHER_ROWS])
+    return out
+
+
+def _series_from_columns(columns, blanks, cell_codes, stamp_hours) -> list[KpiSeries]:
     """Validate the hourly grid and KPI bounds of every row, then cut per-cell series.
 
-    ``columns`` is a list of the cell codes, hours and KPIs of the file's
-    non-blank rows, in file order; the KPI array is read-only and the hours
-    may be overwritten. This takes the arrays over and empties the list, so
-    each is freed once it is no longer read: the cell codes as soon as the
-    ranks exist. Rows are checked in (enb, cell) and then hour order,
-    ties in file order, so the first violation found is the first one a
-    row-by-row scan in that order would meet. One pass of comparisons tells
-    whether the file is already in that order, as ``export_csv`` writes it;
-    only a file that is not is sorted, by one stable ``np.lexsort``, whose
-    permutation maps a failing row back to its place in the file. Rows keep
-    no numbers: the failing row's number comes from that place and the
-    ``blanks`` before it. The series are read-only views of one KPI array.
+    ``columns`` is a list of the int32 cell codes and stamp ids and the KPIs
+    of the file's non-blank rows, in file order; the KPI array is read-only
+    and the codes and ids are overwritten. This takes the arrays over and
+    empties the list, so each is freed once it is no longer read.
+    ``stamp_hours`` holds each stamp id's hours. The grid is checked once per
+    distinct hour: each one's offset from the earliest, its distance from the
+    grid and whether it is finite are computed on a table of the distinct
+    hours, and a row keeps only its cell's rank, its hour's rank in that
+    table (equal hours share one) and its step from the row before. Rows are
+    checked in (enb, cell) and then hour order, ties in file order, so the
+    first violation found is the first one a row-by-row scan in that order
+    would meet. One pass of comparisons tells whether the file is already in
+    that order, as ``export_csv`` writes it; only a file that is not is
+    sorted, by one stable ``np.lexsort``, whose permutation maps a failing
+    row back to its place in the file. Rows keep no numbers: the failing
+    row's number comes from that place and the ``blanks`` before it. The
+    series are read-only views of one KPI array.
     """
-    codes, rel, values = columns  # rel: the hours, made relative to the earliest below
+    cell_rank, hour_rank, values = columns  # the codes and stamp ids, made ranks in place below
     columns.clear()
     keys = sorted(cell_codes)
-    rank = np.empty(len(keys), np.int64)
+    rank = np.empty(len(keys), np.int32)
     rank[[cell_codes[key] for key in keys]] = np.arange(len(keys))
-    cell_rank = rank[codes]
-    del codes
+    _gather(rank, cell_rank, out=cell_rank)
+    hours, stamp_rank = np.unique(stamp_hours, return_inverse=True)
+    _gather(stamp_rank.astype(np.int32), hour_rank, out=hour_rank)
     bounds = np.append(0, np.cumsum(np.bincount(cell_rank, minlength=len(keys))))
     before, after = cell_rank[:-1], cell_rank[1:]
-    in_order = not ((after < before) | ((after == before) & (rel[1:] < rel[:-1]))).any()
-    order = None if in_order else np.lexsort((rel, cell_rank))
+    in_order = not ((after < before) | ((after == before) & (hour_rank[1:] < hour_rank[:-1]))).any()
+    order = None if in_order else np.lexsort((hour_rank, cell_rank))
     del cell_rank, before, after
-    earliest = rel.min()
     if order is not None:
-        rel, values = rel[order], values[order]
+        hour_rank, values = hour_rank[order], values[order]
         values.flags.writeable = False  # so each series keeps a view of its rows
     prb, thr = values.T
     with np.errstate(over="ignore", invalid="ignore"):  # spans past the float range
-        rel -= earliest
+        rel = hours - hours[0]  # by hour rank, as are the three below
         offset = np.rint(rel)
-        step = rel - offset  # one buffer: each row's distance from the grid, then its step
-        off_grid = np.abs(step, out=step) > 1e-9
-        np.subtract(offset[1:], offset[:-1], out=step[1:])
+        out_of_range = ~np.isfinite(rel)
+        off_grid = np.abs(rel - offset) > 1e-9
+        step = _gather(offset, hour_rank)  # each row's offset, then its step from the row before
+        for hi in range(len(step), 1, -_GATHER_ROWS):  # last block first: each reads offsets
+            lo = max(hi - _GATHER_ROWS, 1)
+            step[lo:hi] -= step[lo - 1:hi - 1]
         step[bounds[:-1]] = 1.0  # a cell's first row has no predecessor
         # each check's rows are built when it is scanned, so only one set is held at a time
         checks = [  # (rows failing it, reason), in the order a row-by-row scan checks a row
-            (lambda: ~np.isfinite(rel), "hour offset out of range ({rel}h)"),
-            (lambda: off_grid, "timestamp not on the hourly grid ({rel}h)"),
+            (lambda: _gather(out_of_range, hour_rank), "hour offset out of range ({rel}h)"),
+            (lambda: _gather(off_grid, hour_rank), "timestamp not on the hourly grid ({rel}h)"),
             (lambda: step == 0.0, "duplicate sample for cell ({enb},{cell}) at hour {offset:.0f}"),
             (lambda: step != 1.0, "gap in hourly grid for cell ({enb},{cell}): "
                                   "hour {prev:.0f} followed by {offset:.0f}"),
@@ -446,7 +473,7 @@ def _series_from_columns(columns, blanks, cell_codes) -> list[KpiSeries]:
             (lambda: ~(np.isfinite(thr) & (thr >= 0.0)),
              "ip_throughput must be finite and >= 0: {thr}"),
         ]
-        bad = np.zeros(len(rel), bool)
+        bad = np.zeros(len(step), bool)
         for failed, _ in checks:
             bad |= failed()
         if bad.any():
@@ -454,12 +481,13 @@ def _series_from_columns(columns, blanks, cell_codes) -> list[KpiSeries]:
             reason = next(reason for failed, reason in checks if failed()[i])
             enb, cell = keys[int(np.searchsorted(bounds, i, "right")) - 1]
             at = i if order is None else int(order[i])  # its place among non-blank rows
+            at_hour = hour_rank[i]
             raise IngestError(at + 2 + bisect_right(blanks, at), reason.format(
-                enb=enb, cell=cell, rel=float(rel[i]), offset=offset[i], prev=offset[i - 1],
-                prb=float(prb[i]), thr=float(thr[i]),
+                enb=enb, cell=cell, rel=float(rel[at_hour]), offset=offset[at_hour],
+                prev=offset[hour_rank[i - 1]], prb=float(prb[i]), thr=float(thr[i]),
             ))
-    del checks, off_grid, step, bad, rel, order  # free them before the series check their rows
+    del checks, step, bad, order  # free them before the series check their rows
     return [
-        KpiSeries(CellId(*key), int(offset[lo]), values[lo:hi])
+        KpiSeries(CellId(*key), int(offset[hour_rank[lo]]), values[lo:hi])
         for key, lo, hi in zip(keys, bounds[:-1], bounds[1:])
     ]
