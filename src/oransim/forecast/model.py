@@ -299,7 +299,7 @@ class _Workspace:
 
 
 def _lstm_stack(
-    model: ForecastModel, layer_in: np.ndarray, cache: _Workspace | list | None = None
+    model: ForecastModel, layer_in: np.ndarray, work: _Workspace | None = None
 ) -> np.ndarray:
     """The stacked recurrence over input (..., T, B, D), zero initial states.
 
@@ -309,12 +309,11 @@ def _lstm_stack(
     call runs M independent models, each with the arithmetic it has alone.
 
     Every step writes into the buffers of a ``_Workspace``, and inference
-    and training differ only in the workspace they pass. ``cache`` None runs
+    and training differ only in the workspace they pass. ``work`` None runs
     in a fresh inference workspace, which projects the input one step at a
     time. A training workspace is written in place and keeps every layer's
     cache for BPTT; each layer's input is projected for all steps in one
-    matmul before its recurrence. A list receives the per-layer cache dicts
-    of a fresh training workspace. The projection is the same per-step
+    matmul before its recurrence. The projection is the same per-step
     (B, D) @ (D, 4H) gemm either way, batched over the steps, so its bits do
     not depend on the workspace. A step's sigmoid reads the i, f and o
     quarters of its pre-activations ``z`` and writes them straight into the
@@ -323,8 +322,8 @@ def _lstm_stack(
     in training and fourteen in inference, each the op of the textbook
     expression on the same operands.
     """
-    work = cache if isinstance(cache, _Workspace) else _Workspace(
-        model.config, layer_in.shape, cached=cache is not None)
+    if work is None:
+        work = _Workspace(model.config, layer_in.shape, cached=False)
     steps, held = layer_in.shape[-3], work.proj.shape[-3]
     for layer, lc, gates in zip(model.layers, work.cache, work.gates):
         lc["x"] = layer_in
@@ -359,8 +358,6 @@ def _lstm_stack(
             np.tanh(c_next, out=work.tmp)
             np.multiply(o, work.tmp, out=h_at[t + 1])
         layer_in = h[..., 1:, :, :]
-    if isinstance(cache, list):
-        cache.extend(work.cache)
     return layer_in[..., -1, :, :] @ np.swapaxes(model.head.w, -1, -2) + model.head.b
 
 

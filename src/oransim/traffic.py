@@ -47,8 +47,6 @@ _WEEKLY_AMPLITUDE = 0.05
 # Dataset CSV rows parsed per column-wise batch on ingest: bounds the rows held as
 # Python strings at once, whatever the file size.
 _INGEST_CHUNK_ROWS = 2048
-# Rows per block of a table lookup on ingest: bounds numpy's intp copy of an int32 index.
-_GATHER_ROWS = 8192
 # ASCII characters that ``float`` skips around or between digits; KPI fields may hold none.
 _FLOAT_SKIPS = "_ \t\n\r\v\f"
 
@@ -338,6 +336,11 @@ def ingest_csv(source, schema: DatasetSchema = DatasetSchema()) -> list[KpiSerie
     plus one: an int32 cell code, an int32 index into the file's table of
     distinct timestamp texts, and the two KPIs. A chunk holding a malformed
     row is parsed again one row at a time to name the first one.
+
+    The series are read-only. If each cell's rows form one run of the file
+    in hour order, as ``export_csv`` writes them, nothing is sorted and every
+    series views one KPI array; a cell whose rows had to be grouped or sorted
+    gets its own copy of them.
     """
     # a text file is not read, so its decoder cannot fail before the type check
     raw = source if isinstance(source, (bytes, bytearray, str, io.TextIOBase)) else source.read()
@@ -390,8 +393,6 @@ def ingest_csv(source, schema: DatasetSchema = DatasetSchema()) -> list[KpiSerie
             blanks.extend((n_rows + part[-1]).tolist())
             n_rows += len(part[0])
             next_row += len(chunk)
-        if not cell_codes:
-            return []
         values.flags.writeable = False  # so each series keeps a view of its rows
         columns = [codes[:n_rows], ids[:n_rows], values[:n_rows]]
         del codes, ids, values, into  # the grid check owns the columns from here
@@ -401,93 +402,69 @@ def ingest_csv(source, schema: DatasetSchema = DatasetSchema()) -> list[KpiSerie
         raise
 
 
-def _gather(table, index, out=None):
-    """``table[index]``, taken ``_GATHER_ROWS`` rows at a time; ``out`` may be ``index``.
-
-    numpy copies an int32 index to intp before it gathers; in blocks, that
-    copy stays small.
-    """
-    if out is None:
-        out = np.empty(len(index), table.dtype)
-    for lo in range(0, len(index), _GATHER_ROWS):
-        np.take(table, index[lo:lo + _GATHER_ROWS], out=out[lo:lo + _GATHER_ROWS])
-    return out
-
-
 def _series_from_columns(columns, blanks, cell_codes, stamp_hours) -> list[KpiSeries]:
     """Validate the hourly grid and KPI bounds of every row, then cut per-cell series.
 
-    ``columns`` is a list of the int32 cell codes and stamp ids and the KPIs
-    of the file's non-blank rows, in file order; the KPI array is read-only
-    and the codes and ids are overwritten. This takes the arrays over and
-    empties the list, so each is freed once it is no longer read.
-    ``stamp_hours`` holds each stamp id's hours. The grid is checked once per
-    distinct hour: each one's offset from the earliest, its distance from the
-    grid and whether it is finite are computed on a table of the distinct
-    hours, and a row keeps only its cell's rank, its hour's rank in that
-    table (equal hours share one) and its step from the row before. Rows are
-    checked in (enb, cell) and then hour order, ties in file order, so the
-    first violation found is the first one a row-by-row scan in that order
-    would meet. One pass of comparisons tells whether the file is already in
-    that order, as ``export_csv`` writes it; only a file that is not is
-    sorted, by one stable ``np.lexsort``, whose permutation maps a failing
-    row back to its place in the file. Rows keep no numbers: the failing
-    row's number comes from that place and the ``blanks`` before it. The
-    series are read-only views of one KPI array.
+    ``columns`` is a list of the int32 cell codes and stamp ids and the
+    read-only KPIs of the file's non-blank rows, in file order. This takes
+    the arrays over and empties the list, so the codes are freed once the
+    rows are grouped: in place if each cell's rows form one run of the file,
+    else by one stable sort of the codes. ``stamp_hours`` holds each stamp
+    id's hours; each distinct hour's offset from the earliest, its distance
+    from the grid and whether it is finite are computed once, on a table in
+    which equal hours share a rank. Cells are checked one at a time in (enb,
+    cell) order, each one's rows in hour order, ties in file order; a cell's
+    rows are sorted only if they are not in that order already. So the first
+    violation found is the one a row-by-row scan in that order would meet,
+    and its row number comes from its place in the file and the ``blanks``
+    before it. A cell whose rows stay in place gets a read-only view of the
+    KPI array, any other a read-only copy of its rows.
     """
-    cell_rank, hour_rank, values = columns  # the codes and stamp ids, made ranks in place below
+    codes, ids, values = columns
     columns.clear()
-    keys = sorted(cell_codes)
-    rank = np.empty(len(keys), np.int32)
-    rank[[cell_codes[key] for key in keys]] = np.arange(len(keys))
-    _gather(rank, cell_rank, out=cell_rank)
+    new_run = codes[1:] != codes[:-1]
+    if np.count_nonzero(new_run) == len(cell_codes) - 1:  # each cell's rows are one run
+        edges = [0, *(np.flatnonzero(new_run) + 1).tolist(), len(codes)]
+        groups = {int(codes[lo]): slice(lo, hi) for lo, hi in zip(edges, edges[1:])}
+    else:  # by code, each cell's rows in file order
+        ends = np.cumsum(np.bincount(codes))[:-1]
+        groups = dict(enumerate(np.split(np.argsort(codes, kind="stable"), ends)))
+    del codes, new_run
     hours, stamp_rank = np.unique(stamp_hours, return_inverse=True)
-    _gather(stamp_rank.astype(np.int32), hour_rank, out=hour_rank)
-    bounds = np.append(0, np.cumsum(np.bincount(cell_rank, minlength=len(keys))))
-    before, after = cell_rank[:-1], cell_rank[1:]
-    in_order = not ((after < before) | ((after == before) & (hour_rank[1:] < hour_rank[:-1]))).any()
-    order = None if in_order else np.lexsort((hour_rank, cell_rank))
-    del cell_rank, before, after
-    if order is not None:
-        hour_rank, values = hour_rank[order], values[order]
-        values.flags.writeable = False  # so each series keeps a view of its rows
-    prb, thr = values.T
+    series = []
     with np.errstate(over="ignore", invalid="ignore"):  # spans past the float range
-        rel = hours - hours[0]  # by hour rank, as are the three below
+        rel = hours - hours[:1]  # by hour rank, as are the three below; empty in an empty file
         offset = np.rint(rel)
         out_of_range = ~np.isfinite(rel)
         off_grid = np.abs(rel - offset) > 1e-9
-        step = _gather(offset, hour_rank)  # each row's offset, then its step from the row before
-        for hi in range(len(step), 1, -_GATHER_ROWS):  # last block first: each reads offsets
-            lo = max(hi - _GATHER_ROWS, 1)
-            step[lo:hi] -= step[lo - 1:hi - 1]
-        step[bounds[:-1]] = 1.0  # a cell's first row has no predecessor
-        # each check's rows are built when it is scanned, so only one set is held at a time
-        checks = [  # (rows failing it, reason), in the order a row-by-row scan checks a row
-            (lambda: _gather(out_of_range, hour_rank), "hour offset out of range ({rel}h)"),
-            (lambda: _gather(off_grid, hour_rank), "timestamp not on the hourly grid ({rel}h)"),
-            (lambda: step == 0.0, "duplicate sample for cell ({enb},{cell}) at hour {offset:.0f}"),
-            (lambda: step != 1.0, "gap in hourly grid for cell ({enb},{cell}): "
-                                  "hour {prev:.0f} followed by {offset:.0f}"),
-            (lambda: ~((prb >= 0.0) & (prb <= 100.0)), "prb_util out of range [0, 100]: {prb}"),
-            (lambda: ~(np.isfinite(thr) & (thr >= 0.0)),
-             "ip_throughput must be finite and >= 0: {thr}"),
-        ]
-        bad = np.zeros(len(step), bool)
-        for failed, _ in checks:
-            bad |= failed()
-        if bad.any():
-            i = int(np.argmax(bad))
-            reason = next(reason for failed, reason in checks if failed()[i])
-            enb, cell = keys[int(np.searchsorted(bounds, i, "right")) - 1]
-            at = i if order is None else int(order[i])  # its place among non-blank rows
-            at_hour = hour_rank[i]
-            raise IngestError(at + 2 + bisect_right(blanks, at), reason.format(
-                enb=enb, cell=cell, rel=float(rel[at_hour]), offset=offset[at_hour],
-                prev=offset[hour_rank[i - 1]], prb=float(prb[i]), thr=float(thr[i]),
-            ))
-    del checks, step, bad, order  # free them before the series check their rows
-    return [
-        KpiSeries(CellId(*key), int(offset[hour_rank[lo]]), values[lo:hi])
-        for key, lo, hi in zip(keys, bounds[:-1], bounds[1:])
-    ]
+        for key in sorted(cell_codes):
+            rows = groups[cell_codes[key]]
+            rank = stamp_rank[ids[rows]]
+            if (rank[1:] < rank[:-1]).any():  # sort the cell's rows by hour, ties in file order
+                by_hour = np.argsort(rank, kind="stable")
+                rank = rank[by_hour]
+                rows = by_hour + rows.start if isinstance(rows, slice) else rows[by_hour]
+            kpis = values[rows]
+            prb, thr = kpis.T
+            hour = offset[rank]
+            step = np.ediff1d(hour, to_begin=1.0)  # from the row before; the first row has none
+            checks = (  # (rows failing it, reason), in the order a row-by-row scan checks a row
+                (out_of_range[rank], "hour offset out of range ({rel}h)"),
+                (off_grid[rank], "timestamp not on the hourly grid ({rel}h)"),
+                (step == 0.0, "duplicate sample for cell ({enb},{cell}) at hour {offset:.0f}"),
+                (step != 1.0, "gap in hourly grid for cell ({enb},{cell}): "
+                              "hour {prev:.0f} followed by {offset:.0f}"),
+                (~((prb >= 0.0) & (prb <= 100.0)), "prb_util out of range [0, 100]: {prb}"),
+                (~(np.isfinite(thr) & (thr >= 0.0)), "ip_throughput must be finite and >= 0: {thr}"),
+            )
+            failed = np.array([bad for bad, _ in checks])
+            i, check = divmod(int(failed.T.argmax()), len(checks))  # first failing row, its check
+            if failed[check, i]:
+                at = rows.start + i if isinstance(rows, slice) else int(rows[i])
+                raise IngestError(at + 2 + bisect_right(blanks, at), checks[check][1].format(
+                    enb=key[0], cell=key[1], rel=float(rel[rank[i]]), offset=hour[i],
+                    prev=hour[i - 1], prb=float(prb[i]), thr=float(thr[i]),
+                ))
+            kpis.flags.writeable = False  # so the series keeps a copy without copying it again
+            series.append(KpiSeries(CellId(*key), int(hour[0]), kpis))
+    return series

@@ -304,12 +304,13 @@ class TestSeedReference:
 
     def test_bptt_cache_matches_seed_forward_cached(self, n_layers, batch):
         model, windows = self.model_and_windows(n_layers, batch)
-        cache = []
-        pred = _lstm_stack(model, np.ascontiguousarray(windows.transpose(1, 0, 2)), cache)
+        layer_in = np.ascontiguousarray(windows.transpose(1, 0, 2))
+        work = _Workspace(model.config, layer_in.shape)
+        pred = _lstm_stack(model, layer_in, work)
         ref_pred, ref_cache = seed_forward_cached(model, windows)
         assert np.array_equal(pred, ref_pred)
-        assert len(cache) == len(ref_cache) == n_layers
-        for layer, ref_layer in zip(cache, ref_cache):
+        assert len(work.cache) == len(ref_cache) == n_layers
+        for layer, ref_layer in zip(work.cache, ref_cache):
             # tanh_c is not cached: BPTT recomputes it from c
             assert layer.keys() == ref_layer.keys() - {"tanh_c"}
             for name, arr in layer.items():
@@ -563,9 +564,9 @@ class TestStackedTraining:
     def test_each_step_runs_one_cached_forward_and_nothing_else(self, monkeypatch):
         calls = []
 
-        def recording_lstm_stack(model, layer_in, cache=None):
-            calls.append(cache is not None)
-            return _lstm_stack(model, layer_in, cache)
+        def recording_lstm_stack(model, layer_in, work=None):
+            calls.append(work is not None)
+            return _lstm_stack(model, layer_in, work)
 
         monkeypatch.setattr(training, "_lstm_stack", recording_lstm_stack)
         # 64 hours at lookback 10 leave 41 training windows: 3 batches of 16

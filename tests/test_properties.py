@@ -32,7 +32,7 @@ from oransim.forecast import (
     train,
 )
 from oransim.forecast import training
-from oransim.forecast.model import _lstm_stack, _write_params
+from oransim.forecast.model import _lstm_stack, _Workspace, _write_params
 from oransim.kpi import (
     CellId,
     CongestionRule,
@@ -400,14 +400,14 @@ def test_stacked_cache_matches_each_model_alone(stack):
     models, inputs = stack
     solo = []
     for model, layer_in in zip(models, inputs):
-        cache = []
-        solo.append((_lstm_stack(model, layer_in, cache), cache))
-    cache = []
-    pred = _lstm_stack(stack_models(models), inputs, cache)
+        work = _Workspace(model.config, layer_in.shape)
+        solo.append((_lstm_stack(model, layer_in, work), work.cache))
+    work = _Workspace(models[0].config, inputs.shape)
+    pred = _lstm_stack(stack_models(models), inputs, work)
     for m, (ref_pred, ref_cache) in enumerate(solo):
         assert np.array_equal(pred[m], ref_pred)
-        assert len(cache) == len(ref_cache)
-        for layer, ref_layer in zip(cache, ref_cache):
+        assert len(work.cache) == len(ref_cache)
+        for layer, ref_layer in zip(work.cache, ref_cache):
             assert layer.keys() == ref_layer.keys()
             for name, arr in layer.items():
                 got = arr[:, m] if name in TIME_MAJOR_CACHE else arr[m]

@@ -196,6 +196,13 @@ def in_hours(mutate):
     return mutate
 
 
+def first_cell_last(text):
+    """``text`` with the rows of cell (0,0) moved to the end of the file."""
+    header, *rows = text.splitlines(keepends=True)
+    moved = [row for row in rows if row.startswith("0,0,")]
+    return header + "".join([row for row in rows if not row.startswith("0,0,")] + moved)
+
+
 def ingest_outcome(ingest, payload, schema):
     """What an ingest function makes of ``payload``: its series, or its error's row and text.
 
@@ -334,21 +341,28 @@ class TestCsvRoundTrip:
 
     def test_in_order_file_is_not_sorted(self):
         series = generate_synthetic(SMALL)
-        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
             assert ingest_csv(export_csv(series)) == series
-        lexsort.assert_not_called()
+        argsort.assert_not_called()
 
-    @pytest.mark.parametrize("reorder", [
-        lambda rows: [rows[i] for i in np.random.default_rng(0).permutation(len(rows))],
-        lambda rows: rows[::-1],  # cells first seen out of order, hours descending
-        lambda rows: rows[1::2] + rows[::2],  # cells in order, but not each cell's hours
-    ], ids=["shuffled", "reversed", "interleaved"])
-    def test_out_of_order_file_is_sorted_to_equal_series(self, reorder):
+    @pytest.mark.parametrize("reorder, grouped, views", [
+        (lambda rows: [rows[i] for i in np.random.default_rng(0).permutation(len(rows))],
+         True, False),
+        (lambda rows: rows[::-1], False, False),  # cells first seen out of order, hours descending
+        (lambda rows: rows[1::2] + rows[::2], True, False),  # cells in order, not their hours
+        # each cell's rows in one run, hours ascending, but not in (enb, cell) order
+        (lambda rows: rows[len(rows) // 2:] + rows[:len(rows) // 2], False, True),
+    ], ids=["shuffled", "reversed", "interleaved", "runs-out-of-order"])
+    def test_out_of_order_file_is_sorted_to_equal_series(self, reorder, grouped, views):
+        # rows are grouped by one sort of the cell codes only if a cell's rows are not one
+        # run; a series views the KPI array unless its rows were grouped or sorted
         series = generate_synthetic(SMALL)
         header, *rows = export_csv(series).splitlines(keepends=True)
-        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
-            assert ingest_csv(header + b"".join(reorder(rows))) == series
-        lexsort.assert_called_once()
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            ingested = ingest_csv(header + b"".join(reorder(rows)))
+        assert ingested == series
+        assert sum(len(call.args[0]) == len(rows) for call in argsort.call_args_list) == grouped
+        assert [s.values.base is not None for s in ingested] == [views] * len(series)
 
     def test_accepts_file_object(self):
         series = generate_synthetic(SMALL)
@@ -653,6 +667,9 @@ class TestSeedReference:
         lambda t: t.replace("T05:00,", "T05:00:00,", 3),
         in_hours(lambda t: t.replace(",7,", ",007,", 2)),
         lambda t: t.replace("\n", "\n0,0,2000-01-01T05:00:00,50.0,1.0\n", 1),
+        # cells in runs out of (enb, cell) order, read in place; then a duplicate hour there
+        first_cell_last,
+        lambda t: first_cell_last(t.replace("T05:00,", "T04:00,", 1)),
     ])
     def test_mutated_ingest_matches(self, mutate):
         schema = DatasetSchema(timestamp_format=getattr(mutate, "timestamp_format", "iso8601"))
@@ -660,8 +677,7 @@ class TestSeedReference:
         payload = mutate(text).encode()
         assert payload != text.encode()
         for rows in (1, 7, 2048):
-            with mock.patch.object(traffic, "_INGEST_CHUNK_ROWS", rows), \
-                    mock.patch.object(traffic, "_GATHER_ROWS", rows):
+            with mock.patch.object(traffic, "_INGEST_CHUNK_ROWS", rows):
                 got = ingest_outcome(ingest_csv, payload, schema)
             assert got == ingest_outcome(seed_ingest_csv, payload, schema)
 
@@ -707,6 +723,15 @@ class TestMemory:
         # distinct timestamp: about 0.72x here, and 0.87x with int64 codes and float64 hours
         payload = export_csv(generate_synthetic(self.LARGE))
         assert self.traced_peak(ingest_csv, payload) <= 0.8 * len(payload)
+
+    def test_in_order_grid_check_peaks_under_the_parse(self):
+        # beyond the columns, the grid check of an in-order file holds one bool per row and
+        # per-cell arrays: +5,295 bytes over the parse here, and +350,081 with a float64 step
+        # per row; the reference default fleet, 183,600 rows
+        payload = export_csv(generate_synthetic(SyntheticProfile(seed=3)))
+        with mock.patch.object(traffic, "_series_from_columns", lambda *args: []):
+            parse = self.traced_peak(ingest_csv, payload)
+        assert self.traced_peak(ingest_csv, payload) <= parse + 64 * 1024
 
     def test_export_peaks_at_one_and_a_half_times_the_csv(self):
         series = generate_synthetic(self.PROFILE)

@@ -5,9 +5,15 @@ Usage: python3 tools/output_digests.py [CHECKOUT]
 CHECKOUT is the root of an oransim checkout (default: the one holding this
 script). Its ``src`` is the program that runs, and ``bench/workloads.py``
 gives the configs, which are only read. For each of the loop workloads at
-the default and the confirming seed, ``oransim run`` writes its outputs;
-on the loop-retrain config ``oransim generate`` writes the dataset CSV and
-``oransim train`` trains on it. Each output file prints as one
+the default and the confirming seed, ``oransim run`` writes its outputs.
+On the loop-retrain config, ``oransim generate`` writes the dataset CSV,
+``oransim train`` trains on it, ``oransim run`` runs on it through
+``traffic.csv.path``, and ``oransim train`` trains on a copy of it whose
+rows are shuffled by a fixed seed. So ingest runs on a file in order and
+on one it must group and sort, and the shuffled copy's outputs equal the
+in-order ones when it sorts the rows back into the same series. Commands
+run in their workload's directory with relative paths, so no output holds
+a temporary path. Each output file prints as one
 ``<sha256>  <workload>/<seed>/<command>/<file>`` line, so two checkouts
 write the same bytes exactly when their listings are equal.
 """
@@ -17,15 +23,16 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 
-def _oransim(checkout: Path, *args: str) -> None:
+def _oransim(checkout: Path, cwd: Path, *args: str) -> None:
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    subprocess.run([sys.executable, "-m", "oransim", *args], env=env, check=True,
+    subprocess.run([sys.executable, "-m", "oransim", *args], env=env, cwd=cwd, check=True,
                    stdout=subprocess.DEVNULL)
 
 
@@ -42,11 +49,23 @@ def main(argv: list[str]) -> int:
                 base.mkdir(parents=True)
                 cfg = base / "config.json"
                 cfg.write_text(json.dumps(config(workload, seed)), encoding="utf-8")
-                _oransim(checkout, "run", "-c", str(cfg), "-o", str(base / "run"))
+                _oransim(checkout, base, "run", "-c", "config.json", "-o", "run")
                 if workload == "loop-retrain":
-                    _oransim(checkout, "generate", "-c", str(cfg), "-o", str(base / "generate"))
-                    _oransim(checkout, "train", "-c", str(cfg), "-d",
-                             str(base / "generate" / "dataset.csv"), "-o", str(base / "train"))
+                    _oransim(checkout, base, "generate", "-c", "config.json", "-o", "generate")
+                    dataset = Path("generate", "dataset.csv")
+                    _oransim(checkout, base, "train", "-c", "config.json", "-d", str(dataset),
+                             "-o", "train")
+                    header, *rows = (base / dataset).read_bytes().splitlines(keepends=True)
+                    random.Random(seed).shuffle(rows)
+                    (base / "shuffled.csv").write_bytes(header + b"".join(rows))
+                    _oransim(checkout, base, "train", "-c", "config.json", "-d", "shuffled.csv",
+                             "-o", "train-shuffled")
+                    # a path relative to the run's directory, so the config echo is the same
+                    cfg.write_text(json.dumps({**config(workload, seed),
+                                               "traffic": {"csv": {"path": str(dataset)}}}),
+                                   encoding="utf-8")
+                    _oransim(checkout, base, "run", "-c", "config.json", "-o", "run-csv")
+                    (base / "shuffled.csv").unlink()
                 cfg.unlink()
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
