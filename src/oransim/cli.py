@@ -17,7 +17,6 @@ from .config import ScenarioConfig, load_config
 from .forecast import evaluate_heldout, save_model
 from .network import SimulatedNetwork
 from .ric import run_control_loop, train_cells, validate_events, validate_jsonl
-from .ric.messages import canonical_json
 from .splitting import default_bin_edges, export_histogram_csv, histogram_hours
 from .traffic import IngestError, export_csv, generate_synthetic, ingest_csv
 
@@ -136,8 +135,7 @@ def cmd_run(cfg: ScenarioConfig, outdir: Path) -> int:
         "".join(line + "\n" for line in result.deployments), encoding="utf-8"
     )
     (outdir / "e2_requests.jsonl").write_text(
-        "".join(canonical_json(r.to_json_dict()) + "\n" for r in result.e2_requests),
-        encoding="utf-8",
+        "".join(line + "\n" for line in result.e2_requests), encoding="utf-8"
     )
     edges = default_bin_edges()
     (outdir / "histogram_baseline.csv").write_bytes(

@@ -89,7 +89,6 @@ class SimulatedNetwork:
         self.throughput_cap = throughput_cap
         ordered = sorted(base_series, key=lambda s: s.cell)
         self.cells: dict[CellKey, ActiveCell] = {}
-        self._next_cell_index: dict[int, int] = {}
         for column, series in enumerate(ordered):
             if series.cell.generation != 0:
                 raise ValueError("base series must be generation-0 cells")
@@ -99,8 +98,6 @@ class SimulatedNetwork:
             self.cells[key] = ActiveCell(
                 cell_id=series.cell, origin=key, load_fraction=1.0, created_at=0, column=column
             )
-            nxt = self._next_cell_index.get(key[0], 0)
-            self._next_cell_index[key[0]] = max(nxt, key[1] + 1)
         # generation-0 cells own columns 0..n-1, so an origin's column is its base column
         self._base = np.stack([series.to_array() for series in ordered], axis=1)
         self.kpis = np.full(self._base.shape, np.nan)
@@ -225,11 +222,10 @@ class SimulatedNetwork:
         # the load unit is the origin cell's whole load, so split_cell's
         # conserved loads are the two cells' fractions
         state = CellLoadState(cell.cell_id, cell.load_fraction, util, thr, self.throughput_cap)
+        # every cell ever created stays in ``cells``, so the next index is unused
         enb = cell.cell_id.enb
-        kept, moved, event = split_cell(
-            state, policy, hour, rng, child_cell_index=self._next_cell_index[enb]
-        )
-        self._next_cell_index[enb] += 1
+        index = 1 + max(c for e, c in self.cells if e == enb)
+        kept, moved, event = split_cell(state, policy, hour, rng, child_cell_index=index)
         child = ActiveCell(
             cell_id=event.child,
             origin=cell.origin,

@@ -29,7 +29,6 @@ from ..network import CellKey, SimulatedNetwork
 from ..splitting import SplitPolicy
 from .messages import (
     A1Deployment,
-    E2ControlRequest,
     EventLog,
     EventTag,
     ModelPerformanceFeedback,
@@ -129,9 +128,6 @@ class NonRtRic:
         self.version = 0
         self._models: dict[CellKey, ForecastModel] = {}
         self._digests: dict[CellKey, str] = {}
-
-    def has_model(self, key: CellKey) -> bool:
-        return key in self._models
 
     def train_and_update(
         self,
@@ -272,18 +268,23 @@ class CpmXapp:
             payload={"prediction": prediction.tolist()},
         )
 
-    def issue_e2(self, cell_id: CellId, policy: SplitPolicy, hour: int) -> E2ControlRequest:
-        """Send and log one CellSplit request for ``cell_id``.
+    def issue_e2(self, cell_id: CellId, policy: SplitPolicy, hour: int) -> str:
+        """Send and log one CellSplit request for ``cell_id`` toward the CU/DU.
 
-        The loop picks the cells to split (alarmed, under the factor cap,
-        out of split cooldown); ``split_cell`` refuses a split past the cap,
-        and ``validate_events`` an E2Control with no alarm before it.
+        Returns its record, the canonical JSON line that ``e2_requests.jsonl``
+        holds. The loop picks the cells to split (alarmed, under the factor
+        cap, out of split cooldown); ``split_cell`` refuses a split past the
+        cap, and ``validate_events`` an E2Control with no alarm before it.
         """
-        request = E2ControlRequest(cell_id, policy, hour)
-        self.log.append(
-            EventTag.E2_CONTROL, hour=hour, cells=(cell_id,), payload=request.to_json_dict()
-        )
-        return request
+        payload = {
+            "target": cell_id.to_json(),
+            "action": "CellSplit",
+            "policy": {"r_min": policy.r_min, "r_max": policy.r_max,
+                       "max_factor": policy.max_factor},
+            "issued_at": hour,
+        }
+        self.log.append(EventTag.E2_CONTROL, hour=hour, cells=(cell_id,), payload=payload)
+        return canonical_json(payload)
 
     def feedback(
         self, network: SimulatedNetwork, hour: int, window_hours: int, threshold: float

@@ -7,14 +7,14 @@ order, which is exactly what the offline validator checks:
 
 The hosts do each step's work on the network; the loop decides only which
 alarmed cells split and which cells retrain, and logs those retrain flags
-and the bus publish. Training runs in the first cycle and again whenever
-feedback flags cells below the accuracy threshold (subject to a per-cell
-retrain cooldown). Cells without a model (their history could not train
-yet) retry on the same cooldown, and every training round retries all of
-them. The A1 policy/model push is re-issued every cycle with a
-monotonically increasing version; unchanged models are recognized by digest
-at the xApp. Splits actuate immediately, so the hour being predicted is
-already served by the post-split cells (the preemptive remedy).
+and the bus publish. The first cycle trains every active cell, and a split
+child starts from its parent's model, so every cell has a model from then
+on. A cell retrains when feedback flags it below the accuracy threshold and
+its per-cell retrain cooldown has passed. The A1 policy/model push is
+re-issued every cycle with a monotonically increasing version; unchanged
+models are recognized by digest at the xApp. Splits actuate immediately, so
+the hour being predicted is already served by the post-split cells (the
+preemptive remedy).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from ..kpi import CongestionRule, KpiSeries, congested_hours
 from ..network import CellKey, SimulatedNetwork
 from ..splitting import SplitPolicy
 from .hosts import CpmXapp, DataCollector, NonRtRic
-from .messages import E2ControlRequest, EventLog, EventTag, ModelPerformanceFeedback
+from .messages import EventLog, EventTag, ModelPerformanceFeedback
 
 __all__ = ["ControlLoopConfig", "LoopResult", "run_control_loop", "summarize_run"]
 
@@ -77,7 +77,7 @@ class LoopResult:
     baseline: list[KpiSeries]    # no-action series of the original cells over the window
     after: list[KpiSeries]       # realized series of the cells over the window
     deployments: list[str]       # canonical JSON per A1 push
-    e2_requests: list[E2ControlRequest]
+    e2_requests: list[str]       # canonical JSON per E2 CellSplit request
     final_feedback: list[ModelPerformanceFeedback]
 
 
@@ -137,10 +137,9 @@ def run_control_loop(
             f"horizon {horizon_hours} exceeds remaining base traffic "
             f"({network.total_hours - network.hour} hours)"
         )
-    # the first round trains every active cell, and the longest history is the
-    # likeliest to train: if it cannot, no cell is predicted and the first
-    # feedback window is empty
-    history = max(len(network.training_history(k)) for k in network.active_keys())
+    # the first round trains every active cell, so the shortest history must
+    # train: then every cell, and every child split from one, has a model
+    history = min(len(network.training_history(k)) for k in network.active_keys())
     try:
         train_split(history, train_cfg)
     except InsufficientDataError:
@@ -162,7 +161,7 @@ def run_control_loop(
     split_rng = split_policy.rng()
 
     deployments: list[str] = []
-    e2_requests: list[E2ControlRequest] = []
+    e2_requests: list[str] = []
     feedbacks: list[ModelPerformanceFeedback] = []
     terminated_early = False
     due: set[CellKey] = set(network.active_keys())  # cells the next training round trains
@@ -182,10 +181,8 @@ def run_control_loop(
             payload={"window_start": report.window_start, "n_samples": report.n_samples},
         )
 
-        # (3)(4) capability query + training when due; a round also retries
-        # every cell that has no model yet
+        # (3)(4) capability query + training when due
         if due:
-            due.update(k for k in network.active_keys() if not non_rt.has_model(k))
             histories = {k: network.training_history(k) for k in sorted(due)}
             non_rt.train_and_update(histories, lstm_cfg, train_cfg, hour)
             last_train_attempt.update(dict.fromkeys(due, hour))
@@ -218,8 +215,7 @@ def run_control_loop(
                     "factor cap" if at_cap else "split cooldown",
                 )
                 continue
-            request = xapp.issue_e2(cell_id, split_policy, hour)
-            e2_requests.append(request)
+            e2_requests.append(xapp.issue_e2(cell_id, split_policy, hour))
             event = network.split(key, split_policy, split_rng)
             non_rt.register_child(key, (event.child.enb, event.child.cell))
 
@@ -233,10 +229,10 @@ def run_control_loop(
             network, hour, loop_cfg.feedback_window_hours, loop_cfg.retrain_accuracy_threshold
         )
 
-        # mispredicted cells, and cells with no model yet, retrain once cooled
-        mispredicted = {(f.cell.enb, f.cell.cell) for f in feedbacks if f.misprediction}
-        for key in network.active_keys():
-            if (key in mispredicted or not non_rt.has_model(key)) and (
+        # mispredicted cells retrain once cooled
+        for f in feedbacks:
+            key = (f.cell.enb, f.cell.cell)
+            if f.misprediction and (
                 key not in last_train_attempt
                 or hour - last_train_attempt[key] >= loop_cfg.retrain_cooldown_hours
             ):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from ..forecast import ForecastModel
 from ..kpi import CellId, CongestionRule
-from ..splitting import SplitPolicy
 from ..typedjson import check_keys, check_type, check_unsigned, loads
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "EventLog",
     "O1Report",
     "A1Deployment",
-    "E2ControlRequest",
     "ModelPerformanceFeedback",
     "canonical_json",
     "payload_digest",
@@ -206,27 +204,6 @@ class A1Deployment:
             "models": {
                 cell.label(): self.digests[cell] for cell in sorted(self.models)
             },
-        }
-
-
-@dataclass(frozen=True)
-class E2ControlRequest:
-    """Cell-split control action sent toward the CU/DU over E2."""
-
-    target: CellId
-    policy: SplitPolicy
-    issued_at: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "target": self.target.to_json(),
-            "action": "CellSplit",
-            "policy": {
-                "r_min": self.policy.r_min,
-                "r_max": self.policy.r_max,
-                "max_factor": self.policy.max_factor,
-            },
-            "issued_at": self.issued_at,
         }
 
 

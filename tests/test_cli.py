@@ -14,9 +14,9 @@ import oransim
 from oransim.cli import main
 from oransim.config import config_from_dict, derive_seed, load_config
 from oransim.forecast import load_model, model
-from oransim.kpi import KpiSeries
+from oransim.kpi import CellId, KpiSeries
 from oransim.network import SimulatedNetwork
-from oransim.ric import validate_jsonl
+from oransim.ric import EventLog, EventTag, payload_digest, validate_jsonl
 from oransim.traffic import SyntheticProfile, export_csv, generate_synthetic
 
 TINY = {
@@ -396,6 +396,22 @@ class TestRun:
         assert (out / "histogram_after.csv").read_bytes() == (
             out / "histogram_baseline.csv"
         ).read_bytes()
+
+    def test_record_lines_are_the_payloads_their_events_digest(self, tmp_path):
+        # cell 0 is congested every hour, so its exact forecast alarms and it splits
+        series = [KpiSeries.from_arrays(CellId(0, c), 0, [util] * 72, [thr] * 72)
+                  for c, (util, thr) in enumerate([(96.0, 0.4), (31.0, 6.0)])]
+        dataset = tmp_path / "dataset.csv"
+        dataset.write_bytes(export_csv(series))
+        out = self.run_outputs(tmp_path, {**TINY, "traffic": {"csv": {"path": str(dataset)}}})
+        events = EventLog.parse_jsonl((out / "events.jsonl").read_text())
+        for fname, tag in (("a1_deployments.jsonl", EventTag.A1_DEPLOY),
+                           ("e2_requests.jsonl", EventTag.E2_CONTROL)):
+            lines = (out / fname).read_text().splitlines()
+            assert lines
+            assert [payload_digest(json.loads(line)) for line in lines] == [
+                e.digest for e in events if e.tag == tag
+            ]
 
     def test_full_pipeline_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, TINY)

@@ -124,7 +124,8 @@ class TestTrainingRound:
         histories[(0, 9)] = short
         failures = non_rt.train_and_update(histories, LSTM_TINY, TRAIN_TINY, hour=40)
         assert failures == [(0, 9)]
-        assert not non_rt.has_model((0, 9))
+        trained = next(e for e in log if e.tag == EventTag.TRAINED_MODEL)
+        assert trained.cells == (CellId(0, 0), CellId(0, 1))
 
     def test_models_are_held_and_deployed_by_reference(self):
         net = flat_network(history=40)
@@ -500,7 +501,7 @@ class TestFeedbackPairing:
             evaluations = {(f.cell.enb, f.cell.cell): (f.cell, f.window_accuracy)
                            for f in feedbacks}
             flagged = reference_retrain(
-                evaluations, network.active_keys(), hosts["non_rt"].has_model,
+                evaluations, network.active_keys(), hosts["non_rt"]._models.__contains__,
                 last_train_attempt, hour, threshold, cooldown,
             )
             if flagged:
@@ -515,65 +516,46 @@ class TestFeedbackPairing:
         assert expected
 
 
-def keys_by_hour(result, tag):
-    """The cell keys each ``tag`` event names, by hour."""
-    return {e.hour: {(c.enb, c.cell) for c in e.cells} for e in result.log if e.tag == tag}
+class TestFirstRoundTrainsEveryCell:
+    """The first round must train every active cell, so every cell, and every
+    child split from one, has a model from the first cycle on."""
 
-
-class TestModelLessRetry:
-    """Cells split before the loop have no history to train on at first: they
-    retry on the retrain cooldown, and every training round retries them,
-    until they train and serve."""
-
-    @pytest.mark.parametrize("cooldown", [0, 3, 6])
-    def test_split_halves_retry_until_they_train(self, cooldown):
+    def split_network(self, hours_since_split):
         profile = SyntheticProfile(n_enb=1, cells_per_enb=3, n_days=6, seed=8)
-        network = SimulatedNetwork.from_profile(profile, history_hours=60)
+        network = SimulatedNetwork.from_profile(profile, history_hours=60 - hours_since_split)
         policy = SplitPolicy(max_factor=4, seed=11)
-        event = network.split((0, 0), policy, policy.rng())
-        halves = [(0, 0), (event.child.enb, event.child.cell)]
-        result = run_control_loop(
+        network.split((0, 0), policy, policy.rng())
+        for _ in range(hours_since_split):
+            network.realize_hour()
+        return network, policy
+
+    def run(self, network, policy):
+        return run_control_loop(
             network,
             rule=CongestionRule(),
             lstm_cfg=LSTM_TINY,
             train_cfg=TrainingConfig(batch_size=8, epochs=2, lookback=6, seed=3),
-            loop_cfg=ControlLoopConfig(retrain_accuracy_threshold=95.0, max_split_factor=4,
-                                       retrain_cooldown_hours=cooldown),
+            loop_cfg=ControlLoopConfig(retrain_accuracy_threshold=95.0, max_split_factor=4),
             split_policy=policy,
             horizon_hours=24,
         )
-        requests = keys_by_hour(result, EventTag.TRAIN_REQUEST)
-        trained = keys_by_hour(result, EventTag.TRAINED_MODEL)
-        inferred = keys_by_hour(result, EventTag.INFERENCE)
-        assert set(halves) <= requests[min(requests)] and min(requests) == 60
-        for key in halves:
-            tried = sorted(h for h, keys in requests.items() if key in keys)
-            first_trained = min(h for h, keys in trained.items() if key in keys)
-            assert tried[0] < first_trained
-            assert all(b - a >= cooldown for a, b in zip(tried, tried[1:]))
-            assert min(h for h, keys in inferred.items() if key in keys) == first_trained
 
-    def test_every_round_retries_model_less_cells(self):
-        # constant KPIs: cell 1 congests, is split at hour 40, and its child is
-        # split again at 46, where it mispredicts and triggers a round while
-        # the halves of cell 0, last tried at 40, are still cooling
-        n_hours = 96
-        base = [
-            KpiSeries.from_arrays(CellId(0, c), 0, [util] * n_hours, [thr] * n_hours)
-            for c, (util, thr) in enumerate([(96.0, 0.4), (96.0, 0.4), (31.0, 6.0)])
-        ]
-        network = SimulatedNetwork(base, throughput_cap=10.0, history_hours=40)
-        policy = SplitPolicy(max_factor=4, seed=11)
-        event = network.split((0, 0), policy, policy.rng())
-        halves = {(0, 0), (event.child.enb, event.child.cell)}
-        result = tiny_loop(network, horizon=12, factor=4, retrain_cooldown_hours=8)
-        requests = keys_by_hour(result, EventTag.TRAIN_REQUEST)
-        flagged = keys_by_hour(result, EventTag.RETRAIN)
-        trained = keys_by_hour(result, EventTag.TRAINED_MODEL)
-        first_trained = min(h for h, keys in trained.items() if halves <= keys)
-        rounds = sorted(h for h in requests if h <= first_trained)
-        assert all(halves <= requests[h] for h in rounds)
-        assert any(not halves & flagged[h - 1] for h in rounds[1:])
+    def test_halves_too_short_to_train_are_refused_before_any_event(self):
+        network, policy = self.split_network(hours_since_split=3)
+        with mock.patch.object(EventLog, "append") as append, \
+                pytest.raises(ValueError, match="leaves 3 of the traffic's 144 hours"):
+            self.run(network, policy)
+        append.assert_not_called()
+
+    def test_halves_with_history_train_in_the_first_round(self):
+        network, policy = self.split_network(hours_since_split=30)
+        active = [network.cells[k].cell_id for k in network.active_keys()]
+        result = self.run(network, policy)
+        rounds = [e for e in result.log if e.tag == EventTag.TRAINED_MODEL]
+        assert rounds[0].hour == 60 and list(rounds[0].cells) == active
+        inference = next(e for e in result.log if e.tag == EventTag.INFERENCE)
+        assert list(inference.cells) == active
+
 
 class TestEventLog:
     def test_jsonl_round_trip(self):

@@ -1,6 +1,6 @@
 """Print a sha256 for every file that oransim writes on the benchmark's loop configs.
 
-Usage: python3 tools/output_digests.py [CHECKOUT]
+Usage: python3 tools/output_digests.py [CHECKOUT [OTHER]]
 
 CHECKOUT is the root of an oransim checkout (default: the one holding this
 script). Its ``src`` is the program that runs, and ``bench/workloads.py``
@@ -16,11 +16,17 @@ run in their workload's directory with relative paths, so no output holds
 a temporary path. Each output file prints as one
 ``<sha256>  <workload>/<seed>/<command>/<file>`` line, so two checkouts
 write the same bytes exactly when their listings are equal.
+
+Given a second checkout OTHER, both run, and the script prints each
+listing's sha256 (that of its text, as ``sha256sum`` reads it) and every
+line that is in one listing only, marked ``-`` for CHECKOUT and ``+`` for
+OTHER. It exits 1 if the listings differ.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -36,15 +42,17 @@ def _oransim(checkout: Path, cwd: Path, *args: str) -> None:
                    stdout=subprocess.DEVNULL)
 
 
-def main(argv: list[str]) -> int:
-    checkout = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
-    sys.path.insert(0, str(checkout / "bench"))
-    from workloads import CONFIRM_SEED, DEFAULT_SEED, LOOPS, config
-
+def _listing(checkout: Path) -> list[str]:
+    """Run the commands on ``checkout`` and list its output digests."""
+    spec = importlib.util.spec_from_file_location("workloads", checkout / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    config = workloads.config
+    lines = []
     with tempfile.TemporaryDirectory(prefix="oransim-digests-") as tmp:
         root = Path(tmp)
-        for workload in LOOPS:
-            for seed in (DEFAULT_SEED, CONFIRM_SEED):
+        for workload in workloads.LOOPS:
+            for seed in (workloads.DEFAULT_SEED, workloads.CONFIRM_SEED):
                 base = root / workload / str(seed)
                 base.mkdir(parents=True)
                 cfg = base / "config.json"
@@ -69,8 +77,28 @@ def main(argv: list[str]) -> int:
                 cfg.unlink()
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            print(f"{digest}  {path.relative_to(root).as_posix()}")
-    return 0
+            lines.append(f"{digest}  {path.relative_to(root).as_posix()}")
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) > 2:
+        print(__doc__.splitlines()[2], file=sys.stderr)
+        return 2
+    checkouts = [Path(a).resolve() for a in argv] or [Path(__file__).resolve().parents[1]]
+    listings = [_listing(checkout) for checkout in checkouts]
+    if len(listings) == 1:
+        print("\n".join(listings[0]))
+        return 0
+    for checkout, listing in zip(checkouts, listings):
+        text = "".join(line + "\n" for line in listing)
+        print(f"{hashlib.sha256(text.encode()).hexdigest()}  listing of {checkout}")
+    a, b = listings
+    for mark, lines, other in (("-", a, set(b)), ("+", b, set(a))):
+        for line in lines:
+            if line not in other:
+                print(f"{mark} {line}")
+    return int(a != b)
 
 
 if __name__ == "__main__":
