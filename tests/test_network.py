@@ -130,6 +130,19 @@ class TestSplitEffects:
         event = net.split((0, 1), policy, policy.rng())
         assert event.child == CellId(0, 3, 1)
 
+    def test_child_index_is_one_past_its_enbs_highest(self):
+        base = [
+            KpiSeries.from_arrays(CellId(enb, c), 0, [80.0] * 8, [2.0] * 8)
+            for enb, c in [(0, 0), (0, 4), (1, 0)]
+        ]
+        net = SimulatedNetwork(base, throughput_cap=10.0, history_hours=2)
+        policy = SplitPolicy(r_min=70.0, r_max=70.0, max_factor=4)
+        rng = policy.rng()
+        assert net.split((0, 0), policy, rng).child == CellId(0, 5, 1)
+        assert net.split((1, 0), policy, rng).child == CellId(1, 1, 1)
+        # a child split again takes the eNB's next index, not its parent's
+        assert net.split((0, 5), policy, rng).child == CellId(0, 6, 2)
+
     def test_child_history_starts_at_split(self):
         net = flat_network(history=6)
         policy = SplitPolicy(r_min=70.0, r_max=70.0)

@@ -27,6 +27,7 @@ from oransim.ric import (
     EventLog,
     EventTag,
     NonRtRic,
+    payload_digest,
     run_control_loop,
 )
 from oransim.ric.messages import A1Deployment, ModelPerformanceFeedback
@@ -177,6 +178,20 @@ class TestXapp:
         assert all(a[k][0].tolist() == b[k][0].tolist() and a[k][1] == b[k][1] for k in a)
         for k, (pred, _) in a.items():
             assert net.predictions[net.hour, net.cells[k].column].tolist() == pred.tolist()
+
+    def test_e2_record_is_the_payload_it_logs(self):
+        log = EventLog()
+        policy = SplitPolicy(r_min=55.0, r_max=65.0, max_factor=4)
+        line = CpmXapp(log).issue_e2(CellId(0, 2, 1), policy, hour=41)
+        (event,) = log
+        assert event.tag == EventTag.E2_CONTROL and event.cells == (CellId(0, 2, 1),)
+        assert json.loads(line) == {
+            "target": CellId(0, 2, 1).to_json(),
+            "action": "CellSplit",
+            "policy": {"r_min": 55.0, "r_max": 65.0, "max_factor": 4},
+            "issued_at": 41,
+        }
+        assert payload_digest(json.loads(line)) == event.digest
 
     def test_non_finite_prediction_is_an_error(self):
         net = flat_network(history=40)
