@@ -59,7 +59,7 @@ def cmd_train(cfg: ScenarioConfig, dataset: Path, outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     models_dir = outdir / "models"
     models_dir.mkdir(exist_ok=True)
-    histories = {(s.cell.enb, s.cell.cell): s for s in series_list}
+    histories = {s.cell.key: s for s in series_list}
     models, failures = train_cells(histories, cfg.lstm, cfg.training)
     per_cell: dict[str, float] = {}
     for key, model in models.items():

@@ -19,13 +19,13 @@ for one step is
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from ..typedjson import build, check_keys, check_type, check_unsigned, loads, read_fields
+from ..typedjson import (build, canonical_json, check_keys, check_type, check_unsigned, loads,
+                         read_fields)
 
 __all__ = [
     "LstmConfig",
@@ -395,7 +395,7 @@ def model_to_json(model: ForecastModel) -> str:
         "layers": [_lists(layer) for layer in model.layers],
         "head": _lists(model.head),
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return canonical_json(doc)
 
 
 def model_digest(model: ForecastModel) -> str:
@@ -410,7 +410,7 @@ def model_digest(model: ForecastModel) -> str:
     """
     model.validate_shapes()
     header = [MODEL_FORMAT, MODEL_FORMAT_VERSION, *astuple(model.config), model.trained_epochs]
-    h = hashlib.sha256(json.dumps(header, separators=(",", ":")).encode("utf-8"))
+    h = hashlib.sha256(canonical_json(header).encode("utf-8"))
     for arr in [model.norm.feature_min, model.norm.feature_max, *param_arrays(model)]:
         h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return h.hexdigest()[:16]

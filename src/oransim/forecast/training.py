@@ -140,34 +140,22 @@ def compute_norm_stats(values: np.ndarray) -> NormStats:
     return NormStats(values.min(axis=0), values.max(axis=0))
 
 
-def _windows(values: np.ndarray, lookback: int) -> tuple[np.ndarray, np.ndarray]:
+def make_windows(values: np.ndarray, lookback: int) -> tuple[np.ndarray, np.ndarray]:
     """Sliding windows over the hours axis of (..., L, D) normalized ``values``.
 
     Returns inputs (..., L - lookback, lookback, D), window i holding hours
     i to i + lookback - 1, and their targets (..., L - lookback, D), hour
-    i + lookback. Both are read-only views of ``values``: no window is copied.
+    i + lookback. Both are read-only views of ``values``: no window is
+    copied. Raises ``InsufficientDataError`` for L <= lookback.
     """
+    if values.shape[-2] <= lookback:
+        raise InsufficientDataError(
+            f"series length {values.shape[-2]} yields no windows at lookback {lookback}"
+        )
     inputs = sliding_window_view(values[..., :-1, :], lookback, axis=-2)  # (..., N, D, lookback)
     targets = values[..., lookback:, :]
     targets.flags.writeable = False
     return np.swapaxes(inputs, -1, -2), targets
-
-
-def make_windows(
-    series: KpiSeries, cfg: TrainingConfig, norm: NormStats
-) -> tuple[np.ndarray, np.ndarray]:
-    """All sliding windows of the series with 1-hour-ahead targets.
-
-    A series of length L yields inputs (L - lookback, lookback, D) and
-    targets (L - lookback, D), both read-only views of the normalized series
-    (``_windows``), so the windows share its L x D values instead of holding
-    lookback copies of each hour.
-    """
-    if len(series) <= cfg.lookback:
-        raise InsufficientDataError(
-            f"series length {len(series)} yields no windows at lookback {cfg.lookback}"
-        )
-    return _windows(norm.normalize(series.to_array()), cfg.lookback)
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
@@ -395,17 +383,12 @@ STACK_BYTES = 11 << 18
 def _model_bytes(lstm_cfg: LstmConfig, cfg: TrainingConfig, length: int) -> int:
     """One model's share of a stack's training workspace, in bytes, for ``length``-hour series.
 
-    That share is what the workspace holds from the first step to the last:
-    every layer's cache (the gate-major i, f, o and g, plus c and h with
-    their t = -1 slot: 6T + 2 rows of H per batch row), the buffer that
-    holds each layer's input projection and then BPTT's ``dz``, and the
-    batch input. The seven (B, H) blocks of per-step scratch beside them
-    and the gradients are not counted.
+    It is the size of the buffers of that model's own ``_Workspace``,
+    which is built at the stack's batch and never written.
     """
     batch = min(cfg.batch_size, train_split(length, cfg) - cfg.lookback)
-    steps, n = cfg.lookback, lstm_cfg.units_per_layer
-    cache = lstm_cfg.n_layers * (6 * steps + 2) * n
-    return 8 * batch * (cache + steps * (4 * n + lstm_cfg.input_dim))
+    work = _Workspace(lstm_cfg, (cfg.lookback, batch, lstm_cfg.input_dim))
+    return sum(buf.nbytes for buf in work.buffers)
 
 
 def stack_width(lstm_cfg: LstmConfig, cfg: TrainingConfig, length: int) -> int:
@@ -450,7 +433,7 @@ def train_stack(
         rngs.append(rng)
         values.append(norm.normalize(hours))
     # (M, n_train, T, D) and (M, n_train, D) views of the (M, split, D) training hours
-    train_inputs, train_targets = _windows(np.stack(values), cfg.lookback)
+    train_inputs, train_targets = make_windows(np.stack(values), cfg.lookback)
 
     stack = stack_models(models)
     params = param_arrays(stack)
@@ -537,9 +520,10 @@ def evaluate_heldout(
     percent, number of validation points).
     """
     split = train_split(len(series), cfg)
+    values = model.norm.normalize(series.to_array())
     # the window whose target is hour ``split`` starts ``lookback`` hours earlier;
     # slicing the view copies no window
-    inputs = make_windows(series, cfg, model.norm)[0][split - cfg.lookback :]
+    inputs = make_windows(values, cfg.lookback)[0][split - cfg.lookback :]
     preds = clamp_prediction(model.norm.denormalize(forward(model, inputs)))
     return accuracy(preds, series.to_array()[split:]), len(inputs)
 

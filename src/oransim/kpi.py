@@ -42,6 +42,11 @@ class CellId:
             raise ValueError(f"CellId indices must be >= 0, got {self}")
 
     @property
+    def key(self) -> tuple[int, int]:
+        """(enb, cell): the cell's key in the network, stable across generations."""
+        return (self.enb, self.cell)
+
+    @property
     def split_factor(self) -> int:
         return 2 ** self.generation
 

@@ -53,14 +53,6 @@ class ActiveCell:
     column: int                # its column of the network's kpis and predictions
     last_split_hour: int | None = None
 
-    @property
-    def key(self) -> CellKey:
-        return (self.cell_id.enb, self.cell_id.cell)
-
-    @property
-    def generation(self) -> int:
-        return self.cell_id.generation
-
 
 class SimulatedNetwork:
     """Deterministic network state machine advanced one hour at a time."""
@@ -92,7 +84,7 @@ class SimulatedNetwork:
         for column, series in enumerate(ordered):
             if series.cell.generation != 0:
                 raise ValueError("base series must be generation-0 cells")
-            key = (series.cell.enb, series.cell.cell)
+            key = series.cell.key
             if key in self.cells:
                 raise ValueError(f"two base series for cell {series.cell.label()}")
             self.cells[key] = ActiveCell(
@@ -237,7 +229,7 @@ class SimulatedNetwork:
         cell.cell_id = kept.cell
         cell.load_fraction = kept.load
         cell.last_split_hour = hour
-        self.cells[child.key] = child
+        self.cells[event.child.key] = child
         empty = np.full((self.total_hours, 1, 2), np.nan)
         self.kpis = np.concatenate([self.kpis, empty], axis=1)
         self.predictions = np.concatenate([self.predictions, empty], axis=1)
@@ -246,4 +238,4 @@ class SimulatedNetwork:
         return event
 
     def max_factor_reached(self) -> int:
-        return max(2 ** c.generation for c in self.cells.values())
+        return max(c.cell_id.split_factor for c in self.cells.values())

@@ -112,6 +112,8 @@ def train_cells(
 class NonRtRic:
     """Non-RT RIC: owns the model cache, versioning, and A1 deployments.
 
+    The cache maps each cell key to its model and that model's
+    ``model_digest``, which is computed once, when the model is cached.
     Deployed models are shared with the xApp, which restacks their arrays,
     so no host writes into a model in place.
     """
@@ -126,8 +128,7 @@ class NonRtRic:
     def __init__(self, log: EventLog):
         self.log = log
         self.version = 0
-        self._models: dict[CellKey, ForecastModel] = {}
-        self._digests: dict[CellKey, str] = {}
+        self._models: dict[CellKey, tuple[ForecastModel, str]] = {}
 
     def train_and_update(
         self,
@@ -149,16 +150,14 @@ class NonRtRic:
             payload={"cells": [c.label() for c in ids]},
         )
         models, failures = train_cells(histories, lstm_cfg, train_cfg)
-        for key, model in models.items():
-            self._models[key] = model
-            self._digests[key] = model_digest(model)
+        self._models.update((key, (model, model_digest(model))) for key, model in models.items())
         trained_ids = [histories[k].cell for k in sorted(models)]
         self.log.append(
             EventTag.TRAINED_MODEL,
             hour=hour,
             cells=trained_ids,
             payload={
-                "digests": {histories[k].cell.label(): self._digests[k] for k in sorted(models)},
+                "digests": {histories[k].cell.label(): self._models[k][1] for k in sorted(models)},
                 "failed": [histories[k].cell.label() for k in sorted(failures)],
             },
         )
@@ -168,7 +167,6 @@ class NonRtRic:
         """Seed a freshly split cell with its parent's model."""
         if parent_key in self._models:
             self._models[child_key] = self._models[parent_key]
-            self._digests[child_key] = self._digests[parent_key]
 
     def build_deployment(
         self, policy: CongestionRule, network: SimulatedNetwork
@@ -180,11 +178,10 @@ class NonRtRic:
         ``a1_deployments.jsonl`` holds.
         """
         self.version += 1
-        deployed = [
-            (network.cells[k].cell_id, k) for k in network.active_keys() if k in self._models
-        ]
-        models = {cell_id: self._models[key] for cell_id, key in deployed}
-        digests = {cell_id: self._digests[key] for cell_id, key in deployed}
+        cached = {network.cells[k].cell_id: self._models[k]
+                  for k in network.active_keys() if k in self._models}
+        models = {cell_id: model for cell_id, (model, _) in cached.items()}
+        digests = {cell_id: digest for cell_id, (_, digest) in cached.items()}
         deployment = A1Deployment(self.version, policy, models, digests)
         payload = deployment.to_json_dict()
         self.log.append(
@@ -213,9 +210,9 @@ class CpmXapp:
                 f"deployment version must increase: {deployment.version} after "
                 f"{self.deployment.version}"
             )
-        digests = {(c.enb, c.cell): digest for c, digest in deployment.digests.items()}
+        digests = {c.key: digest for c, digest in deployment.digests.items()}
         if digests != self._fleet[0]:
-            models = {(c.enb, c.cell): model for c, model in deployment.models.items()}
+            models = {c.key: model for c, model in deployment.models.items()}
             keys = sorted(models)
             stack = stack_models([models[k] for k in keys]) if keys else None
             self._fleet = (digests, keys, stack)

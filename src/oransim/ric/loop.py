@@ -217,7 +217,7 @@ def run_control_loop(
                 continue
             e2_requests.append(xapp.issue_e2(cell_id, split_policy, hour))
             event = network.split(key, split_policy, split_rng)
-            non_rt.register_child(key, (event.child.enb, event.child.cell))
+            non_rt.register_child(key, event.child.key)
 
         # realize this cycle's hours with the post-action topology
         realize_n = min(period, end - hour)
@@ -231,7 +231,7 @@ def run_control_loop(
 
         # mispredicted cells retrain once cooled
         for f in feedbacks:
-            key = (f.cell.enb, f.cell.cell)
+            key = f.cell.key
             if f.misprediction and (
                 key not in last_train_attempt
                 or hour - last_train_attempt[key] >= loop_cfg.retrain_cooldown_hours

@@ -9,13 +9,12 @@ is the replayable record the offline choreography validator consumes.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass
 
 from ..forecast import ForecastModel
 from ..kpi import CellId, CongestionRule
-from ..typedjson import check_keys, check_type, check_unsigned, loads
+from ..typedjson import canonical_json, check_keys, check_type, check_unsigned, loads
 
 __all__ = [
     "EventTag",
@@ -44,24 +43,8 @@ class EventTag:
     FEEDBACK = "Feedback"
     RETRAIN = "Retrain"
 
-    ALL = (
-        O1_COLLECT,
-        BUS_PUBLISH,
-        CAPABILITY_QUERY,
-        TRAIN_REQUEST,
-        TRAINED_MODEL,
-        A1_DEPLOY,
-        INFERENCE,
-        ALARM_RAISED,
-        E2_CONTROL,
-        FEEDBACK,
-        RETRAIN,
-    )
-
-
-def canonical_json(obj) -> str:
-    """One-line JSON with sorted keys and no spaces: the form of every JSON-lines output."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    # every tag above, in the order they are defined
+    ALL = tuple(tag for name, tag in dict(locals()).items() if name.isupper())
 
 
 # What ``payload_digest`` writes: the first 16 hex digits of a sha256, lower case.

@@ -73,13 +73,6 @@ class SplitEvent:
     r: float
     hour: int
 
-    def __post_init__(self):
-        if self.child.generation != self.parent.generation + 1:
-            raise ValueError(
-                f"child generation {self.child.generation} must be parent+1 "
-                f"({self.parent.generation + 1})"
-            )
-
 
 @dataclass(frozen=True)
 class CellLoadState:

@@ -127,9 +127,8 @@ class DatasetSchema:
     epoch: str = "2000-01-01T00:00"
 
     def __post_init__(self):
-        cols = [self.enb_col, self.cell_col, self.time_col, self.prb_col, self.thr_col]
-        if len(set(cols)) != len(cols):
-            raise ValueError(f"schema columns must be distinct, got {cols}")
+        if len(set(self.columns)) != len(self.columns):
+            raise ValueError(f"schema columns must be distinct, got {self.columns}")
         if self.timestamp_format not in ("iso8601", "hours"):
             raise ValueError(
                 f"timestamp_format must be 'iso8601' or 'hours', got "

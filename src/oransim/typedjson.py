@@ -3,7 +3,8 @@
 ``loads`` parses a JSON text whose objects hold each key once. A value fills a
 field only when its JSON type is the field's annotation: ``int`` takes no
 bool or float, ``float`` takes an int but no bool, and ``X | None`` also
-takes null. Every error is a ValueError naming its key path.
+takes null. Every error is a ValueError naming its key path. ``canonical_json``
+is the one form in which JSON lines, model files and digests are written.
 """
 
 from __future__ import annotations
@@ -12,7 +13,14 @@ import json
 import typing
 from dataclasses import fields, is_dataclass
 
-__all__ = ["loads", "check_type", "check_unsigned", "check_keys", "read_fields", "build"]
+__all__ = [
+    "canonical_json", "loads", "check_type", "check_unsigned", "check_keys", "read_fields", "build",
+]
+
+
+def canonical_json(obj) -> str:
+    """One-line JSON with sorted keys and no spaces: the form of every JSON-lines output."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and scenario config."""
 
 import dataclasses
+import importlib.util
 import json
 import os
 import re
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oransim
@@ -83,6 +85,71 @@ def test_python_m_oransim_runs_the_cli(tmp_path):
                               env=env, capture_output=True, text=True, timeout=60)
         exits[name] = (done.returncode, (done.stdout + done.stderr).split(":")[0])
     assert exits == {"empty.jsonl": (0, "PASS"), "bad.jsonl": (1, "FAIL"), ".": (1, "error")}
+
+
+def blas_runtime_config() -> str:
+    """``tools/output_digests.py``'s name for the OpenBLAS build and kernel this process runs."""
+    tool = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.blas_runtime_config()
+
+
+def cpu_flags() -> set[str]:
+    try:
+        lines = Path("/proc/cpuinfo").read_text(encoding="utf-8").splitlines()
+    except OSError:
+        return set()
+    return {flag for line in lines if line.startswith("flags") for flag in line.split(":")[1].split()}
+
+
+def test_loop_decisions_do_not_depend_on_the_blas_kernel(tmp_path):
+    """Each OpenBLAS kernel repeats its own bytes, and the default kernel and
+    Haswell's take the same decisions: every event's tag, hour and cells, and
+    the summary's congestion and split counts."""
+    config = blas_runtime_config()
+    if "DYNAMIC_ARCH" not in config:
+        pytest.skip(f"numpy's OpenBLAS does not pick its kernel at run time: {config}")
+    if "avx2" not in cpu_flags():
+        pytest.skip("/proc/cpuinfo lists no avx2, so OpenBLAS cannot run its Haswell kernel")
+    # the sizes of test_properties.loop_logs (a congested, a clear and a noisy cell), but
+    # 12 units, the default: at 3 units SkylakeX and Haswell write the same bytes
+    n_hours, noisy = 64, np.random.default_rng(7)
+    kpis = [([96.0] * n_hours, [0.4] * n_hours), ([30.0] * n_hours, [6.0] * n_hours),
+            (noisy.uniform(0.0, 100.0, n_hours), noisy.uniform(0.0, 10.0, n_hours))]
+    series = [KpiSeries.from_arrays(CellId(0, c), 0, *kpi) for c, kpi in enumerate(kpis)]
+    (tmp_path / "dataset.csv").write_bytes(export_csv(series))
+    write_config(tmp_path, {
+        "master_seed": 3, "horizon_hours": 24, "traffic": {"csv": {"path": "dataset.csv"}},
+        "lstm": {"n_layers": 1, "units_per_layer": 12},
+        "training": {"batch_size": 64, "epochs": 1, "lookback": 4}, "split": {"max_factor": 4},
+        # every inexact forecast mispredicts, so a retrain waits only for its cooldown
+        "loop": {"retrain_accuracy_threshold": 100.0, "split_cooldown_hours": 6,
+                 "retrain_cooldown_hours": 6},
+    })
+    path = [str(Path(oransim.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    runs: dict[str, list[tuple[bytes, dict]]] = {}
+    for kernel in ("default", "default", "Haswell", "Haswell"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        env.pop("OPENBLAS_CORETYPE", None)
+        if kernel != "default":
+            env["OPENBLAS_CORETYPE"] = kernel
+        out = tmp_path / f"{kernel}-{len(runs.get(kernel, []))}"
+        subprocess.run([sys.executable, "-m", "oransim", "run", "-c", "config.json", "-o", out],
+                       env=env, cwd=tmp_path, check=True, capture_output=True, timeout=300)
+        runs.setdefault(kernel, []).append(((out / "events.jsonl").read_bytes(),
+                                            json.loads((out / "summary.json").read_text())))
+
+    def decisions(events: bytes, summary: dict):
+        counts = ("congested_hours_baseline", "congested_hours_after", "splits_issued",
+                  "max_split_factor_reached")
+        return ([(e.tag, e.hour, e.cells) for e in EventLog.parse_jsonl(events.decode())],
+                {key: summary[key] for key in counts})
+
+    for kernel, ((events, _), (again, _)) in runs.items():
+        assert events == again, f"{kernel} kernel did not repeat its event log"
+    assert decisions(*runs["default"][0]) == decisions(*runs["Haswell"][0])
 
 
 class TestConfig:

@@ -229,7 +229,7 @@ def seed_train(series, lstm_cfg, cfg):
     without its per-epoch validation forward, whose loss nothing read."""
     split = int(np.floor(cfg.train_fraction * len(series)))
     norm = compute_norm_stats(series.to_array()[:split])
-    inputs, targets = make_windows(series, cfg, norm)
+    inputs, targets = make_windows(norm.normalize(series.to_array()), cfg.lookback)
     n_train = split - cfg.lookback
     train_inputs, train_targets = inputs[:n_train], targets[:n_train]
     rng = rng_for(cfg.seed)
@@ -464,24 +464,22 @@ class TestAdam:
 
 
 class TestWindows:
+    @staticmethod
+    def normalized(series, norm=None):
+        norm = norm or compute_norm_stats(series.to_array())
+        return norm.normalize(series.to_array())
+
     def test_window_count_minimal(self):
-        series = sine_series(25)
-        cfg = TrainingConfig(lookback=24, seed=0)
-        inputs, targets = make_windows(series, cfg, compute_norm_stats(series.to_array()))
+        inputs, targets = make_windows(self.normalized(sine_series(25)), 24)
         assert len(inputs) == len(targets) == 1
 
     def test_window_count_arithmetic(self):
-        series = sine_series(600)
-        cfg = TrainingConfig(lookback=24, seed=0)
-        inputs, targets = make_windows(series, cfg, compute_norm_stats(series.to_array()))
+        inputs, targets = make_windows(self.normalized(sine_series(600)), 24)
         assert len(inputs) == len(targets) == 576
 
     def test_targets_are_next_hour(self):
-        series = sine_series(30)
-        cfg = TrainingConfig(lookback=4, seed=0)
-        norm = compute_norm_stats(series.to_array())
-        inputs, targets = make_windows(series, cfg, norm)
-        values = norm.normalize(series.to_array())
+        values = self.normalized(sine_series(30))
+        inputs, targets = make_windows(values, 4)
         for i in range(len(inputs)):
             assert np.array_equal(inputs[i], values[i : i + 4])
             assert np.array_equal(targets[i], values[i + 4])
@@ -489,15 +487,12 @@ class TestWindows:
     def test_constant_series_normalizes_to_equal_inputs(self):
         series = series_from_arrays([50.0] * 30, [2.0] * 30)
         norm = NormStats(np.array([0.0, 0.0]), np.array([100.0, 4.0]))
-        cfg = TrainingConfig(lookback=5, seed=0)
-        inputs, _ = make_windows(series, cfg, norm)
+        inputs, _ = make_windows(self.normalized(series, norm), 5)
         assert np.all(inputs == inputs[0, 0])
 
     def test_too_short_series_rejected(self):
-        series = sine_series(10)
         with pytest.raises(InsufficientDataError):
-            make_windows(series, TrainingConfig(lookback=24, seed=0),
-                         compute_norm_stats(series.to_array()))
+            make_windows(self.normalized(sine_series(10)), 24)
 
 
 class TestNormStats:
@@ -583,9 +578,22 @@ class TestStackedTraining:
         cfg = TrainingConfig(batch_size=batch_size, lookback=24)
         assert stack_width(LstmConfig(), cfg, length) == width
 
+    # the bench loops' shapes, and a history 35 h long that trains at batch 4
+    @pytest.mark.parametrize("batch_size, length", [(16, 138), (16, 153), (9, 42), (16, 35)])
+    def test_stack_width_is_the_most_workspaces_within_the_bound(self, batch_size, length):
+        lstm, cfg = LstmConfig(), TrainingConfig(batch_size=batch_size, lookback=24)
+        width = stack_width(lstm, cfg, length)
+        batch = min(batch_size, training.train_split(length, cfg) - cfg.lookback)
+
+        def workspace_bytes(models):
+            work = _Workspace(lstm, (models, cfg.lookback, batch, lstm.input_dim))
+            return sum(buf.nbytes for buf in work.buffers)
+
+        assert workspace_bytes(width) <= training.STACK_BYTES < workspace_bytes(width + 1)
+
     def test_stacked_step_stays_within_its_model_bytes(self):
         # one width-4 step at loop-retrain's shapes traces 2,499,152 bytes; caching
-        # tanh(c) as well took it to 2,787,424, over the 2,649,293 allowed here
+        # tanh(c) as well took it to 2,787,424, over the 2,696,602 allowed here
         lstm, cfg = LstmConfig(), TrainingConfig(batch_size=16, lookback=24)
         norm = NormStats(np.zeros(2), np.ones(2))
         stack = stack_models([init_model(lstm, norm, rng_for(seed)) for seed in range(4)])

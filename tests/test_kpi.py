@@ -116,6 +116,9 @@ class TestInvariants:
         with pytest.raises(ValueError):
             CellId(-1, 0)
 
+    def test_cell_key_drops_the_generation(self):
+        assert CellId(3, 7, 2).key == (3, 7)
+
     def test_series_keeps_only_arrays_nothing_can_write(self):
         rows = np.array([(10.5, 1.25), (20.25, 2.5), (30.0, 0.5)])
         frozen = rows.copy()

@@ -100,8 +100,8 @@ class TestSplitEffects:
         net = flat_network(history=4)
         policy = SplitPolicy(r_min=70.0, r_max=70.0, max_factor=4)
         net.split((0, 0), policy, policy.rng())
-        assert net.cells[(0, 0)].generation == 1
-        assert net.cells[(0, 2)].generation == 1
+        assert net.cells[(0, 0)].cell_id.generation == 1
+        assert net.cells[(0, 2)].cell_id.generation == 1
         assert net.max_factor_reached() == 2
 
     def test_composed_splits_multiply_fractions(self):

@@ -310,7 +310,7 @@ def test_realize_hour_matches_scalar_law(run):
         expected = [scalar_share_kpis(*base[c.origin][hour].tolist(), c.load_fraction, cap)
                     for c in cells]
         assert rows.tobytes() == np.array(expected).tobytes()
-        assert all(net.realized(c.key)[-1].tobytes() == row.tobytes()
+        assert all(net.realized(c.cell_id.key)[-1].tobytes() == row.tobytes()
                    for c, row in zip(cells, rows))
 
 
@@ -564,7 +564,7 @@ def test_stacked_training_matches_each_cell_alone(round_):
 
     def recording_train_stack(series_list, lstm_cfg, train_cfgs):
         trained = training.train_stack(series_list, lstm_cfg, train_cfgs)
-        stacks.append(([(s.cell.enb, s.cell.cell) for s in series_list], trained))
+        stacks.append(([s.cell.key for s in series_list], trained))
         return trained
 
     with mock.patch.object(training, "STACK_BYTES", stack_bytes), \

@@ -589,6 +589,12 @@ class TestEventLog:
         with pytest.raises(ValueError):
             EventLog().append("Bogus", hour=0)
 
+    def test_all_tags_in_choreography_order(self):
+        assert EventTag.ALL == (
+            "O1Collect", "BusPublish", "CapabilityQuery", "TrainRequest", "TrainedModel",
+            "A1Deploy", "Inference", "AlarmRaised", "E2Control", "Feedback", "Retrain",
+        )
+
     def test_deployment_schema_dump(self):
         norm = NormStats(np.zeros(2), np.ones(2))
         model = init_model(LSTM_TINY, norm, np.random.default_rng(0))

@@ -17,14 +17,24 @@ a temporary path. Each output file prints as one
 ``<sha256>  <workload>/<seed>/<command>/<file>`` line, so two checkouts
 write the same bytes exactly when their listings are equal.
 
-Given a second checkout OTHER, both run, and the script prints each
-listing's sha256 (that of its text, as ``sha256sum`` reads it) and every
-line that is in one listing only, marked ``-`` for CHECKOUT and ``+`` for
-OTHER. It exits 1 if the listings differ.
+The first line names the numeric platform the commands ran on, since the
+bytes repeat only for one numpy build, BLAS library and BLAS kernel:
+``# platform: numpy <version>, <BLAS name> <version>, <runtime config>``.
+The name and version are those numpy was built with; the runtime config is
+the string that the OpenBLAS numpy loaded reports, which names the kernel it
+picked, or ``unknown`` where it cannot be read.
+
+Given a second checkout OTHER, the script first names the platform each
+checkout runs on; if the two lines differ, it prints both and exits 2
+without running either. Otherwise both run, and the script prints each
+listing's sha256 (that of its digest lines, as ``sha256sum`` reads them)
+and every line that is in one listing only, marked ``-`` for CHECKOUT and
+``+`` for OTHER. It exits 1 if the listings differ.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import importlib.util
 import json
@@ -35,11 +45,49 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
+
+def blas_runtime_config() -> str:
+    """The configuration string of the OpenBLAS this process's numpy loaded, or "unknown"."""
+    try:
+        maps = Path("/proc/self/maps").read_text(encoding="utf-8")
+    except OSError:
+        return "unknown"
+    paths = {fields[5] for fields in (line.split(None, 5) for line in maps.splitlines())
+             if len(fields) == 6 and "openblas" in Path(fields[5]).name}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)  # already mapped, so this is numpy's own copy
+        for name in ("scipy_openblas_get_config64_", "openblas_get_config"):
+            get_config = getattr(lib, name, None)
+            if get_config is not None:
+                get_config.restype = ctypes.c_char_p
+                return " ".join(get_config().decode().split())
+    return "unknown"
+
+
+def platform_line() -> str:
+    """This process's numpy version, the BLAS numpy was built with, and its runtime config."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"# platform: numpy {np.__version__}, {blas['name']} {blas['version']}, "
+            f"{blas_runtime_config()}")
+
+
+def _env(checkout: Path) -> dict[str, str]:
+    return {**os.environ, "PYTHONPATH": str(checkout / "src")}
+
+
+def _platform(checkout: Path) -> str:
+    """``platform_line`` in the environment that runs ``checkout``."""
+    code = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+            "import output_digests; print(output_digests.platform_line())")
+    return subprocess.run([sys.executable, "-c", code], env=_env(checkout), check=True,
+                          capture_output=True, text=True).stdout.strip()
+
 
 def _oransim(checkout: Path, cwd: Path, *args: str) -> None:
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    subprocess.run([sys.executable, "-m", "oransim", *args], env=env, cwd=cwd, check=True,
-                   stdout=subprocess.DEVNULL)
+    subprocess.run([sys.executable, "-m", "oransim", *args], env=_env(checkout), cwd=cwd,
+                   check=True, stdout=subprocess.DEVNULL)
 
 
 def _listing(checkout: Path) -> list[str]:
@@ -86,6 +134,12 @@ def main(argv: list[str]) -> int:
         print(__doc__.splitlines()[2], file=sys.stderr)
         return 2
     checkouts = [Path(a).resolve() for a in argv] or [Path(__file__).resolve().parents[1]]
+    platforms = [_platform(checkout) for checkout in checkouts]
+    if len(set(platforms)) > 1:
+        for checkout, platform in zip(checkouts, platforms):
+            print(f"{platform}  ({checkout})")
+        return 2
+    print(platforms[0])
     listings = [_listing(checkout) for checkout in checkouts]
     if len(listings) == 1:
         print("\n".join(listings[0]))
