@@ -720,18 +720,26 @@ class TestMemory:
 
     def test_in_order_ingest_keeps_two_int32_codes_per_row(self):
         # a row holds an int32 cell code and stamp id, and the grid is checked once per
-        # distinct timestamp: about 0.72x here, and 0.87x with int64 codes and float64 hours
+        # distinct timestamp: about 0.51x here, and 0.87x with int64 codes and float64 hours
         payload = export_csv(generate_synthetic(self.LARGE))
         assert self.traced_peak(ingest_csv, payload) <= 0.8 * len(payload)
 
     def test_in_order_grid_check_peaks_under_the_parse(self):
         # beyond the columns, the grid check of an in-order file holds one bool per row and
-        # per-cell arrays: +5,295 bytes over the parse here, and +350,081 with a float64 step
-        # per row; the reference default fleet, 183,600 rows
+        # per-cell arrays: about 12,600 bytes under the parse here, and +350,081 over it
+        # with a float64 step per row; the reference default fleet, 183,600 rows
         payload = export_csv(generate_synthetic(SyntheticProfile(seed=3)))
         with mock.patch.object(traffic, "_series_from_columns", lambda *args: []):
             parse = self.traced_peak(ingest_csv, payload)
         assert self.traced_peak(ingest_csv, payload) <= parse + 64 * 1024
+
+    def test_in_order_ingest_holds_its_columns_and_one_batch(self):
+        # beyond 24 bytes a row (the float64 KPI pair, the int32 cell code and stamp id),
+        # an in-order ingest holds one parse batch of row objects: about 0.4 MB here in
+        # batches of 512 rows, and 1.27 MB in batches of 2,048
+        payload = export_csv(generate_synthetic(self.LARGE))
+        rows = payload.count(b"\n") - 1  # 72,000, the header aside
+        assert self.traced_peak(ingest_csv, payload) - 24 * rows <= 600_000
 
     def test_export_peaks_at_one_and_a_half_times_the_csv(self):
         series = generate_synthetic(self.PROFILE)
